@@ -2,17 +2,11 @@
 
 The pivot loop below is the package's dominant cost on large games (LPs
 with a handful of rows and thousands of columns, re-solved many times).
-It is compiled with numba's @njit by default; setting the environment
-variable ``HONEYFLOW_PURE_NUMPY=1`` (or running without numba installed)
-selects the identical uncompiled NumPy implementation. Both paths execute
-the same arithmetic in the same order, so results match bit for bit.
-
-``benchmarks/bench_simplex.py`` compares the two paths.
+It is plain NumPy: vectorized over the columns, one Python-level step per
+pivot.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -34,14 +28,6 @@ _DEGEN_SWITCH = 40
 # 1e-8 contract).
 _PIVOT_TOL = 1e-11
 _TIE_TOL = 1e-11
-
-
-def _pure_numpy_requested() -> bool:
-    return os.environ.get("HONEYFLOW_PURE_NUMPY", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-    }
 
 
 def simplex_iterate(T, xb, d, basis, status, upper, opt_tol, max_iter):
@@ -160,17 +146,3 @@ def simplex_iterate(T, xb, d, basis, status, upper, opt_tol, max_iter):
 
     return ITERATION_LIMIT, max_iter
 
-
-# Always-available uncompiled reference; `simplex_iterate` below may be
-# rebound to the numba-compiled version of the same function.
-simplex_iterate_python = simplex_iterate
-
-USING_NUMBA = False
-if not _pure_numpy_requested():
-    try:
-        from numba import njit
-
-        simplex_iterate = njit(cache=True)(simplex_iterate)
-        USING_NUMBA = True
-    except ImportError:
-        pass

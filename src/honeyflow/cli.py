@@ -103,21 +103,7 @@ def _report_out(report: experiments.ExperimentReport, args) -> None:
         report.write_csv(args.output, with_timing=args.with_timing)
         report.write_metadata(args.output + ".meta.json")
     else:
-        buf = io.StringIO()
-        keep = [
-            i
-            for i, c in enumerate(report.columns)
-            if args.with_timing or c not in experiments.TIMING_COLUMNS
-        ]
-        import csv as _csv
-
-        writer = _csv.writer(buf)
-        writer.writerow([report.columns[i] for i in keep])
-        for row in report.rows:
-            writer.writerow(
-                [repr(v) if isinstance(v, float) else v for i, v in enumerate(row) if i in keep]
-            )
-        sys.stdout.write(buf.getvalue())
+        report.write_rows(sys.stdout, with_timing=args.with_timing)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute the optimal honey-flow strategy")
     p.add_argument("--game", required=True, help="game spec JSON path")
     p.add_argument("--output", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--with-timing", action="store_true")
     p.add_argument("--dump-spec", default=None, help="re-emit the parsed spec as JSON")
 
@@ -204,7 +189,7 @@ def _cmd_solve(args) -> int:
     spec = load_spec(args.game)
     if args.dump_spec:
         dump_spec(spec, args.dump_spec)
-    eq = solve_stackelberg(spec, threads=args.threads)
+    eq = solve_stackelberg(spec)
     report = verify_equilibrium(spec, eq)
     if args.verbose:
         for action, (status, value) in eq.per_action_lp_values.items():

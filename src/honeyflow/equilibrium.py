@@ -11,7 +11,6 @@ the single mixed-integer formulation exactly and realizes the strong
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +18,13 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .game import (
     NO_ATTACK,
+    TIE_TOL,
     AttackerAction,
     DefenderStrategy,
     GameSpec,
+    attack_values,
     attacker_utility,
     defender_utility,
-    real_hit_probabilities,
     validate_game,
 )
 from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp
@@ -68,13 +68,6 @@ def _layout(spec: GameSpec) -> tuple[np.ndarray, int]:
     return offsets, int(sum(sizes))
 
 
-def _attack_values(spec: GameSpec, type_id: int) -> np.ndarray:
-    """Attacker's expected value for attacking ``type_id`` per honey count j."""
-    vt = spec.type_by_id(type_id)
-    p = real_hit_probabilities(vt)
-    return p * vt.attacker_real_value + (1.0 - p) * vt.attacker_honey_value
-
-
 def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgram:
     """LP over all marginal probabilities with ``fixed`` forced optimal.
 
@@ -97,7 +90,7 @@ def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgr
     if fixed.is_attack:
         k = fixed.target
         sl = slice(offsets[k], offsets[k] + spec.types[k].honey_flow_bound + 1)
-        c[sl] += -_attack_values(spec, k)
+        c[sl] += -attack_values(spec.type_by_id(k))
 
     eq_rows = np.zeros((len(spec.types), width))
     for t in spec.types:
@@ -112,11 +105,11 @@ def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgr
         if rival.is_attack:
             m = rival.target
             sl = slice(offsets[m], offsets[m] + spec.types[m].honey_flow_bound + 1)
-            ineq_rows[row, sl] += _attack_values(spec, m)
+            ineq_rows[row, sl] += attack_values(spec.type_by_id(m))
         if fixed.is_attack:
             k = fixed.target
             sl = slice(offsets[k], offsets[k] + spec.types[k].honey_flow_bound + 1)
-            ineq_rows[row, sl] -= _attack_values(spec, k)
+            ineq_rows[row, sl] -= attack_values(spec.type_by_id(k))
     ineq_rhs = np.zeros(len(rivals))
 
     return LinearProgram(
@@ -141,45 +134,39 @@ def _strategy_from_x(spec: GameSpec, x: np.ndarray) -> DefenderStrategy:
     return DefenderStrategy(tuple(marginals))
 
 
-def solve_stackelberg(spec: GameSpec, threads: int = 1) -> Equilibrium:
+def solve_stackelberg(spec: GameSpec) -> Equilibrium:
     """Strong Stackelberg equilibrium of the honey-flow game.
 
     Solves one LP per candidate attacker action, skips infeasible ones
     (actions no defender strategy makes a best response), and keeps the
-    action with the best defender objective. Ties go to the lowest type
-    id, with no-attack considered last. Deterministic for any ``threads``.
+    action with the best defender objective. Objectives within ``TIE_TOL``
+    of the best tie; ties go to the lowest type id, with no-attack
+    considered last.
     """
     validate_game(spec)
     start = time.perf_counter()
     actions = [AttackerAction.attack(i) for i in spec.attackable_ids]
     actions.append(NO_ATTACK)
 
-    def run(action: AttackerAction) -> LpSolution:
+    solutions: list[LpSolution] = []
+    for action in actions:
         try:
-            return solve_lp(build_best_response_lp(spec, action))
+            solutions.append(solve_lp(build_best_response_lp(spec, action)))
         except SolverError:
             raise
         except Exception as exc:  # malformed-input bugs surface as SolverError
             raise SolverError(f"LP for {action} failed: {exc}") from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solutions = list(pool.map(run, actions))
-    else:
-        solutions = [run(a) for a in actions]
-
-    per_action: dict[AttackerAction, tuple[str, float | None]] = {}
-    best: tuple[AttackerAction, LpSolution] | None = None
-    for action, sol in zip(actions, solutions):
-        per_action[action] = (sol.status, sol.objective_value)
-        if sol.status != OPTIMAL:
-            continue
-        if best is None or sol.objective_value > best[1].objective_value:
-            best = (action, sol)
-    if best is None:
+    per_action = {
+        a: (sol.status, sol.objective_value) for a, sol in zip(actions, solutions)
+    }
+    feasible = [(a, sol) for a, sol in zip(actions, solutions) if sol.status == OPTIMAL]
+    if not feasible:
         raise SolverError("no attacker action admits a feasible best-response LP")
-
-    action, sol = best
+    top = max(sol.objective_value for _, sol in feasible)
+    action, sol = next(
+        (a, sol) for a, sol in feasible if sol.objective_value >= top - TIE_TOL
+    )
     strategy = _strategy_from_x(spec, sol.x)
     elapsed = time.perf_counter() - start
     return Equilibrium(

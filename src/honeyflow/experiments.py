@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import USING_NUMBA
 from .equilibrium import solve_stackelberg
 from .errors import ConfigError
 from .game import DefenderStrategy, GameSpec, VulnerabilityType
@@ -122,19 +121,24 @@ class ExperimentReport:
     rows: tuple[tuple, ...]
     metadata: dict
 
-    def write_csv(self, path, with_timing: bool = False) -> None:
+    def write_rows(self, fh, with_timing: bool = False) -> None:
+        """Write the CSV to an open text handle; floats print as repr and
+        timing columns are dropped unless ``with_timing``."""
         keep = [
             i
             for i, c in enumerate(self.columns)
             if with_timing or c not in TIMING_COLUMNS
         ]
+        writer = csv.writer(fh)
+        writer.writerow([self.columns[i] for i in keep])
+        for row in self.rows:
+            writer.writerow(
+                [repr(v) if isinstance(v, float) else v for i, v in enumerate(row) if i in keep]
+            )
+
+    def write_csv(self, path, with_timing: bool = False) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([self.columns[i] for i in keep])
-            for row in self.rows:
-                writer.writerow(
-                    [repr(v) if isinstance(v, float) else v for i, v in enumerate(row) if i in keep]
-                )
+            self.write_rows(fh, with_timing)
 
     def write_metadata(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -308,7 +312,7 @@ def scalability_bench(
 
     ``dimension`` is "types" (vary the number of vulnerability types,
     honey bounds fixed at 100) or "honey_bounds" (5 types, vary the
-    bound). A small warm-up solve runs first so one-time compilation is
+    bound). A small warm-up solve runs first so first-call overheads are
     not billed to the first size.
     """
     if dimension not in ("types", "honey_bounds"):
@@ -317,7 +321,7 @@ def scalability_bench(
         raise ConfigError("sizes must be ascending")
     solve_stackelberg(
         random_game(GeneratorParams(type_count=2, real_flows=5, honey_bound_range=(3, 3)), 0)
-    )  # warm-up: JIT compile + caches
+    )  # warm-up: first-call overheads
     game_seeds = np.random.SeedSequence(seed).spawn(trials)
     rows = []
     for size in sizes:
@@ -355,7 +359,6 @@ def scalability_bench(
         "machine": {
             "platform": platform.platform(),
             "python": platform.python_version(),
-            "numba": USING_NUMBA,
         },
     }
     return ExperimentReport(columns, tuple(rows), meta)

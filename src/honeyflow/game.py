@@ -10,6 +10,7 @@ flow when j honey flows are up is R_i / (j + R_i).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -18,6 +19,10 @@ import numpy as np
 from .errors import DistributionError, ShapeError, ValidationError
 
 PROB_TOL = 1e-9
+
+# Utilities within TIE_TOL of the best count as tied. Solvers and attacker
+# models then break the tie by label: lowest type id first, no-attack last.
+TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,11 @@ def validate_game(spec: GameSpec) -> GameSpec:
             raise ValidationError(
                 f"type ids must be consecutive from 0; position {pos} has id {t.id}"
             )
+        for name in ("attacker_real_value", "attacker_honey_value", "honey_flow_cost"):
+            if not math.isfinite(getattr(t, name)):
+                raise ValidationError(
+                    f"type {t.id}: {name} must be finite, got {getattr(t, name)}"
+                )
         if t.attacker_honey_value > t.attacker_real_value:
             raise ValidationError(
                 f"type {t.id}: honey value {t.attacker_honey_value} exceeds "
@@ -203,6 +213,13 @@ def real_hit_probabilities(vt: VulnerabilityType) -> np.ndarray:
     if vt.real_flow_count == 0:
         return np.zeros(vt.honey_flow_bound + 1)
     return vt.real_flow_count / (j + vt.real_flow_count)
+
+
+def attack_values(vt: VulnerabilityType) -> np.ndarray:
+    """Attacker's expected value u(j) = p_j*v_real + (1-p_j)*v_honey of
+    attacking ``vt`` when j = 0..H honey flows are up."""
+    p = real_hit_probabilities(vt)
+    return p * vt.attacker_real_value + (1.0 - p) * vt.attacker_honey_value
 
 
 def real_attack_probability(
@@ -294,6 +311,20 @@ _TYPE_FIELDS = {
 }
 
 
+def _number(raw: Mapping, field: str, idx: int) -> float:
+    """A JSON number as float; null, bools, strings and overflow are rejected
+    (finiteness is left to validate_game)."""
+    value = raw[field]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValidationError(
+        f"type {idx}: {field} must be a finite number, got {value!r}"
+    )
+
+
 def spec_from_dict(payload: Mapping) -> GameSpec:
     """Build and validate a GameSpec from the JSON wire representation.
 
@@ -325,11 +356,11 @@ def spec_from_dict(payload: Mapping) -> GameSpec:
         types.append(
             VulnerabilityType(
                 id=idx,
-                attacker_real_value=float(raw["attacker_real_value"]),
-                attacker_honey_value=float(raw["attacker_honey_value"]),
+                attacker_real_value=_number(raw, "attacker_real_value", idx),
+                attacker_honey_value=_number(raw, "attacker_honey_value", idx),
                 real_flow_count=raw["real_flows"],
                 honey_flow_bound=raw["honey_flow_bound"],
-                honey_flow_cost=float(raw["cost_per_flow"]),
+                honey_flow_cost=_number(raw, "cost_per_flow", idx),
             )
         )
     return validate_game(GameSpec(tuple(types)))

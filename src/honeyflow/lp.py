@@ -4,7 +4,7 @@ Maximizes c.x subject to equality rows, <= rows, and per-variable bounds
 [0, u] (u optional). Upper bounds are handled natively by the bounded-
 variable pivot rules rather than extra rows, so an LP with thousands of
 box-bounded columns and a handful of rows stays a handful of rows. The
-pivot loop lives in ``_kernels`` (numba-compiled by default).
+pivot loop lives in ``_kernels``.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -75,6 +76,19 @@ _TOPOLOGY_FIELDS = {"endpoints", "switches", "links", "compromised"}
 _ENDPOINT_FIELDS = {"id", "defender_value", "attacker_value", "weaknesses", "fake"}
 
 
+def _endpoint_value(raw: Mapping, field: str) -> float:
+    value = raw.get(field, 0.0)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(float(value)):
+                return float(value)
+        except OverflowError:
+            pass
+    raise TopologyError(
+        f"endpoint {raw['id']}: {field} must be a finite number, got {value!r}"
+    )
+
+
 def network_from_dict(payload: Mapping) -> NetworkModel:
     """Build and validate a NetworkModel from the topology JSON shape.
 
@@ -91,16 +105,25 @@ def network_from_dict(payload: Mapping) -> NetworkModel:
 
     endpoints: dict[str, Endpoint] = {}
     for raw in payload.get("endpoints", []):
+        if not isinstance(raw, Mapping) or "id" not in raw:
+            raise TopologyError(f"endpoint {raw!r} must be an object with an id")
         unknown = set(raw) - _ENDPOINT_FIELDS
         if unknown:
             raise TopologyError(
                 f"endpoint {raw.get('id')}: unknown fields {sorted(unknown)}"
             )
+        weaknesses = raw.get("weaknesses", [])
+        if not isinstance(weaknesses, list) or not all(
+            isinstance(w, int) and not isinstance(w, bool) for w in weaknesses
+        ):
+            raise TopologyError(
+                f"endpoint {raw['id']}: weaknesses must be a list of type ids"
+            )
         ep = Endpoint(
             id=str(raw["id"]),
-            defender_value=float(raw.get("defender_value", 0.0)),
-            attacker_value=float(raw.get("attacker_value", 0.0)),
-            weaknesses=frozenset(int(w) for w in raw.get("weaknesses", [])),
+            defender_value=_endpoint_value(raw, "defender_value"),
+            attacker_value=_endpoint_value(raw, "attacker_value"),
+            weaknesses=frozenset(weaknesses),
             is_fake=bool(raw.get("fake", False)),
         )
         if ep.id in endpoints:
@@ -113,6 +136,8 @@ def network_from_dict(payload: Mapping) -> NetworkModel:
 
     links = []
     for pair in payload.get("links", []):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise TopologyError(f"link {pair!r} must be a pair of node ids")
         a, b = str(pair[0]), str(pair[1])
         for node in (a, b):
             if node not in endpoints and node not in switches:

@@ -16,12 +16,14 @@ import numpy as np
 from .errors import DistributionError, EmptyActionSet
 from .game import (
     NO_ATTACK,
+    PROB_TOL,
+    TIE_TOL,
     AttackerAction,
     DefenderStrategy,
     GameSpec,
+    attack_values,
     attacker_utility,
     defender_utility,
-    real_hit_probabilities,
     utility_vs_mixed_attacker,
     validate_game,
 )
@@ -74,21 +76,20 @@ def best_response_defender(
     total = 0.0
     q = np.zeros(len(spec.types))
     for action, prob in attacker_dist.items():
-        if prob < -1e-9:
+        if prob < -PROB_TOL:
             raise DistributionError(f"negative probability {prob} for {action}")
         if action.is_attack:
             if action.target not in attackable:
                 raise DistributionError(f"{action} targets an unattackable type")
             q[action.target] += prob
         total += prob
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > PROB_TOL:
         raise DistributionError(f"attacker distribution sums to {total}, not 1")
 
     counts = []
     for t in spec.types:
-        p = real_hit_probabilities(t)
         js = np.arange(t.honey_flow_bound + 1, dtype=float)
-        defense = p * t.defender_real_value + (1.0 - p) * t.defender_honey_value
+        defense = -attack_values(t)
         score = q[t.id] * defense - js * t.honey_flow_cost
         counts.append(int(np.argmax(score)))  # first max: smallest j wins ties
     return DefenderStrategy.from_counts(spec, counts)
@@ -104,10 +105,7 @@ def greedy_attacker(spec: GameSpec) -> AttackerAction:
     validate_game(spec)
     best: tuple[float, int] | None = None
     for i in spec.attackable_ids:
-        t = spec.type_by_id(i)
-        denom = t.honey_flow_bound + t.real_flow_count
-        p = t.real_flow_count / denom
-        u = p * t.attacker_real_value + (1.0 - p) * t.attacker_honey_value
+        u = float(attack_values(spec.type_by_id(i))[-1])
         if best is None or u > best[0]:
             best = (u, i)
     if best is None or best[0] < 0.0:
@@ -136,13 +134,13 @@ def rational_attacker(spec: GameSpec, strategy: DefenderStrategy) -> AttackerAct
     actions = [AttackerAction.attack(i) for i in spec.attackable_ids] + [NO_ATTACK]
     values = [attacker_utility(spec, strategy, a) for a in actions]
     best = max(values)
-    tied = [a for a, v in zip(actions, values) if v >= best - 1e-9]
+    tied = [a for a, v in zip(actions, values) if v >= best - TIE_TOL]
     if len(tied) == 1:
         return tied[0]
     defender_values = [defender_utility(spec, strategy, a) for a in tied]
     best_def = max(defender_values)
     for a, v in zip(tied, defender_values):  # listed lowest-id first, no-attack last
-        if v >= best_def - 1e-9:
+        if v >= best_def - TIE_TOL:
             return a
     return tied[0]
 
@@ -154,27 +152,22 @@ def evaluate_matchup(
     attacker: AttackerModel,
 ) -> MatchupResult:
     """Resolve an attacker model against a defender strategy and score it."""
+    if attacker is AttackerModel.UNIFORM_RANDOM:
+        dist = uniform_attacker(spec)
+        d_val, a_val = utility_vs_mixed_attacker(spec, strategy, dist)
+        return MatchupResult(
+            defender_value=d_val,
+            attacker_value=a_val,
+            attacker_behavior=dist,
+            defender_strategy_label=label,
+        )
     if attacker is AttackerModel.RATIONAL:
         action = rational_attacker(spec, strategy)
-        return MatchupResult(
-            defender_value=defender_utility(spec, strategy, action),
-            attacker_value=attacker_utility(spec, strategy, action),
-            attacker_behavior=action,
-            defender_strategy_label=label,
-        )
-    if attacker is AttackerModel.GREEDY:
+    else:
         action = greedy_attacker(spec)
-        return MatchupResult(
-            defender_value=defender_utility(spec, strategy, action),
-            attacker_value=attacker_utility(spec, strategy, action),
-            attacker_behavior=action,
-            defender_strategy_label=label,
-        )
-    dist = uniform_attacker(spec)
-    d_val, a_val = utility_vs_mixed_attacker(spec, strategy, dist)
     return MatchupResult(
-        defender_value=d_val,
-        attacker_value=a_val,
-        attacker_behavior=dist,
+        defender_value=defender_utility(spec, strategy, action),
+        attacker_value=attacker_utility(spec, strategy, action),
+        attacker_behavior=action,
         defender_strategy_label=label,
     )

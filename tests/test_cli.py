@@ -42,14 +42,6 @@ class TestSolve:
         payload = json.loads(out_path.read_text())
         assert payload["solve_time"] > 0
 
-    def test_threads_flag_same_result(self, capsys, worked_example_path):
-        _, out1, _ = _run(capsys, "solve", "--game", worked_example_path)
-        code, out2, _ = _run(
-            capsys, "solve", "--game", worked_example_path, "--threads", "3"
-        )
-        assert code == 0
-        assert out1 == out2
-
     def test_byte_identical_output_files(self, capsys, worked_example_path, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         _run(capsys, "solve", "--game", worked_example_path, "--output", str(a))
@@ -133,6 +125,52 @@ class TestExitCodes:
         code, _, err = _run(capsys, "solve")  # missing --game
         assert code == 1
         assert err
+
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("solve", lambda g: g["types"][0].update(attacker_real_value=None)),
+            ("solve", lambda g: g["types"][0].update(attacker_real_value=True)),
+            ("solve", lambda g: g["types"][0].update(attacker_honey_value=float("nan"))),
+            ("evaluate", lambda g: g["types"][0].update(attacker_honey_value=float("nan"))),
+            ("evaluate", lambda g: g["types"][0].update(cost_per_flow=float("inf"))),
+            ("simulate", lambda t: t["endpoints"][0].pop("id")),
+            ("simulate", lambda t: t["links"].append(["s1"])),
+            ("simulate", lambda t: t["endpoints"][2].update(attacker_value=float("nan"))),
+            ("simulate", lambda t: t["endpoints"][0].update(weaknesses=[None])),
+        ],
+        ids=[
+            "null-value",
+            "bool-value",
+            "nan-solve",
+            "nan-evaluate-uniform",
+            "infinite-cost",
+            "endpoint-without-id",
+            "one-element-link",
+            "nan-endpoint-value",
+            "null-weakness",
+        ],
+    )
+    def test_bad_input_is_config_error(
+        self, capsys, tmp_path, worked_example_path, chain_topology_path, command, edit
+    ):
+        source = chain_topology_path if command == "simulate" else worked_example_path
+        payload = json.loads(open(source).read())
+        edit(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))  # NaN / Infinity as JSON literals
+        argv = {
+            "solve": ["solve", "--game", str(bad)],
+            "evaluate": ["evaluate", "--game", str(bad), "--defender", "uniform"],
+            "simulate": ["simulate", "--topology", str(bad), "--real", "5,5", "--honey", "1,1"],
+        }[command]
+        code, out, err = _run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        if command != "simulate":  # named as bad input, not a solver fault
+            assert err.startswith("error: type 0: ")
 
 
 class TestHeuristicCommand:

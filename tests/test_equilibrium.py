@@ -105,13 +105,22 @@ class TestSolveStackelberg:
         assert status == "infeasible"
         assert value is None
 
-    def test_threads_do_not_change_the_answer(self, worked_example):
-        seq = solve_stackelberg(worked_example, threads=1)
-        par = solve_stackelberg(worked_example, threads=4)
-        assert seq.attacker_action == par.attacker_action
-        assert seq.defender_value == par.defender_value
-        for a, b in zip(seq.strategy.marginals, par.strategy.marginals):
-            assert np.array_equal(a, b)
+    def test_near_tied_actions_go_to_lowest_type_id(self):
+        # random_game(GeneratorParams(type_count=2, real_flows=(50, 500),
+        # honey_bound_range=(100, 100)), [20200207, 4]): both attack LPs
+        # reach the same optimum, but the attack(1) objective comes out
+        # one ulp higher, which must not beat the lowest-id rule.
+        spec = GameSpec(
+            (
+                VulnerabilityType(0, 1.0, 0.0, 441, 100, 1e-4),
+                VulnerabilityType(1, 1.0, 0.0, 373, 100, 1e-4),
+            )
+        )
+        eq = solve_stackelberg(spec)
+        v0 = eq.per_action_lp_values[AttackerAction.attack(0)][1]
+        v1 = eq.per_action_lp_values[AttackerAction.attack(1)][1]
+        assert v0 == pytest.approx(v1, abs=1e-12)
+        assert eq.attacker_action == AttackerAction.attack(0)
 
     def test_solve_time_recorded(self, worked_example):
         eq = solve_stackelberg(worked_example)

@@ -223,14 +223,14 @@ class TestScalabilityBench:
         report = scalability_bench("types", sizes=[1, 2], trials=2, seed=3)
         assert len(report.rows) == 2
         assert report.rows[0][1] == 1
-        assert report.metadata["machine"]["numba"] in (True, False)
+        assert report.metadata["machine"]["python"]
         assert all(r[2] > 0 for r in report.rows)
 
     def test_smallest_game_is_near_instant(self):
         import time
 
         spec = GameSpec((VulnerabilityType(0, 1.0, 0.0, 1, 1, 0.01),))
-        solve_stackelberg(spec)  # warm-up: one-time JIT compile
+        solve_stackelberg(spec)  # warm-up: first-call overheads
         start = time.perf_counter()
         solve_stackelberg(spec)
         assert time.perf_counter() - start < 0.01

@@ -1,88 +1,9 @@
-"""The compiled and pure-NumPy kernel paths must be interchangeable."""
+"""The simplex kernel, driven through the equilibrium solver."""
 
-import os
-import subprocess
-import sys
-
-import numpy as np
 import pytest
 
-from honeyflow import _kernels
 from honeyflow.equilibrium import solve_stackelberg
-from honeyflow.lp import LinearProgram, solve_lp
 
-
-@pytest.fixture
-def pure_path(monkeypatch):
-    monkeypatch.setattr(
-        _kernels, "simplex_iterate", _kernels.simplex_iterate_python
-    )
-
-
-def _random_lp(rng):
-    n = int(rng.integers(1, 12))
-    m_ub = int(rng.integers(0, 6))
-    m_eq = int(rng.integers(0, 3))
-    c = rng.normal(size=n)
-    a_ub = rng.normal(size=(m_ub, n))
-    b_ub = rng.uniform(0.1, 2.0, size=m_ub)
-    a_eq = rng.normal(size=(m_eq, n))
-    witness = rng.uniform(0.0, 1.0, size=n)
-    upper = np.maximum(
-        np.where(rng.random(n) < 0.5, rng.uniform(0.5, 3.0, size=n), np.inf),
-        witness + 0.1,
-    )
-    return LinearProgram(
-        objective=c,
-        eq_rows=a_eq,
-        eq_rhs=a_eq @ witness,
-        ineq_rows=a_ub,
-        ineq_rhs=b_ub,
-        upper=upper,
-    )
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "from honeyflow import _kernels; "
-        "print(_kernels.USING_NUMBA, _kernels.simplex_iterate is _kernels.simplex_iterate_python)"
-    )
-    env = dict(os.environ, HONEYFLOW_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.stdout.split() == ["False", "True"]
-
-
-def test_paths_bit_identical_on_random_lps(pure_path):
-    # Solve through the pure path here; compare against compiled results
-    # captured before the monkeypatch via a fresh in-process reference.
-    rng = np.random.default_rng(17)
-    problems = [_random_lp(rng) for _ in range(60)]
-    pure = [solve_lp(p) for p in problems]
-    # restore compiled path manually for the comparison half
-    compiled_fn = (
-        _kernels.simplex_iterate_python
-        if not _kernels.USING_NUMBA
-        else __import__("numba").njit(cache=True)(_kernels.simplex_iterate_python)
-    )
-    original = _kernels.simplex_iterate
-    _kernels.simplex_iterate = compiled_fn
-    try:
-        compiled = [solve_lp(p) for p in problems]
-    finally:
-        _kernels.simplex_iterate = original
-    for a, b in zip(pure, compiled):
-        assert a.status == b.status
-        assert a.iterations == b.iterations
-        if a.x is not None:
-            assert np.array_equal(a.x, b.x)
-            assert a.objective_value == b.objective_value
-
-
-def test_equilibrium_identical_across_paths(worked_example, pure_path):
-    pure_eq = solve_stackelberg(worked_example)
-    assert pure_eq.defender_value == pytest.approx(-10.75, abs=1e-9)
 
 def test_equilibrium_value_on_default_path(worked_example):
     eq = solve_stackelberg(worked_example)
