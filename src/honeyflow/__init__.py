@@ -34,11 +34,11 @@ from .game import (
     VulnerabilityType,
     attacker_utility,
     defender_utility,
-    honey_cost,
     load_spec,
-    real_attack_probability,
     spec_from_dict,
     spec_to_dict,
+    summarize,
+    utilities,
     utility_vs_mixed_attacker,
     validate_game,
     validate_strategy,
@@ -88,18 +88,18 @@ __all__ = [
     "evaluate_matchup",
     "exactness_gap",
     "greedy_attacker",
-    "honey_cost",
     "load_spec",
     "no_deception_strategy",
     "rational_attacker",
-    "real_attack_probability",
     "recommend_honey_flows",
     "solve_lp",
     "solve_stackelberg",
     "spec_from_dict",
     "spec_to_dict",
+    "summarize",
     "uniform_attacker",
     "uniform_random_strategy",
+    "utilities",
     "utility_vs_mixed_attacker",
     "validate_game",
     "validate_strategy",

@@ -17,19 +17,18 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .game import (
+    BEST_RESPONSE_TOL,
     NO_ATTACK,
     TIE_TOL,
     AttackerAction,
     DefenderStrategy,
     GameSpec,
     attack_values,
-    attacker_utility,
-    defender_utility,
+    summarize,
+    utilities,
     validate_game,
 )
 from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp
-
-BEST_RESPONSE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -169,11 +168,12 @@ def solve_stackelberg(spec: GameSpec) -> Equilibrium:
     )
     strategy = _strategy_from_x(spec, sol.x)
     elapsed = time.perf_counter() - start
+    defender_value, attacker_value = utilities(spec, summarize(spec, strategy), action)
     return Equilibrium(
         strategy=strategy,
         attacker_action=action,
-        defender_value=defender_utility(spec, strategy, action),
-        attacker_value=attacker_utility(spec, strategy, action),
+        defender_value=defender_value,
+        attacker_value=attacker_value,
         per_action_lp_values=per_action,
         solve_time=elapsed,
     )
@@ -199,18 +199,15 @@ def verify_equilibrium(spec: GameSpec, eq: Equilibrium) -> VerificationReport:
         CheckResult("strategy-bounds", bound_residual <= BEST_RESPONSE_TOL, bound_residual)
     )
 
-    chosen_value = attacker_utility(spec, eq.strategy, eq.attacker_action)
+    summary = summarize(spec, eq.strategy)
+    chosen_def, chosen_value = utilities(spec, summary, eq.attacker_action)
     rivals = [AttackerAction.attack(i) for i in spec.attackable_ids] + [NO_ATTACK]
-    br_residual = max(
-        attacker_utility(spec, eq.strategy, a) - chosen_value for a in rivals
-    )
+    br_residual = max(utilities(spec, summary, a)[1] - chosen_value for a in rivals)
     checks.append(
         CheckResult("attacker-best-response", br_residual <= BEST_RESPONSE_TOL, br_residual)
     )
 
-    def_residual = abs(
-        defender_utility(spec, eq.strategy, eq.attacker_action) - eq.defender_value
-    )
+    def_residual = abs(chosen_def - eq.defender_value)
     checks.append(
         CheckResult("defender-value-consistency", def_residual <= BEST_RESPONSE_TOL, def_residual)
     )

@@ -13,13 +13,13 @@ import dataclasses
 import json
 import platform
 import statistics
-import subprocess
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import __version__
 from .equilibrium import solve_stackelberg
 from .errors import ConfigError
 from .game import DefenderStrategy, GameSpec, VulnerabilityType
@@ -146,23 +146,14 @@ class ExperimentReport:
             fh.write("\n")
 
 
-def _build_stamp() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except (OSError, subprocess.TimeoutExpired):
-        pass
-    return "unknown"
+def _game_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    return np.random.SeedSequence(seed).spawn(trials)
 
 
 def _metadata(seed: int, params: GeneratorParams | None, **extra) -> dict:
-    meta = {"seed": seed, "build": _build_stamp(), **extra}
+    meta = {"seed": seed, "build": __version__, **extra}
     if params is not None:
         meta["params"] = dataclasses.asdict(params)
     return meta
@@ -188,7 +179,7 @@ def cost_sweep(
     costs so rows differ only in the cost."""
     if not costs:
         raise ConfigError("cost sweep needs at least one cost")
-    game_seeds = np.random.SeedSequence(seed).spawn(trials)
+    game_seeds = _game_seeds(seed, trials)
     rows = []
     for cost in costs:
         sums = {name: [0.0, 0.0] for name in ("stackelberg", "uniform", "no-deception")}
@@ -225,7 +216,7 @@ def matchup_grid(
     params: GeneratorParams, trials: int = 100, seed: int = 0
 ) -> ExperimentReport:
     """Mean values for every defender x attacker-model pairing."""
-    game_seeds = np.random.SeedSequence(seed).spawn(trials)
+    game_seeds = _game_seeds(seed, trials)
     attackers = (AttackerModel.RATIONAL, AttackerModel.UNIFORM_RANDOM, AttackerModel.GREEDY)
     defenders = ("stackelberg", "uniform", "no-deception")
     sums = {(d, a): [0.0, 0.0] for d in defenders for a in attackers}
@@ -261,6 +252,10 @@ def ratio_analysis(
     """
     if not ratios or min(ratios) < 0:
         raise ConfigError("ratio grid must be nonempty and nonnegative")
+    if len(real_values) != len(fake_values):
+        raise ConfigError(
+            f"{len(real_values)} real values but {len(fake_values)} fake values"
+        )
     max_ratio = max(ratios)
     rows = []
     optimal: dict[str, float] = {}
@@ -290,15 +285,15 @@ def ratio_analysis(
                 best = (float(ratio), result.defender_value)
         optimal[str(int(rf))] = best[0]
     columns = ("real_flows", "ratio", "defender_value", "attacker_value")
-    meta = {
-        "seed": 0,
-        "build": _build_stamp(),
-        "real_values": list(map(float, real_values)),
-        "fake_values": list(map(float, fake_values)),
-        "cost": float(cost),
-        "ratios": list(map(float, ratios)),
-        "optimal_ratios": optimal,
-    }
+    meta = _metadata(
+        0,
+        None,
+        real_values=list(map(float, real_values)),
+        fake_values=list(map(float, fake_values)),
+        cost=float(cost),
+        ratios=list(map(float, ratios)),
+        optimal_ratios=optimal,
+    )
     return ExperimentReport(columns, tuple(rows), meta)
 
 
@@ -319,10 +314,10 @@ def scalability_bench(
         raise ConfigError(f"unknown bench dimension {dimension!r}")
     if list(sizes) != sorted(sizes):
         raise ConfigError("sizes must be ascending")
+    game_seeds = _game_seeds(seed, trials)
     solve_stackelberg(
         random_game(GeneratorParams(type_count=2, real_flows=5, honey_bound_range=(3, 3)), 0)
     )  # warm-up: first-call overheads
-    game_seeds = np.random.SeedSequence(seed).spawn(trials)
     rows = []
     for size in sizes:
         if dimension == "types":
@@ -350,15 +345,12 @@ def scalability_bench(
             )
         )
     columns = ("dimension", "size", "median_time", "min_time", "max_time", "trials")
-    meta = {
-        "seed": seed,
-        "build": _build_stamp(),
-        "dimension": dimension,
-        "sizes": [int(s) for s in sizes],
-        "trials": trials,
-        "machine": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-    }
+    meta = _metadata(
+        seed,
+        None,
+        dimension=dimension,
+        sizes=[int(s) for s in sizes],
+        trials=trials,
+        machine={"platform": platform.platform(), "python": platform.python_version()},
+    )
     return ExperimentReport(columns, tuple(rows), meta)

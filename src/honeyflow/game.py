@@ -18,11 +18,18 @@ import numpy as np
 
 from .errors import DistributionError, ShapeError, ValidationError
 
+# The package's tolerances (the test oracles keep their own, on purpose).
+# A probability may stray PROB_TOL outside [0, 1], and a distribution's sum
+# PROB_TOL from 1, before a strategy or attacker distribution is rejected.
 PROB_TOL = 1e-9
 
 # Utilities within TIE_TOL of the best count as tied. Solvers and attacker
 # models then break the tie by label: lowest type id first, no-attack last.
 TIE_TOL = 1e-9
+
+# Slack of every check in equilibrium.verify_equilibrium: marginal sums and
+# bounds, the attacker's best-response gap and both value re-computations.
+BEST_RESPONSE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -222,51 +229,75 @@ def attack_values(vt: VulnerabilityType) -> np.ndarray:
     return p * vt.attacker_real_value + (1.0 - p) * vt.attacker_honey_value
 
 
-def real_attack_probability(
-    spec: GameSpec, type_id: int, strategy: DefenderStrategy
-) -> float:
-    """Probability an attack on ``type_id`` hits a real flow under ``strategy``."""
-    _check_strategy_shape(spec, strategy)
-    vt = spec.type_by_id(type_id)
-    return float(strategy.marginals[type_id] @ real_hit_probabilities(vt))
+# (hit, cost): per-type real-hit probabilities and the expected honey cost.
+Summary = tuple[tuple[float, ...], float]
 
 
-def honey_cost(spec: GameSpec, strategy: DefenderStrategy) -> float:
-    """Expected total cost of the honey flows created under ``strategy``."""
+def summarize(spec: GameSpec, strategy: DefenderStrategy) -> Summary:
+    """The per-type summary through which ``strategy`` reaches both players.
+
+    Returns ``(hit, cost)``: ``hit[m]`` is the probability P_m that an attack
+    on type m hits a real flow, and ``cost`` is the expected total cost of
+    the honey flows created, summed in type order.
+    """
     _check_strategy_shape(spec, strategy)
-    total = 0.0
+    hit = []
+    cost = 0.0
     for t, m in zip(spec.types, strategy.marginals):
+        hit.append(float(m @ real_hit_probabilities(t)))
         counts = np.arange(t.honey_flow_bound + 1, dtype=float)
-        total += float(m @ counts) * t.honey_flow_cost
-    return total
+        cost += float(m @ counts) * t.honey_flow_cost
+    return tuple(hit), cost
+
+
+def utilities(
+    spec: GameSpec, summary: Summary, action: AttackerAction
+) -> tuple[float, float]:
+    """(defender, attacker) utilities of a pure action against a summary.
+
+    The honey cost is sunk before the attacker moves, so no-attack still
+    costs the defender the full expected honey cost."""
+    hit, cost = summary
+    if not action.is_attack:
+        return -cost, 0.0
+    vt = spec.types[action.target]
+    p = hit[action.target]
+    # Not -attacker - cost: that can flip the sign of a zero defender value.
+    return (
+        p * vt.defender_real_value + (1.0 - p) * vt.defender_honey_value - cost,
+        p * vt.attacker_real_value + (1.0 - p) * vt.attacker_honey_value,
+    )
 
 
 def attacker_utility(
     spec: GameSpec, strategy: DefenderStrategy, action: AttackerAction
 ) -> float:
     """Attacker's expected utility for a pure action against ``strategy``."""
-    if not action.is_attack:
-        return 0.0
-    _check_strategy_shape(spec, strategy)
-    vt = spec.type_by_id(action.target)
-    p = real_attack_probability(spec, action.target, strategy)
-    return p * vt.attacker_real_value + (1.0 - p) * vt.attacker_honey_value
+    return utilities(spec, summarize(spec, strategy), action)[1]
 
 
 def defender_utility(
     spec: GameSpec, strategy: DefenderStrategy, action: AttackerAction
 ) -> float:
-    """Defender's expected utility: negated attack value minus honey cost.
+    """Defender's expected utility: negated attack value minus honey cost."""
+    return utilities(spec, summarize(spec, strategy), action)[0]
 
-    The honey cost is sunk before the attacker moves, so the no-attack
-    action still costs the defender the full expected honey cost.
-    """
-    cost = honey_cost(spec, strategy)
-    if not action.is_attack:
-        return -cost
-    vt = spec.type_by_id(action.target)
-    p = real_attack_probability(spec, action.target, strategy)
-    return p * vt.defender_real_value + (1.0 - p) * vt.defender_honey_value - cost
+
+def validate_attacker_dist(
+    spec: GameSpec, attacker_dist: Mapping[AttackerAction, float]
+) -> None:
+    """Check that ``attacker_dist`` is a probability distribution over
+    no-attack and attackable types."""
+    attackable = set(spec.attackable_ids)
+    total = 0.0
+    for action, prob in attacker_dist.items():
+        if prob < -PROB_TOL:
+            raise DistributionError(f"negative probability {prob} for {action}")
+        if action.is_attack and action.target not in attackable:
+            raise DistributionError(f"{action} targets an unattackable type")
+        total += prob
+    if abs(total - 1.0) > PROB_TOL:
+        raise DistributionError(f"attacker distribution sums to {total}, not 1")
 
 
 def utility_vs_mixed_attacker(
@@ -280,23 +311,16 @@ def utility_vs_mixed_attacker(
     probabilities summing to 1. The honey-cost term is counted exactly once
     because each pure defender utility carries it and the weights sum to 1.
     """
-    attackable = set(spec.attackable_ids)
-    total_prob = 0.0
-    for action, prob in attacker_dist.items():
-        if prob < -PROB_TOL:
-            raise DistributionError(f"negative probability {prob} for {action}")
-        if action.is_attack and action.target not in attackable:
-            raise DistributionError(f"{action} targets an unattackable type")
-        total_prob += prob
-    if abs(total_prob - 1.0) > PROB_TOL:
-        raise DistributionError(f"attacker distribution sums to {total_prob}, not 1")
+    validate_attacker_dist(spec, attacker_dist)
+    summary = summarize(spec, strategy)
     d_total = 0.0
     a_total = 0.0
     for action, prob in attacker_dist.items():
         if prob == 0.0:
             continue
-        d_total += prob * defender_utility(spec, strategy, action)
-        a_total += prob * attacker_utility(spec, strategy, action)
+        d_val, a_val = utilities(spec, summary, action)
+        d_total += prob * d_val
+        a_total += prob * a_val
     return d_total, a_total
 
 

@@ -13,18 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DistributionError, EmptyActionSet
+from .errors import EmptyActionSet
 from .game import (
     NO_ATTACK,
-    PROB_TOL,
     TIE_TOL,
     AttackerAction,
     DefenderStrategy,
     GameSpec,
     attack_values,
-    attacker_utility,
-    defender_utility,
+    summarize,
+    utilities,
     utility_vs_mixed_attacker,
+    validate_attacker_dist,
     validate_game,
 )
 
@@ -72,19 +72,11 @@ def best_response_defender(
     smaller count.
     """
     validate_game(spec)
-    attackable = set(spec.attackable_ids)
-    total = 0.0
+    validate_attacker_dist(spec, attacker_dist)
     q = np.zeros(len(spec.types))
     for action, prob in attacker_dist.items():
-        if prob < -PROB_TOL:
-            raise DistributionError(f"negative probability {prob} for {action}")
         if action.is_attack:
-            if action.target not in attackable:
-                raise DistributionError(f"{action} targets an unattackable type")
             q[action.target] += prob
-        total += prob
-    if abs(total - 1.0) > PROB_TOL:
-        raise DistributionError(f"attacker distribution sums to {total}, not 1")
 
     counts = []
     for t in spec.types:
@@ -126,23 +118,19 @@ def uniform_attacker(spec: GameSpec) -> dict[AttackerAction, float]:
 def rational_attacker(spec: GameSpec, strategy: DefenderStrategy) -> AttackerAction:
     """Best response to a known defender strategy.
 
-    Maximizes the attacker's expected utility; ties break in the
-    defender's favor (the strong-equilibrium convention), then toward the
-    lowest type id with no-attack last.
+    Maximizes the attacker's expected utility. Actions within ``TIE_TOL``
+    of the best tie, and the tie goes to the lowest type id, with no-attack
+    last. This is also the strong (defender-favoring) tie-break: the
+    defender's utility is the negated attacker utility minus the honey
+    cost, which is sunk before the attacker moves, so every tied action
+    leaves the defender within ``TIE_TOL`` of its best.
     """
     validate_game(spec)
+    summary = summarize(spec, strategy)
     actions = [AttackerAction.attack(i) for i in spec.attackable_ids] + [NO_ATTACK]
-    values = [attacker_utility(spec, strategy, a) for a in actions]
+    values = [utilities(spec, summary, a)[1] for a in actions]
     best = max(values)
-    tied = [a for a, v in zip(actions, values) if v >= best - TIE_TOL]
-    if len(tied) == 1:
-        return tied[0]
-    defender_values = [defender_utility(spec, strategy, a) for a in tied]
-    best_def = max(defender_values)
-    for a, v in zip(tied, defender_values):  # listed lowest-id first, no-attack last
-        if v >= best_def - TIE_TOL:
-            return a
-    return tied[0]
+    return next(a for a, v in zip(actions, values) if v >= best - TIE_TOL)
 
 
 def evaluate_matchup(
@@ -153,21 +141,17 @@ def evaluate_matchup(
 ) -> MatchupResult:
     """Resolve an attacker model against a defender strategy and score it."""
     if attacker is AttackerModel.UNIFORM_RANDOM:
-        dist = uniform_attacker(spec)
-        d_val, a_val = utility_vs_mixed_attacker(spec, strategy, dist)
-        return MatchupResult(
-            defender_value=d_val,
-            attacker_value=a_val,
-            attacker_behavior=dist,
-            defender_strategy_label=label,
-        )
-    if attacker is AttackerModel.RATIONAL:
-        action = rational_attacker(spec, strategy)
+        behavior = uniform_attacker(spec)
+        d_val, a_val = utility_vs_mixed_attacker(spec, strategy, behavior)
     else:
-        action = greedy_attacker(spec)
+        if attacker is AttackerModel.RATIONAL:
+            behavior = rational_attacker(spec, strategy)
+        else:
+            behavior = greedy_attacker(spec)
+        d_val, a_val = utilities(spec, summarize(spec, strategy), behavior)
     return MatchupResult(
-        defender_value=defender_utility(spec, strategy, action),
-        attacker_value=attacker_utility(spec, strategy, action),
-        attacker_behavior=action,
+        defender_value=d_val,
+        attacker_value=a_val,
+        attacker_behavior=behavior,
         defender_strategy_label=label,
     )

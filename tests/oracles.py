@@ -20,12 +20,17 @@ Two reductions make exhaustive search exact and fast:
    curves whose kinks sit where tau crosses one of their per-count attacker
    values. The maximum over the weight is then attained at an endpoint or
    a kink, so enumerating those finitely many candidates is exact.
+
+`exact_equilibrium` judges the attacker side as well, with no tolerance at
+all: it redoes the whole equilibrium in `fractions.Fraction` on the float
+inputs, using the water-level form of the same lemma (see its docstring).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -244,3 +249,80 @@ def pair_grid_fixed_action_value(
         if feasible and (best is None or value > best):
             best = value
     return best
+
+
+def exact_equilibrium(spec: GameSpec) -> tuple[int | None, Fraction, Fraction]:
+    """Strong equilibrium as (attacked type or None, attacker value,
+    defender value), in exact rational arithmetic.
+
+    With u_m(j) = (R v_real + j v_honey) / (R + j), let C_m(tau) be the
+    cheapest expected honey cost that keeps type m's attack value at or
+    below tau (mixing the two adjacent counts around tau), and
+    L = max(0, max_m u_m(H_m)) the lowest level every type can be pushed
+    to. Holding the attacker at level tau is worth
+    V(tau) = -tau - sum_m C_m(tau) to the defender, whichever type is
+    attacked, and attacking k can be held at tau exactly when
+    L <= tau <= u_k(0). V is concave and piecewise linear with kinks at the
+    u_m(j), so its maximizer over [L, inf) is the smallest of L and the
+    kinks above L at which the right slope, -1 + sum_m c_m / (u_m(j-1) -
+    u_m(j)) over the segments holding tau, is <= 0; a binary search per
+    type finds it. Ties go to the lowest type id, no-attack last: the
+    attacked type is the lowest k with u_k(0) >= tau*, else none.
+    """
+    curves = []  # (type id, u_m(0..H), cost per flow) for attackable types
+    for t in spec.types:
+        if t.real_flow_count + t.honey_flow_bound == 0:
+            continue
+        real = Fraction(t.attacker_real_value)
+        honey = Fraction(t.attacker_honey_value)
+        r = t.real_flow_count
+        if r == 0:  # every flow is fake, whatever the count
+            u = [honey] * (t.honey_flow_bound + 1)
+        else:
+            u = [(r * real + j * honey) / (r + j) for j in range(t.honey_flow_bound + 1)]
+        curves.append((t.id, u, Fraction(t.honey_flow_cost)))
+
+    def first_at_or_below(u: list[Fraction], tau: Fraction) -> int:
+        lo, hi = 0, len(u)  # u is nonincreasing
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if u[mid] <= tau:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def right_slope(tau: Fraction) -> Fraction:
+        slope = Fraction(-1)
+        for _, u, cost in curves:
+            j = first_at_or_below(u, tau)
+            if j > 0:
+                slope += cost / (u[j - 1] - u[j])
+        return slope
+
+    def value(tau: Fraction) -> Fraction:
+        total = -tau
+        for _, u, cost in curves:
+            j = first_at_or_below(u, tau)
+            if j > 0:
+                total -= cost * (j - 1 + (u[j - 1] - tau) / (u[j - 1] - u[j]))
+        return total
+
+    low = max([Fraction(0)] + [u[-1] for _, u, _ in curves])
+    candidates = [low] if right_slope(low) <= 0 else []
+    for _, u, _ in curves:
+        # u[0..hi-1] are this type's kinks above L, descending; the slope
+        # is nonincreasing in tau, so it is <= 0 on a prefix of them.
+        lo, hi = 0, first_at_or_below(u, low)
+        if hi == 0 or right_slope(u[0]) > 0:
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if right_slope(u[mid]) <= 0:
+                lo = mid
+            else:
+                hi = mid
+        candidates.append(u[lo])
+    tau = min(candidates)
+    target = next((k for k, u, _ in curves if u[0] >= tau), None)
+    return target, tau, value(tau)

@@ -173,6 +173,34 @@ class TestExitCodes:
             assert err.startswith("error: type 0: ")
 
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["sweep", "--trials", "0"], "trials"),
+            (["sweep", "--trials", "-1"], "trials"),
+            (["matchup", "--trials", "0"], "trials"),
+            (["bench", "--trials", "0"], "trials"),
+            (["bench", "--sizes", "1", "--trials", "1", "--with-timing"], "--with-timing"),
+            (["ratio", "--real-values", "1,2,3", "--fake-values", "0.5"], "fake values"),
+        ],
+        ids=[
+            "sweep-zero-trials",
+            "sweep-negative-trials",
+            "matchup-zero-trials",
+            "bench-zero-trials",
+            "bench-with-timing",
+            "ratio-vector-lengths",
+        ],
+    )
+    def test_bad_arguments_are_config_errors(self, capsys, argv, named):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert named in err
+
+
 class TestHeuristicCommand:
     def test_branch_values(self, capsys):
         code, out, _ = _run(

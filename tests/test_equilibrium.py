@@ -231,6 +231,42 @@ class TestEquilibriumProperties:
             )
             assert solve_stackelberg(bigger).defender_value >= base - 1e-6
 
+    def test_permuting_types_keeps_the_defender_value(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            spec = _random_spec(rng)
+            perm = rng.permutation(len(spec.types))
+            permuted = GameSpec(
+                tuple(dataclasses.replace(spec.types[i], id=pos) for pos, i in enumerate(perm))
+            )
+            assert solve_stackelberg(permuted).defender_value == pytest.approx(
+                solve_stackelberg(spec).defender_value, abs=1e-9
+            )
+
+    def test_dearer_honey_never_raises_the_defender_value(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            spec = _random_spec(rng)
+            dearer = GameSpec(
+                tuple(
+                    dataclasses.replace(t, honey_flow_cost=1.5 * t.honey_flow_cost)
+                    for t in spec.types
+                )
+            )
+            base = solve_stackelberg(spec).defender_value
+            assert solve_stackelberg(dearer).defender_value <= base + 1e-9
+
+    def test_unattackable_type_changes_nothing(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            spec = _random_spec(rng)
+            extra = VulnerabilityType(len(spec.types), 1.0, 0.0, 0, 0, 0.1)
+            eq = solve_stackelberg(spec)
+            grown = solve_stackelberg(GameSpec(spec.types + (extra,)))
+            assert grown.attacker_action == eq.attacker_action
+            assert grown.defender_value == pytest.approx(eq.defender_value, abs=1e-9)
+            assert grown.attacker_value == pytest.approx(eq.attacker_value, abs=1e-9)
+
     def test_zero_cost_games_match_oracle(self):
         # Free honey flows: degenerate cost structure deserves its own
         # oracle spot check (ties everywhere, bounds saturate).

@@ -12,10 +12,9 @@ from honeyflow.game import (
     VulnerabilityType,
     attacker_utility,
     defender_utility,
-    honey_cost,
-    real_attack_probability,
     spec_from_dict,
     spec_to_dict,
+    summarize,
     utility_vs_mixed_attacker,
     validate_game,
     validate_strategy,
@@ -91,7 +90,7 @@ class TestValidation:
         validate_game(worked_example)
         bad = DefenderStrategy((np.array([1.0]), np.array([1.0])))
         with pytest.raises(ShapeError):
-            honey_cost(worked_example, bad)
+            summarize(worked_example, bad)
 
     def test_attackable_set_excludes_flowless_types(self):
         spec = GameSpec(
@@ -128,7 +127,7 @@ class TestRealAttackProbability:
         strategy = DefenderStrategy(
             (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0]))
         )
-        assert real_attack_probability(worked_example, 1, strategy) == pytest.approx(
+        assert summarize(worked_example, strategy)[0][1] == pytest.approx(
             5 / 8, abs=1e-12
         )
 
@@ -136,40 +135,39 @@ class TestRealAttackProbability:
         strategy = DefenderStrategy(
             (np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
         )
-        assert real_attack_probability(worked_example, 0, strategy) == 1.0
+        assert summarize(worked_example, strategy)[0][0] == 1.0
 
     def test_hand_built_mixture(self, worked_example, worked_example_strategy):
         # 0.5 * 5/6 + 0.5 * 5/7 = 65/84
-        assert real_attack_probability(
-            worked_example, 0, worked_example_strategy
-        ) == pytest.approx(65 / 84, abs=1e-12)
+        hit, _ = summarize(worked_example, worked_example_strategy)
+        assert hit[0] == pytest.approx(65 / 84, abs=1e-12)
 
     def test_zero_real_flows_gives_zero(self):
         spec = GameSpec((VulnerabilityType(0, 1.0, 0.0, 0, 2, 0.1),))
         strategy = DefenderStrategy((np.array([0.2, 0.3, 0.5]),))
-        assert real_attack_probability(spec, 0, strategy) == 0.0
+        assert summarize(spec, strategy)[0][0] == 0.0
 
     def test_shape_error(self, worked_example):
         bad = DefenderStrategy((np.array([1.0]), np.array([1.0, 0.0, 0.0, 0.0])))
         with pytest.raises(ShapeError, match="type 0"):
-            real_attack_probability(worked_example, 0, bad)
+            summarize(worked_example, bad)
 
 
 class TestHoneyCost:
     def test_hand_built_strategy_costs_three(self, worked_example, worked_example_strategy):
         # 0.5*1 + 0.5*2 for type 0 at cost 1, plus 3 flows at cost 0.5
-        assert honey_cost(worked_example, worked_example_strategy) == pytest.approx(
+        assert summarize(worked_example, worked_example_strategy)[1] == pytest.approx(
             3.0, abs=1e-12
         )
 
     def test_no_honey_flows_free(self, worked_example):
         strategy = DefenderStrategy.from_counts(worked_example, [0, 0])
-        assert honey_cost(worked_example, strategy) == 0.0
+        assert summarize(worked_example, strategy)[1] == 0.0
 
     def test_single_flow_unit_cost(self):
         spec = GameSpec((VulnerabilityType(0, 1.0, 0.0, 1, 1, 0.1),))
         strategy = DefenderStrategy((np.array([0.0, 1.0]),))
-        assert honey_cost(spec, strategy) == pytest.approx(0.1, abs=1e-12)
+        assert summarize(spec, strategy)[1] == pytest.approx(0.1, abs=1e-12)
 
 
 class TestUtilities:
@@ -258,7 +256,7 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         spec = _random_spec(rng)
         strategy = _random_strategy(rng, spec)
-        cost = honey_cost(spec, strategy)
+        cost = summarize(spec, strategy)[1]
         for i in spec.attackable_ids:
             action = AttackerAction.attack(i)
             total = defender_utility(spec, strategy, action) + attacker_utility(
@@ -294,7 +292,7 @@ class TestInvariants:
         bound = int(rng.integers(1, 6))
         spec = GameSpec((VulnerabilityType(0, 1.0, 0.0, real, bound, 0.1),))
         probs = [
-            real_attack_probability(spec, 0, DefenderStrategy.from_counts(spec, [j]))
+            summarize(spec, DefenderStrategy.from_counts(spec, [j]))[0][0]
             for j in range(bound + 1)
         ]
         assert all(a > b for a, b in zip(probs, probs[1:]))
@@ -322,8 +320,8 @@ class TestInvariants:
         permuted_strategy = DefenderStrategy(
             tuple(strategy.marginals[i] for i in perm)
         )
-        assert honey_cost(permuted_spec, permuted_strategy) == pytest.approx(
-            honey_cost(spec, strategy), abs=1e-9
+        assert summarize(permuted_spec, permuted_strategy)[1] == pytest.approx(
+            summarize(spec, strategy)[1], abs=1e-9
         )
 
 

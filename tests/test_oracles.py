@@ -5,9 +5,11 @@ probability simplexes, which encodes no structural insight at all."""
 import numpy as np
 import pytest
 
+from honeyflow import experiments
 from honeyflow.equilibrium import solve_stackelberg
 from honeyflow.game import GameSpec, VulnerabilityType
 from oracles import (
+    exact_equilibrium,
     exact_fixed_action_value,
     exact_stackelberg_value,
     full_grid_stackelberg_value,
@@ -77,3 +79,46 @@ def test_no_attack_value_when_everything_deterrable():
     assert value < 0.0
     eq = solve_stackelberg(spec)
     assert eq.defender_value == pytest.approx(exact_stackelberg_value(spec), abs=1e-6)
+
+
+def _generated_games() -> list:
+    """Small games of both value modes at three costs, ladder-size games
+    (up to 16 types, or honey bounds up to 1000), and tiny games with
+    arbitrary signs, zero real flows and zero bounds."""
+    games = []
+    modes = (experiments.MODE_FAKE_ZERO, experiments.MODE_FAKE_EQUALS_REAL)
+    for mode in modes:
+        for seed, cost in enumerate((1e-3, 1e-2, 0.1) * 2):
+            params = experiments.GeneratorParams(
+                type_count=3,
+                real_flows=(5, 20),
+                honey_bound_range=(2, 12),
+                value_mode=mode,
+                cost=cost,
+            )
+            spec = experiments.random_game(params, seed)
+            games.append(pytest.param(spec, id=f"{mode}-small-{seed}"))
+        for types, bound in ((5, 1000), (5, 500), (16, 100)):
+            params = experiments.GeneratorParams(
+                type_count=types,
+                real_flows=(50, 500),
+                honey_bound_range=(bound, bound),
+                value_mode=mode,
+            )
+            spec = experiments.random_game(params, [7, bound])
+            games.append(pytest.param(spec, id=f"{mode}-{types}x{bound}"))
+    for seed in range(40):
+        spec = _tiny_spec(np.random.default_rng(seed))
+        games.append(pytest.param(spec, id=f"tiny-{seed}"))
+    return games
+
+
+@pytest.mark.parametrize("spec", _generated_games())
+def test_solver_matches_exact_equilibrium(spec):
+    """Attacker action, attacker value and defender value all agree with
+    the exact-rational oracle, including the lowest-id tie rule."""
+    eq = solve_stackelberg(spec)
+    target, attacker_value, defender_value = exact_equilibrium(spec)
+    assert eq.attacker_action.target == target
+    assert eq.attacker_value == pytest.approx(float(attacker_value), abs=1e-9)
+    assert eq.defender_value == pytest.approx(float(defender_value), abs=1e-9)

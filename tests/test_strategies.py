@@ -11,7 +11,7 @@ from honeyflow.game import (
     GameSpec,
     VulnerabilityType,
     attacker_utility,
-    honey_cost,
+    summarize,
     utility_vs_mixed_attacker,
 )
 from honeyflow.strategies import (
@@ -32,7 +32,7 @@ ATTACK_1 = AttackerAction.attack(1)
 class TestBaselines:
     def test_no_deception_is_free(self, worked_example):
         strategy = no_deception_strategy(worked_example)
-        assert honey_cost(worked_example, strategy) == 0.0
+        assert summarize(worked_example, strategy)[1] == 0.0
 
     def test_no_deception_invites_biggest_real_value(self, worked_example):
         strategy = no_deception_strategy(worked_example)
