@@ -192,7 +192,7 @@ def _cmd_solve(args) -> int:
     eq = solve_stackelberg(spec)
     report = verify_equilibrium(spec, eq)
     if args.verbose:
-        for action, (status, value) in eq.per_action_lp_values.items():
+        for action, (status, value) in eq.per_action_values.items():
             print(f"{action}: {status} {value}", file=sys.stderr)
         print(f"solved in {eq.solve_time:.6f}s", file=sys.stderr)
     payload = {
@@ -203,7 +203,7 @@ def _cmd_solve(args) -> int:
         "per_action": {
             str(a): {"status": s, "value": v}
             for a, (s, v) in sorted(
-                eq.per_action_lp_values.items(),
+                eq.per_action_values.items(),
                 key=lambda kv: (kv[0].target is None, kv[0].target),
             )
         },

@@ -1,11 +1,23 @@
-"""Leader-follower equilibrium via one LP per attacker pure action.
+"""Strong leader-follower equilibrium by an exact water-level search.
 
-For each candidate attacker action (every attackable type, plus no-attack)
-we solve the LP that maximizes the defender's utility subject to that
-action being an attacker best response; the equilibrium is the feasible
-action with the best defender value. Enumerating actions this way replaces
-the single mixed-integer formulation exactly and realizes the strong
-(defender-favoring) tie-break automatically.
+A type reaches both players only through its real-hit probability and its
+expected honey count. Let u_m(j) be the attacker's value of attacking type
+m with j honey flows up (nonincreasing in j), and C_m(tau) the cheapest
+expected honey cost that holds u_m at or below tau: it mixes the two
+adjacent counts around tau. Holding the attacker at level tau is then
+worth V(tau) = -tau - sum_m C_m(tau) to the defender, whichever type is
+attacked. V is concave and piecewise linear with kinks at the u_m(j), so
+its maximizer tau* over [L, inf), L = max(0, max_m u_m(H_m)), is the
+smallest kink (or L) at which V's right slope is <= 0. Attacking k can be
+held at any level in [L, u_k(0)] and is worth V(min(tau*, u_k(0)));
+declining is worth V(0) when L = 0. This is ORIGAMI-style water filling
+(Kiekintveld et al., AAMAS 2009) in place of one LP per attacker action
+(Conitzer and Sandholm, EC 2006).
+
+The solver's steps are module functions, called through the module:
+``type_curves``, ``water_level`` and ``strategy_at``.
+``build_best_response_lp`` and the simplex behind ``solve_lp`` are no
+longer on the solve path; the tests keep them as a reference.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 from .game import (
     BEST_RESPONSE_TOL,
     NO_ATTACK,
@@ -28,7 +40,10 @@ from .game import (
     utilities,
     validate_game,
 )
-from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp
+from .lp import LinearProgram, solve_lp  # noqa: F401  (perfbench wraps equilibrium.solve_lp)
+
+# (type id, u(0..H), cost per honey flow) of one attackable type.
+Curve = tuple[int, np.ndarray, float]
 
 
 @dataclass(frozen=True)
@@ -37,7 +52,7 @@ class Equilibrium:
     attacker_action: AttackerAction
     defender_value: float
     attacker_value: float
-    per_action_lp_values: dict[AttackerAction, tuple[str, float | None]]
+    per_action_values: dict[AttackerAction, tuple[str, float | None]]
     solve_time: float
 
 
@@ -75,6 +90,8 @@ def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgr
     expected-cost term, both linear). One equality row per type normalizes
     its marginal; one inequality row per rival action keeps the attacker's
     utility for ``fixed`` at least as large. Variables live in [0, 1].
+    The solver does not use it: it is the reference the tests check
+    ``solve_stackelberg``'s per-action statuses and values against.
     """
     validate_game(spec)
     attackable = spec.attackable_ids
@@ -121,52 +138,123 @@ def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgr
     )
 
 
-def _strategy_from_x(spec: GameSpec, x: np.ndarray) -> DefenderStrategy:
-    offsets, _ = _layout(spec)
-    marginals = []
-    for t in spec.types:
-        m = np.clip(x[offsets[t.id] : offsets[t.id] + t.honey_flow_bound + 1], 0.0, 1.0)
-        total = m.sum()
-        if total <= 0.0:
-            raise SolverError(f"type {t.id}: LP returned a zero marginal")
-        marginals.append(m / total)
+def type_curves(spec: GameSpec) -> list[Curve]:
+    """The attacker-value curve u(0..H) and cost of every attackable type.
+
+    Rounding can leave a curve that is constant in exact arithmetic (equal
+    real and honey values) a few ulps out of order; the running minimum
+    keeps every curve nonincreasing, which the lookups below rely on.
+    """
+    return [
+        (t.id, np.minimum.accumulate(attack_values(t)), t.honey_flow_cost)
+        for t in spec.types
+        if t.real_flow_count + t.honey_flow_bound > 0
+    ]
+
+
+def _hold(u: np.ndarray, tau: float) -> tuple[int, float]:
+    """The cheapest way to hold u at or below ``tau``: counts j-1 and j
+    with weight w on j, or (0, 1.0) when no honey is needed.
+
+    j is the first count with u(j) <= tau + TIE_TOL, which lets a curve
+    that is constant up to rounding count as held at its own value. Callers
+    keep tau >= u(H) - TIE_TOL, so j exists, and u(j-1) - u(j) > 0 if j > 0.
+    """
+    j = int(np.searchsorted(-u, -(tau + TIE_TOL)))
+    if j == 0:
+        return 0, 1.0
+    return j, min(float((u[j - 1] - tau) / (u[j - 1] - u[j])), 1.0)
+
+
+def _value(curves: list[Curve], tau: float) -> float:
+    """V(tau): the defender's value of holding the attacker at ``tau``."""
+    total = -tau
+    for _, u, cost in curves:
+        j, w = _hold(u, tau)
+        if j > 0:
+            total -= cost * (j - 1 + w)
+    return total
+
+
+def water_level(curves: list[Curve], low: float) -> float:
+    """tau*: the smallest level >= ``low`` at which V's right slope,
+    -1 + sum_m c_m / (u_m(j-1) - u_m(j)) over the segments holding tau, is
+    <= 0.
+
+    V is concave, so the slope falls as tau rises; a binary search over
+    ``low`` and the kinks above it looks each type up once per probe. The
+    slope's sign decides, never a tolerance on V.
+    """
+
+    def right_slope(tau: float) -> float:
+        slope = -1.0
+        for _, u, cost in curves:
+            j, _ = _hold(u, tau)
+            if j > 0:
+                slope += cost / (u[j - 1] - u[j])
+        return slope
+
+    candidates = np.unique(np.concatenate([[low]] + [u for _, u, _ in curves]))
+    candidates = candidates[candidates >= low]
+    # At the top kink no type needs honey, so the slope there is -1.
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if right_slope(float(candidates[mid])) <= 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
+
+
+def strategy_at(spec: GameSpec, curves: list[Curve], tau: float) -> DefenderStrategy:
+    """The cheapest strategy holding every type at or below ``tau``: each
+    type mixes the two adjacent counts around it."""
+    marginals = [np.zeros(t.honey_flow_bound + 1) for t in spec.types]
+    for m in marginals:
+        m[0] = 1.0  # unattackable types, and those held without honey
+    for type_id, u, _ in curves:
+        j, w = _hold(u, tau)
+        if j > 0:
+            m = marginals[type_id]
+            m[0] = 0.0
+            m[j - 1] = 1.0 - w
+            m[j] = w
     return DefenderStrategy(tuple(marginals))
 
 
 def solve_stackelberg(spec: GameSpec) -> Equilibrium:
     """Strong Stackelberg equilibrium of the honey-flow game.
 
-    Solves one LP per candidate attacker action, skips infeasible ones
-    (actions no defender strategy makes a best response), and keeps the
-    action with the best defender objective. Objectives within ``TIE_TOL``
-    of the best tie; ties go to the lowest type id, with no-attack
-    considered last.
+    Finds tau* with ``water_level``, then values every attacker action:
+    attacking k is infeasible when u_k(0) < L (no strategy makes it a best
+    response), and declining is infeasible when L > 0, both up to
+    ``TIE_TOL``. Values within ``TIE_TOL`` of the best tie; ties go to the
+    lowest type id, with no-attack considered last. The strategy is taken
+    at the chosen action's own level, and the reported values are scored
+    from it.
     """
     validate_game(spec)
     start = time.perf_counter()
-    actions = [AttackerAction.attack(i) for i in spec.attackable_ids]
-    actions.append(NO_ATTACK)
-
-    solutions: list[LpSolution] = []
-    for action in actions:
-        try:
-            solutions.append(solve_lp(build_best_response_lp(spec, action)))
-        except SolverError:
-            raise
-        except Exception as exc:  # malformed-input bugs surface as SolverError
-            raise SolverError(f"LP for {action} failed: {exc}") from exc
-
-    per_action = {
-        a: (sol.status, sol.objective_value) for a, sol in zip(actions, solutions)
+    curves = type_curves(spec)
+    low = max([0.0] + [float(u[-1]) for _, u, _ in curves])
+    top = water_level(curves, low)
+    levels = {
+        AttackerAction.attack(type_id): min(top, float(u[0]))
+        for type_id, u, _ in curves
+        if u[0] >= low - TIE_TOL
     }
-    feasible = [(a, sol) for a, sol in zip(actions, solutions) if sol.status == OPTIMAL]
-    if not feasible:
-        raise SolverError("no attacker action admits a feasible best-response LP")
-    top = max(sol.objective_value for _, sol in feasible)
-    action, sol = next(
-        (a, sol) for a, sol in feasible if sol.objective_value >= top - TIE_TOL
-    )
-    strategy = _strategy_from_x(spec, sol.x)
+    if low <= TIE_TOL:
+        levels[NO_ATTACK] = 0.0
+    values = {a: _value(curves, tau) for a, tau in levels.items()}
+    actions = [AttackerAction.attack(type_id) for type_id, _, _ in curves] + [NO_ATTACK]
+    per_action = {
+        a: ("optimal", values[a]) if a in values else ("infeasible", None)
+        for a in actions
+    }
+    best = max(values.values())
+    action = next(a for a in actions if a in values and values[a] >= best - TIE_TOL)
+    strategy = strategy_at(spec, curves, levels[action])
     elapsed = time.perf_counter() - start
     defender_value, attacker_value = utilities(spec, summarize(spec, strategy), action)
     return Equilibrium(
@@ -174,7 +262,7 @@ def solve_stackelberg(spec: GameSpec) -> Equilibrium:
         attacker_action=action,
         defender_value=defender_value,
         attacker_value=attacker_value,
-        per_action_lp_values=per_action,
+        per_action_values=per_action,
         solve_time=elapsed,
     )
 

@@ -18,7 +18,7 @@ class DistributionError(HoneyflowError):
 
 
 class SolverError(HoneyflowError):
-    """The LP backend failed in a way that indicates a bug, not a game property."""
+    """A solver failed in a way that indicates a bug, not a game property."""
 
 
 class EmptyActionSet(HoneyflowError):

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .equilibrium import solve_stackelberg
 from .errors import ConfigError
-from .game import DefenderStrategy, GameSpec, VulnerabilityType
+from .game import DefenderStrategy, GameSpec, VulnerabilityType, validate_game
 from .heuristics import round_half_up
 from .strategies import (
     AttackerModel,
@@ -256,6 +256,8 @@ def ratio_analysis(
         raise ConfigError(
             f"{len(real_values)} real values but {len(fake_values)} fake values"
         )
+    if not real_flow_counts or min(real_flow_counts) < 1:
+        raise ConfigError("real-flow counts must be nonempty and at least 1")
     max_ratio = max(ratios)
     rows = []
     optimal: dict[str, float] = {}
@@ -272,7 +274,7 @@ def ratio_analysis(
             )
             for i, (rv, fv) in enumerate(zip(real_values, fake_values))
         )
-        spec = GameSpec(types)
+        spec = validate_game(GameSpec(types))
         best: tuple[float, float] | None = None
         for ratio in ratios:
             j = min(round_half_up(ratio * rf), bound)

@@ -31,6 +31,11 @@ TIE_TOL = 1e-9
 # bounds, the attacker's best-response gap and both value re-computations.
 BEST_RESPONSE_TOL = 1e-6
 
+# Largest honey-flow bound a type may have. A strategy holds H + 1
+# probabilities per type, so larger bounds are rejected as bad input before
+# anything allocates them.
+MAX_HONEY_FLOW_BOUND = 10**6
+
 
 @dataclass(frozen=True)
 class VulnerabilityType:
@@ -175,9 +180,9 @@ def validate_game(spec: GameSpec) -> GameSpec:
                 f"type {t.id}: real_flow_count must be nonnegative, "
                 f"got {t.real_flow_count}"
             )
-        if t.honey_flow_bound < 0:
+        if not 0 <= t.honey_flow_bound <= MAX_HONEY_FLOW_BOUND:
             raise ValidationError(
-                f"type {t.id}: honey_flow_bound must be nonnegative, "
+                f"type {t.id}: honey_flow_bound must be in [0, {MAX_HONEY_FLOW_BOUND}], "
                 f"got {t.honey_flow_bound}"
             )
     return spec

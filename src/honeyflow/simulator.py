@@ -22,6 +22,10 @@ import numpy as np
 
 from .errors import ConfigError, EmptyObservation, TopologyError
 
+# Largest real or honey flow count per type that generate_flows accepts.
+# Each flow is one record (a few hundred bytes), so this bounds memory.
+MAX_FLOWS_PER_TYPE = 10**6
+
 
 @dataclass(frozen=True)
 class Endpoint:
@@ -242,8 +246,16 @@ def generate_flows(
     true weakness; honey flows advertise the fake endpoint's configured one.
 
     Honey flows run between fake endpoints when two exist, otherwise from a
-    real endpoint toward the fake one.
+    real endpoint toward the fake one. Every count must lie in
+    [0, MAX_FLOWS_PER_TYPE].
     """
+    for label, counts in (("real", real_counts), ("honey", honey_counts)):
+        for vuln, count in counts.items():
+            if not 0 <= count <= MAX_FLOWS_PER_TYPE:
+                raise ConfigError(
+                    f"{label} flow count for type {vuln} must be in "
+                    f"[0, {MAX_FLOWS_PER_TYPE}], got {count}"
+                )
     rng = np.random.default_rng(seed)
     real_ids = net.real_endpoint_ids
     fake_ids = net.fake_endpoint_ids

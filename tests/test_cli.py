@@ -18,7 +18,7 @@ class TestSolve:
         assert code == 0
         payload = json.loads(out)
         # Frozen from the exhaustive fixed-action oracle: the optimum mixes
-        # one/two honey flows on the first type and maxes the second,
+        # zero/one honey flow on the first type and maxes the second,
         # leaving both attacks tied at 8.75 and the defender at -10.75.
         assert payload["defender_value"] == pytest.approx(-10.75, abs=1e-3)
         assert payload["attacker_value"] == pytest.approx(8.75, abs=1e-3)
@@ -138,6 +138,8 @@ class TestExitCodes:
             ("simulate", lambda t: t["links"].append(["s1"])),
             ("simulate", lambda t: t["endpoints"][2].update(attacker_value=float("nan"))),
             ("simulate", lambda t: t["endpoints"][0].update(weaknesses=[None])),
+            ("solve", lambda g: g["types"][0].update(honey_flow_bound=10**11)),
+            ("evaluate", lambda g: g["types"][0].update(honey_flow_bound=10**6 + 1)),
         ],
         ids=[
             "null-value",
@@ -149,6 +151,8 @@ class TestExitCodes:
             "one-element-link",
             "nan-endpoint-value",
             "null-weakness",
+            "oversize-honey-bound",
+            "oversize-honey-bound-evaluate",
         ],
     )
     def test_bad_input_is_config_error(
@@ -182,6 +186,9 @@ class TestExitCodes:
             (["bench", "--trials", "0"], "trials"),
             (["bench", "--sizes", "1", "--trials", "1", "--with-timing"], "--with-timing"),
             (["ratio", "--real-values", "1,2,3", "--fake-values", "0.5"], "fake values"),
+            (["ratio", "--ratios", "1e10", "--real-flows", "10"], "honey_flow_bound"),
+            (["ratio", "--real-flows", ","], "real-flow counts"),
+            (["ratio", "--real-flows", "0"], "real-flow counts"),
         ],
         ids=[
             "sweep-zero-trials",
@@ -190,10 +197,35 @@ class TestExitCodes:
             "bench-zero-trials",
             "bench-with-timing",
             "ratio-vector-lengths",
+            "ratio-oversize-bound",
+            "ratio-no-real-flows",
+            "ratio-zero-real-flows",
         ],
     )
     def test_bad_arguments_are_config_errors(self, capsys, argv, named):
         code, out, err = _run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "counts, named",
+        [
+            (["--real", "5,5", "--honey=-1,1"], "honey flow count for type 0"),
+            (["--real=-5,5", "--honey", "1,1"], "real flow count for type 0"),
+            (["--real", "5,1000001", "--honey", "1,1"], "real flow count for type 1"),
+            (["--real", "5,5", "--honey", "0:1000001:1000001"], "honey flow count"),
+        ],
+        ids=["negative-honey", "negative-real", "oversize-real", "oversize-honey-sweep"],
+    )
+    def test_bad_flow_counts_are_config_errors(
+        self, capsys, chain_topology_path, counts, named
+    ):
+        code, out, err = _run(
+            capsys, "simulate", "--topology", chain_topology_path, *counts, "--episodes", "10"
+        )
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

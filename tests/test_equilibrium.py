@@ -3,12 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 
+from honeyflow import equilibrium
 from honeyflow.equilibrium import (
     build_best_response_lp,
+    solve_lp,
     solve_stackelberg,
     verify_equilibrium,
 )
 from honeyflow.errors import ValidationError
+from honeyflow.experiments import (
+    MODE_FAKE_EQUALS_REAL,
+    MODE_FAKE_ZERO,
+    GeneratorParams,
+    random_game,
+)
 from honeyflow.game import (
     NO_ATTACK,
     AttackerAction,
@@ -101,15 +109,15 @@ class TestSolveStackelberg:
 
     def test_infeasible_actions_skipped_silently(self, worked_example):
         eq = solve_stackelberg(worked_example)
-        status, value = eq.per_action_lp_values[NO_ATTACK]
+        status, value = eq.per_action_values[NO_ATTACK]
         assert status == "infeasible"
         assert value is None
 
     def test_near_tied_actions_go_to_lowest_type_id(self):
         # random_game(GeneratorParams(type_count=2, real_flows=(50, 500),
-        # honey_bound_range=(100, 100)), [20200207, 4]): both attack LPs
-        # reach the same optimum, but the attack(1) objective comes out
-        # one ulp higher, which must not beat the lowest-id rule.
+        # honey_bound_range=(100, 100)), [20200207, 4]): both attacks reach
+        # the same optimum, and a last-bit difference between their values
+        # must not beat the lowest-id rule.
         spec = GameSpec(
             (
                 VulnerabilityType(0, 1.0, 0.0, 441, 100, 1e-4),
@@ -117,8 +125,8 @@ class TestSolveStackelberg:
             )
         )
         eq = solve_stackelberg(spec)
-        v0 = eq.per_action_lp_values[AttackerAction.attack(0)][1]
-        v1 = eq.per_action_lp_values[AttackerAction.attack(1)][1]
+        v0 = eq.per_action_values[AttackerAction.attack(0)][1]
+        v1 = eq.per_action_values[AttackerAction.attack(1)][1]
         assert v0 == pytest.approx(v1, abs=1e-12)
         assert eq.attacker_action == AttackerAction.attack(0)
 
@@ -137,6 +145,61 @@ class TestSolveStackelberg:
         assert eq.attacker_action == NO_ATTACK
         assert eq.defender_value == pytest.approx(0.0, abs=1e-12)
         assert all(m[0] == pytest.approx(1.0) for m in eq.strategy.marginals)
+
+
+def _ladder_games():
+    """Games shaped like the benchmark's solve ladder, in both value modes:
+    2 to 16 types at honey bound 100, and 5 types at bounds 50 to 500."""
+    shapes = [(2, 100), (4, 100), (8, 100), (16, 100), (5, 50), (5, 500)]
+    for mode in (MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL):
+        for index, (types, bound) in enumerate(shapes):
+            params = GeneratorParams(
+                type_count=types,
+                real_flows=(50, 500),
+                honey_bound_range=(bound, bound),
+                value_mode=mode,
+            )
+            yield random_game(params, [20200207, index])
+
+
+class TestLpReference:
+    """The per-action best-response LPs, solved by the package's simplex,
+    are the reference the water-level search must reproduce."""
+
+    def test_per_action_values_match_the_lps(self):
+        for spec in _ladder_games():
+            eq = solve_stackelberg(spec)
+            for action, (status, value) in eq.per_action_values.items():
+                sol = solve_lp(build_best_response_lp(spec, action))
+                assert status == sol.status, (spec, action)
+                if status == "optimal":
+                    assert value == pytest.approx(sol.objective_value, abs=1e-9)
+                else:
+                    assert value is None
+
+    def test_marginals_mix_two_adjacent_counts(self):
+        rng = np.random.default_rng(11)
+        games = list(_ladder_games()) + [_random_spec(rng) for _ in range(30)]
+        for spec in games:
+            for m in solve_stackelberg(spec).strategy.marginals:
+                support = np.flatnonzero(m)
+                assert 1 <= support.size <= 2
+                assert support[-1] - support[0] <= 1
+
+    def test_layers_on_the_worked_example(self, worked_example):
+        # u_0 = 10, 7.5, 40/7 and u_1 = 20, 15, 80/7, 8.75, so L = 8.75.
+        # There V's right slope is -1 + 1/2.5 + 0.5/(80/7 - 8.75) < 0, so the
+        # water level is L itself: type 0 mixes zero and one honey flow
+        # half and half to reach it, and type 1 needs all three.
+        curves = equilibrium.type_curves(worked_example)
+        assert [(k, cost) for k, _, cost in curves] == [(0, 1.0), (1, 0.5)]
+        assert curves[0][1] == pytest.approx([10.0, 7.5, 40 / 7], abs=1e-12)
+        assert curves[1][1] == pytest.approx([20.0, 15.0, 80 / 7, 8.75], abs=1e-12)
+        tau = equilibrium.water_level(curves, 8.75)
+        assert tau == 8.75
+        strategy = equilibrium.strategy_at(worked_example, curves, tau)
+        assert strategy.marginals[0] == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
+        assert strategy.marginals[1] == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-12)
 
 
 class TestVerification:
