@@ -130,6 +130,17 @@ class TestSolveStackelberg:
         assert v0 == pytest.approx(v1, abs=1e-12)
         assert eq.attacker_action == AttackerAction.attack(0)
 
+    def test_large_equal_values_still_leave_the_attack_feasible(self):
+        # u(j) = p*v + (1-p)*v is v only up to rounding, and at this size
+        # the rounding (~1e-7) is out of order by more than TIE_TOL: the
+        # curve must still read as nonincreasing, or no action is feasible.
+        v = 770831828.9072918
+        spec = GameSpec((VulnerabilityType(0, v, v, 123, 44, 0.8312748346644612),))
+        eq = solve_stackelberg(spec)
+        assert eq.attacker_action == AttackerAction.attack(0)
+        assert eq.attacker_value == pytest.approx(v, rel=1e-12)
+        assert verify_equilibrium(spec, eq).all_passed
+
     def test_solve_time_recorded(self, worked_example):
         eq = solve_stackelberg(worked_example)
         assert eq.solve_time > 0.0
