@@ -11,9 +11,11 @@ are withheld unless --with-timing is passed.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -175,6 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="uniform", help='"uniform" or a fixed type id')
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
+    p.add_argument(
+        "--switch-rates",
+        default=None,
+        metavar="FILE",
+        help="also write per-switch honey-traffic rates as CSV (honey_count,switch,honey_rate)",
+    )
 
     p = sub.add_parser("heuristic", help="ratio-rule honey-flow recommendation")
     p.add_argument("--real-values", type=_floats, required=True)
@@ -258,41 +266,61 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _parse_honey_arg(text: str, n_types: int) -> list[dict[int, int]]:
+def _honey_configs(text: str, n_types: int) -> Iterable[dict[int, int]]:
     """Either fixed per-type counts ("100,50") or a sweep "lo:hi:step"
-    applied to every type, yielding one config per sweep point."""
+    applied to every type, yielding one config per sweep point. Every
+    count is checked here, before any simulation runs."""
     if ":" in text:
-        lo, hi, step = (int(x) for x in text.split(":"))
+        try:
+            lo, hi, step = (int(x) for x in text.split(":"))
+        except ValueError:
+            raise HoneyflowError(
+                f"bad honey sweep {text!r}: expected lo:hi:step"
+            ) from None
         if step <= 0 or hi < lo:
             raise HoneyflowError(f"bad honey sweep {text!r}")
-        points = list(range(lo, hi + 1, step))
-        return [{t: point for t in range(n_types)} for point in points]
+        points = range(lo, hi + 1, step)
+        for point in (points[0], points[-1]):
+            simulator.check_flow_counts("honey", dict.fromkeys(range(n_types), point))
+        return (dict.fromkeys(range(n_types), point) for point in points)
     counts = _ints(text)
     if len(counts) != n_types:
         raise HoneyflowError(
             f"expected {n_types} honey counts to match --real, got {len(counts)}"
         )
+    simulator.check_flow_counts("honey", dict(enumerate(counts)))
     return [dict(enumerate(counts))]
+
+
+def _write_switch_rates(path: str, runs) -> None:
+    """One row per (population, switch): the population's total honey
+    flows, the switch id and its honey-traffic rate."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("honey_count", "switch", "honey_rate"))
+        for honey, report in runs:
+            for switch, rate in report.switch_rates.items():
+                writer.writerow((sum(honey.values()), switch, repr(rate)))
 
 
 def _cmd_simulate(args) -> int:
     with open(args.topology, "r", encoding="utf-8") as fh:
         net = simulator.network_from_dict(json.load(fh))
     real = dict(enumerate(args.real))
-    honey_configs = _parse_honey_arg(args.honey, len(args.real))
+    simulator.check_flow_counts("real", real)
+    honey_configs = _honey_configs(args.honey, len(args.real))
     policy = (
         simulator.uniform_type_policy if args.policy == "uniform" else int(args.policy)
     )
-    reports = []
-    for k, honey in enumerate(honey_configs):
-        reports.append(
-            simulator.run_trials(
-                net, real, honey, policy, args.episodes, args.seed + k
-            )
-        )
+    runs = [
+        (honey, simulator.run_trials(net, real, honey, policy, args.episodes, args.seed + k))
+        for k, honey in enumerate(honey_configs)
+    ]
     buf = io.StringIO()
-    simulator.write_report_csv(reports, buf)
+    simulator.write_report_csv((report for _, report in runs), buf)
     _emit(buf.getvalue(), args.output)
+    if args.switch_rates:
+        _write_switch_rates(args.switch_rates, runs)
     return EXIT_OK
 
 

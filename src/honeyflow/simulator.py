@@ -15,15 +15,17 @@ import csv
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, EmptyObservation, TopologyError
 
 # Largest real or honey flow count per type that generate_flows accepts.
-# Each flow is one record (a few hundred bytes), so this bounds memory.
+# A flow is one row of a FlowTable (17 bytes over its four columns), and
+# drawing a type block needs roughly 60 bytes per flow more while it
+# runs, so this bounds memory.
 MAX_FLOWS_PER_TYPE = 10**6
 
 
@@ -37,29 +39,103 @@ class Endpoint:
 
 
 @dataclass(frozen=True)
+class PairIndex:
+    """Per-pair lookups over the sorted endpoint ids, built once per network.
+
+    ``position`` maps an endpoint id to its index in ``ids``. The arrays
+    are indexed by [origin, destination] positions: ``reachable`` says a
+    path exists, ``crosses`` that it passes a compromised switch, and
+    ``incidence[s]`` that it passes switch ``switch_ids[s]``. A model
+    changed with ``dataclasses.replace`` keeps the old index, so build a
+    new network instead.
+    """
+
+    ids: tuple[str, ...]
+    position: dict[str, int]
+    switch_ids: tuple[str, ...]
+    reachable: np.ndarray
+    crosses: np.ndarray
+    incidence: np.ndarray
+
+
+@dataclass(frozen=True)
 class NetworkModel:
     endpoints: dict[str, Endpoint]
     switches: frozenset[str]
     adjacency: dict[str, tuple[str, ...]]
     paths: dict[tuple[str, str], tuple[str, ...]]
     compromised: frozenset[str]
-
-    @property
-    def real_endpoint_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(e for e, ep in self.endpoints.items() if not ep.is_fake))
-
-    @property
-    def fake_endpoint_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(e for e, ep in self.endpoints.items() if ep.is_fake))
+    index: PairIndex = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class FlowRecord:
     origin: str
     destination: str
-    info: int | None
+    info: int
     path: tuple[str, ...]
     is_honey: bool
+
+
+class FlowTable(Sequence):
+    """A flow population stored as columns, one row per flow.
+
+    ``origin`` and ``destination`` are positions in ``net.index.ids``,
+    ``info`` is the advertised vulnerability type and ``is_honey`` the
+    honey flag. Indexing or iterating builds ``FlowRecord`` objects on
+    demand; the simulator itself reads only the columns.
+    """
+
+    __slots__ = ("net", "origin", "destination", "info", "is_honey")
+
+    def __init__(self, net, origin, destination, info, is_honey):
+        self.net = net
+        self.origin = origin
+        self.destination = destination
+        self.info = info
+        self.is_honey = is_honey
+
+    def __len__(self) -> int:
+        return len(self.info)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return self.take(k)
+        return self._record(
+            self.origin[k], self.destination[k], self.info[k], self.is_honey[k]
+        )
+
+    def __iter__(self):
+        columns = (self.origin, self.destination, self.info, self.is_honey)
+        return map(self._record, *(c.tolist() for c in columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def take(self, rows) -> FlowTable:
+        """The table restricted to ``rows`` (a slice, mask or index array)."""
+        return FlowTable(
+            self.net,
+            self.origin[rows],
+            self.destination[rows],
+            self.info[rows],
+            self.is_honey[rows],
+        )
+
+    def lookup(self, table: np.ndarray) -> np.ndarray:
+        """Each row's entry in an [origin, destination] array of the index."""
+        return table[self.origin, self.destination]
+
+    def _record(self, o, d, info, is_honey) -> FlowRecord:
+        ids = self.net.index.ids
+        origin, dest = ids[o], ids[d]
+        return FlowRecord(
+            origin, dest, int(info), self.net.paths[(origin, dest)], bool(is_honey)
+        )
 
 
 class OutcomeKind(enum.Enum):
@@ -170,6 +246,7 @@ def build_network(
     path are left out; requesting a flow across one raises later.
     """
     switches = frozenset(switches)
+    compromised = frozenset(compromised)
     if len(endpoints) < 2:
         raise TopologyError("a network needs at least two endpoints")
     if not switches:
@@ -183,40 +260,58 @@ def build_network(
             adjacency[b].append(a)
     adj = {n: tuple(sorted(ns)) for n, ns in adjacency.items()}
 
+    ids = tuple(sorted(endpoints))
+    switch_ids = tuple(sorted(switches))
+    position = {node: k for k, node in enumerate(ids + switch_ids)}
+    n = len(ids)
+    # pred[o, x]: position of x's predecessor on the path from origin o
+    pred = np.full((n, len(position)), -1)
     paths: dict[tuple[str, str], tuple[str, ...]] = {}
-    for origin in sorted(endpoints):
-        dist = _bfs_distances(adj, origin, endpoints)
-        for dest in sorted(endpoints):
-            if dest == origin or dest not in dist:
-                continue
-            node = dest
-            hops: list[str] = []
-            while node != origin:
-                # Smallest-id predecessor one hop closer to the origin.
-                node = min(
-                    n
-                    for n in adj[node]
-                    if dist.get(n, -1) == dist[node] - 1
-                    and (n == origin or n not in endpoints)
-                )
-                if node != origin:
-                    hops.append(node)
-            paths[(origin, dest)] = tuple(reversed(hops))
+    for o, origin in enumerate(ids):
+        route = {origin: ()}  # the switches between origin and each node
+        for node, prev in _predecessors(adj, origin, endpoints).items():
+            pred[o, position[node]] = position[prev]
+            route[node] = route[prev] + (prev,) if prev != origin else ()
+        for dest in ids:
+            if dest != origin and dest in route:
+                paths[(origin, dest)] = route[dest]
 
+    reachable = pred[:, :n] >= 0
+    incidence = np.zeros((len(switch_ids), n, n), dtype=bool)
+    o_idx, d_idx = np.nonzero(reachable)
+    hop = pred[o_idx, d_idx]
+    while len(hop):  # walk every path back one hop at a time
+        on = hop >= n  # a switch; the walk ends at the origin
+        o_idx, d_idx, hop = o_idx[on], d_idx[on], hop[on]
+        incidence[hop - n, o_idx, d_idx] = True
+        hop = pred[o_idx, hop]
+    watched = [position[s] - n for s in sorted(compromised & switches)]
+    index = PairIndex(
+        ids=ids,
+        position={e: position[e] for e in ids},
+        switch_ids=switch_ids,
+        reachable=reachable,
+        crosses=incidence[watched].any(axis=0),
+        incidence=incidence,
+    )
     return NetworkModel(
         endpoints=dict(endpoints),
         switches=switches,
         adjacency=adj,
         paths=paths,
-        compromised=frozenset(compromised),
+        compromised=compromised,
+        index=index,
     )
 
 
-def _bfs_distances(
+def _predecessors(
     adj: Mapping[str, tuple[str, ...]], origin: str, endpoints: Mapping[str, Endpoint]
-) -> dict[str, int]:
-    """Hop counts from origin, never expanding through other endpoints."""
+) -> dict[str, str]:
+    """Breadth-first search from origin that never expands through another
+    endpoint. Maps every node it reaches to its smallest-id neighbour one
+    hop closer to the origin, so following the map walks a shortest path."""
     dist = {origin: 0}
+    pred: dict[str, str] = {}
     queue = deque([origin])
     while queue:
         node = queue.popleft()
@@ -225,15 +320,21 @@ def _bfs_distances(
         for nxt in adj[node]:
             if nxt not in dist:
                 dist[nxt] = dist[node] + 1
+                pred[nxt] = node
                 queue.append(nxt)
-    return dist
+            elif dist[nxt] == dist[node] + 1 and node < pred[nxt]:
+                pred[nxt] = node
+    return pred
 
 
-def _path_for(net: NetworkModel, origin: str, dest: str) -> tuple[str, ...]:
-    key = (origin, dest)
-    if key not in net.paths:
-        raise TopologyError(f"no path between {origin} and {dest}")
-    return net.paths[key]
+def check_flow_counts(label: str, counts: Mapping[int, int]) -> None:
+    """Raise ConfigError unless every count lies in [0, MAX_FLOWS_PER_TYPE]."""
+    for vuln, count in counts.items():
+        if not 0 <= count <= MAX_FLOWS_PER_TYPE:
+            raise ConfigError(
+                f"{label} flow count for type {vuln} must be in "
+                f"[0, {MAX_FLOWS_PER_TYPE}], got {count}"
+            )
 
 
 def generate_flows(
@@ -241,96 +342,142 @@ def generate_flows(
     real_counts: Mapping[int, int],
     honey_counts: Mapping[int, int],
     seed,
-) -> list[FlowRecord]:
+) -> FlowTable:
     """Seeded flow population: real flows advertise their destination's
     true weakness; honey flows advertise the fake endpoint's configured one.
 
     Honey flows run between fake endpoints when two exist, otherwise from a
     real endpoint toward the fake one. Every count must lie in
     [0, MAX_FLOWS_PER_TYPE].
+
+    Types are drawn in sorted order, real before honey. Each flow draws
+    its destination, then its origin among the pool without that
+    destination, each as one ``Generator.integers(high)`` draw; a type's
+    whole block is one ``integers(0, highs)`` call with the two bounds
+    alternating, which gives the same numbers.
     """
-    for label, counts in (("real", real_counts), ("honey", honey_counts)):
-        for vuln, count in counts.items():
-            if not 0 <= count <= MAX_FLOWS_PER_TYPE:
-                raise ConfigError(
-                    f"{label} flow count for type {vuln} must be in "
-                    f"[0, {MAX_FLOWS_PER_TYPE}], got {count}"
-                )
+    check_flow_counts("real", real_counts)
+    check_flow_counts("honey", honey_counts)
     rng = np.random.default_rng(seed)
-    real_ids = net.real_endpoint_ids
-    fake_ids = net.fake_endpoint_ids
-    flows: list[FlowRecord] = []
+    ids = net.index.ids
+    fake = np.array([net.endpoints[e].is_fake for e in ids], dtype=bool)
+    real_pool = np.flatnonzero(~fake).astype(np.int32)
+    fake_pool = np.flatnonzero(fake).astype(np.int32)
+    empty = np.empty(0, dtype=np.int32)
+    blocks = [(empty, empty, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
+
+    def advertising(pool: np.ndarray, vuln: int) -> np.ndarray:
+        return pool[[vuln in net.endpoints[ids[k]].weaknesses for k in pool]]
+
+    def add_block(vuln, count, dests, origins, skip, is_honey):
+        origin, dest = _draw_pairs(net, rng, count, dests, origins, skip)
+        info = np.full(count, vuln, dtype=np.int64)
+        blocks.append((origin, dest, info, np.full(count, is_honey)))
 
     for vuln in sorted(real_counts):
         count = real_counts[vuln]
         if count <= 0:
             continue
-        dests = [e for e in real_ids if vuln in net.endpoints[e].weaknesses]
-        if not dests:
+        dests = advertising(real_pool, vuln)
+        if not len(dests):
             raise ConfigError(f"no real endpoint advertises vulnerability {vuln}")
-        for _ in range(count):
-            dest = dests[rng.integers(len(dests))]
-            origins = [e for e in real_ids if e != dest]
-            if not origins:
-                raise ConfigError("real flows need at least two real endpoints")
-            origin = origins[rng.integers(len(origins))]
-            flows.append(
-                FlowRecord(origin, dest, vuln, _path_for(net, origin, dest), False)
-            )
+        if len(real_pool) < 2:
+            raise ConfigError("real flows need at least two real endpoints")
+        add_block(vuln, count, dests, real_pool, True, False)
 
     for vuln in sorted(honey_counts):
         count = honey_counts[vuln]
         if count <= 0:
             continue
-        if not fake_ids:
+        if not len(fake_pool):
             raise ConfigError("honey flows requested but the network has no fake endpoints")
-        dests = [e for e in fake_ids if vuln in net.endpoints[e].weaknesses]
-        if not dests:
+        dests = advertising(fake_pool, vuln)
+        if not len(dests):
             raise ConfigError(f"no fake endpoint advertises vulnerability {vuln}")
-        for _ in range(count):
-            dest = dests[rng.integers(len(dests))]
-            origins = [e for e in fake_ids if e != dest]
-            if not origins:
-                origins = [e for e in real_ids if e != dest]
-            if not origins:
-                raise ConfigError(f"no origin available for honey flows to {dest}")
-            origin = origins[rng.integers(len(origins))]
-            flows.append(
-                FlowRecord(origin, dest, vuln, _path_for(net, origin, dest), True)
+        if len(fake_pool) > 1:
+            add_block(vuln, count, dests, fake_pool, True, True)
+        else:  # a network has two endpoints, so the others are all real
+            add_block(vuln, count, dests, real_pool, False, True)
+
+    return FlowTable(net, *map(np.concatenate, zip(*blocks)))
+
+
+def _draw_pairs(
+    net: NetworkModel,
+    rng: np.random.Generator,
+    count: int,
+    dests: np.ndarray,
+    origins: np.ndarray,
+    skip: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` (origin, destination) position pairs. When ``skip``
+    the destination is left out of the origin pool. Raises TopologyError
+    for the first pair, in draw order, that has no path."""
+    highs = np.empty(2 * count, dtype=np.int64)
+    highs[0::2] = len(dests)
+    highs[1::2] = len(origins) - skip
+    draws = rng.integers(0, highs)
+    dest = dests[draws[0::2]]
+    slot = draws[1::2]
+    if skip:
+        slot += slot >= np.searchsorted(origins, dest)
+    origin = origins[slot]
+    missing = ~net.index.reachable[origin, dest]
+    if missing.any():
+        k = int(missing.argmax())
+        ids = net.index.ids
+        raise TopologyError(f"no path between {ids[origin[k]]} and {ids[dest[k]]}")
+    return origin, dest
+
+
+def _flow_table(net: NetworkModel, flows: Sequence[FlowRecord]) -> FlowTable:
+    """The flows as a table over ``net``. Records are converted; each must
+    run between two of its endpoints along the path it assigns them."""
+    if isinstance(flows, FlowTable) and flows.net is net:
+        return flows
+    position = net.index.position
+    rows = []
+    for f in flows:
+        if net.paths.get((f.origin, f.destination)) != tuple(f.path):
+            raise TopologyError(
+                f"flow {f.origin} -> {f.destination} does not follow a network path"
             )
-    return flows
+        if not isinstance(f.info, (int, np.integer)):
+            raise ConfigError(f"flow {f.origin} -> {f.destination} has no type id")
+        rows.append((position[f.origin], position[f.destination], f.info, f.is_honey))
+    columns = list(zip(*rows)) or [(), (), (), ()]
+    dtypes = (np.int32, np.int32, np.int64, bool)
+    return FlowTable(net, *(np.array(c, dtype=t) for c, t in zip(columns, dtypes)))
 
 
 @dataclass(frozen=True)
 class Observation:
     """Flows visible from the compromised switches, grouped by type.
 
-    Attacker policies only ever see ``totals``; the per-flow records and
-    the real/honey split exist for episode resolution and for validation
-    oracles.
+    ``observed`` maps each type with a visible flow to its rows, in
+    generation order. Attacker policies only ever see ``totals``; the rows
+    and the real/honey split exist for episode resolution and for
+    validation oracles.
     """
 
-    observed: dict[int, tuple[FlowRecord, ...]]
+    observed: dict[int, FlowTable]
 
     def totals(self) -> dict[int, int]:
         return {t: len(fs) for t, fs in self.observed.items()}
 
     def real_honey_split(self) -> dict[int, tuple[int, int]]:
-        return {
-            t: (sum(not f.is_honey for f in fs), sum(f.is_honey for f in fs))
-            for t, fs in self.observed.items()
-        }
+        split = {}
+        for t, fs in self.observed.items():
+            honey = int(np.count_nonzero(fs.is_honey))
+            split[t] = (len(fs) - honey, honey)
+        return split
 
 
 def observe(net: NetworkModel, flows: Sequence[FlowRecord]) -> Observation:
     """Flows whose path crosses at least one compromised switch."""
-    seen: dict[int, list[FlowRecord]] = {}
-    for flow in flows:
-        if flow.info is None:
-            continue
-        if net.compromised.intersection(flow.path):
-            seen.setdefault(flow.info, []).append(flow)
-    return Observation({t: tuple(fs) for t, fs in sorted(seen.items())})
+    seen = _flow_table(net, flows)
+    seen = seen.take(seen.lookup(net.index.crosses))
+    return Observation({t: seen.take(seen.info == t) for t in np.unique(seen.info).tolist()})
 
 
 def uniform_type_policy(totals: Mapping[int, int], rng: np.random.Generator) -> int:
@@ -357,13 +504,13 @@ def attacker_episode(
     flows = observation.observed.get(chosen, ())
     if not flows:
         raise EmptyObservation(f"no observed flows of type {chosen}")
-    flow = flows[rng.integers(len(flows))]
-    target = net.endpoints[flow.destination]
-    if flow.is_honey:
+    row = rng.integers(len(flows))
+    target = net.endpoints[flows.net.index.ids[flows.destination[row]]]
+    if flows.is_honey[row]:
         return EpisodeOutcome(
             OutcomeKind.DEFEAT, target.id, target.attacker_value, -target.attacker_value
         )
-    if flow.info in target.weaknesses:
+    if chosen in target.weaknesses:
         return EpisodeOutcome(
             OutcomeKind.SUCCESS, target.id, target.attacker_value, -target.defender_value
         )
@@ -434,20 +581,22 @@ def run_trials(
     """Generate one flow population, then run seeded independent episodes.
 
     Episode seeds come from splitting a single seed sequence, so any
-    execution order (or parallel execution) reproduces the same report.
+    execution order (or parallel execution) reproduces the same report:
+    the first child seeds the flows and child k + 1 episode k. Children
+    are spawned one at a time, so memory does not grow with ``episodes``.
     """
     if episodes < 1:
         raise ConfigError("episode count must be at least 1")
     ss = np.random.SeedSequence(seed)
-    children = ss.spawn(episodes + 1)
-    flows = generate_flows(net, real_counts, honey_counts, children[0])
+    flows = generate_flows(net, real_counts, honey_counts, ss.spawn(1)[0])
     observation = observe(net, flows)
+    totals = observation.totals()
 
     payoffs: dict[int, list[EpisodeOutcome]] = {}
-    for k in range(episodes):
-        rng = np.random.default_rng(children[k + 1])
+    for _ in range(episodes):
+        rng = np.random.default_rng(ss.spawn(1)[0])
         if callable(policy):
-            chosen = int(policy(observation.totals(), rng))
+            chosen = int(policy(totals, rng))
         else:
             chosen = int(policy)
         outcome = attacker_episode(net, observation, chosen, rng)
@@ -488,7 +637,10 @@ def honey_traffic_rate(
     """
     if switch not in net.switches:
         raise TopologyError(f"unknown switch {switch}")
-    through = [f for f in flows if switch in f.path]
-    if not through:
+    table = _flow_table(net, flows)
+    index = net.index
+    through = table.lookup(index.incidence[index.switch_ids.index(switch)])
+    passing = int(np.count_nonzero(through))
+    if not passing:
         return 0.0
-    return sum(f.is_honey for f in through) / len(through)
+    return int(np.count_nonzero(through & table.is_honey)) / passing

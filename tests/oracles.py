@@ -24,12 +24,18 @@ Two reductions make exhaustive search exact and fast:
 `exact_equilibrium` judges the attacker side as well, with no tolerance at
 all: it redoes the whole equilibrium in `fractions.Fraction` on the float
 inputs, using the water-level form of the same lemma (see its docstring).
+
+`scalar_flows` is the simulator's reference: the flow population drawn one
+flow at a time with two scalar `Generator.integers` calls, over paths it
+routes itself from the topology JSON, plus the observation counts and
+per-switch honey rates read off those flows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -326,3 +332,98 @@ def exact_equilibrium(spec: GameSpec) -> tuple[int | None, Fraction, Fraction]:
     tau = min(candidates)
     target = next((k for k, u, _ in curves if u[0] >= tau), None)
     return target, tau, value(tau)
+
+
+def _scalar_paths(topology: dict) -> dict[tuple[str, str], tuple[str, ...]]:
+    """Hop-shortest switch paths between endpoint pairs. At every hop back
+    from the destination take the smallest-id neighbour one hop closer to
+    the origin; never pass through another endpoint."""
+    endpoints = {str(e["id"]) for e in topology["endpoints"]}
+    adj: dict[str, set[str]] = {}
+    for a, b in topology["links"]:
+        adj.setdefault(str(a), set()).add(str(b))
+        adj.setdefault(str(b), set()).add(str(a))
+    paths = {}
+    for origin in sorted(endpoints):
+        dist = {origin: 0}
+        queue = deque([origin])
+        while queue:
+            node = queue.popleft()
+            if node != origin and node in endpoints:
+                continue
+            for nxt in sorted(adj.get(node, ())):
+                if nxt not in dist:
+                    dist[nxt] = dist[node] + 1
+                    queue.append(nxt)
+        for dest in sorted(endpoints):
+            if dest == origin or dest not in dist:
+                continue
+            node, hops = dest, []
+            while True:
+                node = min(
+                    n
+                    for n in adj[node]
+                    if dist.get(n) == dist[node] - 1 and (n == origin or n not in endpoints)
+                )
+                if node == origin:
+                    break
+                hops.append(node)
+            paths[(origin, dest)] = tuple(reversed(hops))
+    return paths
+
+
+def scalar_flows(topology: dict, real_counts: dict, honey_counts: dict, seed) -> list[tuple]:
+    """(origin, destination, type, path, is_honey) per flow, in draw order.
+
+    Types go in sorted order, real before honey. Each flow draws its
+    destination among the endpoints advertising the type, then its origin
+    among the pool without the destination: real endpoints for real flows;
+    fake endpoints for honey flows, or the real ones when there is a single
+    fake. Raises ValueError with the simulator's message on the first flow
+    that cannot be drawn or routed.
+    """
+    rng = np.random.default_rng(seed)
+    paths = _scalar_paths(topology)
+    weak = {str(e["id"]): set(e.get("weaknesses", [])) for e in topology["endpoints"]}
+    fakes = sorted(str(e["id"]) for e in topology["endpoints"] if e.get("fake", False))
+    reals = sorted(str(e["id"]) for e in topology["endpoints"] if not e.get("fake", False))
+    flows = []
+    for is_honey, counts in ((False, real_counts), (True, honey_counts)):
+        for vuln in sorted(counts):
+            if counts[vuln] <= 0:
+                continue
+            if is_honey and not fakes:
+                raise ValueError("honey flows requested but the network has no fake endpoints")
+            pool = fakes if is_honey else reals
+            dests = [e for e in pool if vuln in weak[e]]
+            if not dests:
+                side = "fake" if is_honey else "real"
+                raise ValueError(f"no {side} endpoint advertises vulnerability {vuln}")
+            for _ in range(counts[vuln]):
+                dest = dests[rng.integers(len(dests))]
+                if is_honey:
+                    origins = [e for e in fakes if e != dest] or [e for e in reals if e != dest]
+                else:
+                    origins = [e for e in reals if e != dest]
+                    if not origins:
+                        raise ValueError("real flows need at least two real endpoints")
+                origin = origins[rng.integers(len(origins))]
+                if (origin, dest) not in paths:
+                    raise ValueError(f"no path between {origin} and {dest}")
+                flows.append((origin, dest, vuln, paths[(origin, dest)], is_honey))
+    return flows
+
+
+def scalar_observation(flows: list[tuple], compromised) -> dict[int, tuple[int, int]]:
+    """(real, honey) counts per type among flows crossing a compromised switch."""
+    split: dict[int, list[int]] = {}
+    for _, _, vuln, path, is_honey in flows:
+        if set(path) & set(compromised):
+            split.setdefault(vuln, [0, 0])[is_honey] += 1
+    return {t: tuple(c) for t, c in sorted(split.items())}
+
+
+def scalar_switch_rate(flows: list[tuple], switch: str) -> float:
+    """Share of honey flows among the flows through one switch (0 if none)."""
+    through = [is_honey for _, _, _, path, is_honey in flows if switch in path]
+    return sum(through) / len(through) if through else 0.0

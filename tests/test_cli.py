@@ -1,7 +1,11 @@
+import csv
 import json
+import os
 
+import numpy as np
 import pytest
 
+from honeyflow import simulator
 from honeyflow.cli import run
 from honeyflow.game import load_spec
 
@@ -232,6 +236,31 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert named in err
 
+    @pytest.mark.parametrize(
+        "honey, named",
+        [
+            ("1:2", "bad honey sweep '1:2': expected lo:hi:step"),
+            ("1:2:x", "bad honey sweep '1:2:x': expected lo:hi:step"),
+            ("0:1000001:1000001", "honey flow count for type 0"),
+            ("-1:5:1", "honey flow count for type 0"),
+            ("5,1000001", "honey flow count for type 1"),
+        ],
+        ids=["two-part-sweep", "non-integer-step", "oversize-last-point", "negative-first-point", "oversize-fixed"],
+    )
+    def test_simulate_input_checked_before_any_run(
+        self, capsys, monkeypatch, chain_topology_path, honey, named
+    ):
+        """Every sweep point and count is checked before the first run."""
+        runs = []
+        monkeypatch.setattr(simulator, "run_trials", lambda *a: runs.append(a))
+        code, out, err = _run(
+            capsys, "simulate", "--topology", chain_topology_path, "--real", "5,5",
+            f"--honey={honey}", "--episodes", "10",
+        )
+        assert (code, out, runs) == (1, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
 
 class TestHeuristicCommand:
     def test_branch_values(self, capsys):
@@ -325,6 +354,56 @@ class TestSimulate:
             capsys, "simulate", "--topology", "/none.json", "--real", "5", "--honey", "5"
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            (
+                "simulate_chain_sweep.csv",
+                ["--real", "30,30", "--honey", "0:20:10", "--episodes", "200", "--seed", "7"],
+            ),
+            (
+                "simulate_chain_fixed.csv",
+                ["--real", "40,25", "--honey", "5,15", "--episodes", "300", "--policy", "1"],
+            ),
+        ],
+    )
+    def test_csv_bytes_match_the_recorded_streams(
+        self, capsys, chain_topology_path, golden, argv
+    ):
+        """The golden files were written by the record-per-flow simulator;
+        the columnar one must reproduce its flows and episodes exactly."""
+        code, out, _ = _run(capsys, "simulate", "--topology", chain_topology_path, *argv)
+        assert code == 0
+        path = os.path.join(os.path.dirname(chain_topology_path), golden)
+        with open(path, "rb") as fh:
+            assert out.encode("utf-8") == fh.read()
+
+    def test_switch_rates_file(self, capsys, chain_topology_path, tmp_path):
+        argv = ["simulate", "--topology", chain_topology_path, "--real", "30,20",
+                "--honey", "0:20:10", "--episodes", "50", "--seed", "11"]
+        rates = tmp_path / "rates.csv"
+        code, plain, _ = _run(capsys, *argv)
+        assert code == 0
+        code, out, _ = _run(capsys, *argv, "--switch-rates", str(rates))
+        assert code == 0
+        assert out == plain  # the flag only adds the file
+        with open(rates, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["honey_count", "switch", "honey_rate"]
+
+        with open(chain_topology_path, encoding="utf-8") as fh:
+            net = simulator.network_from_dict(json.load(fh))
+        expected = [rows[0]]
+        for k, point in enumerate((0, 10, 20)):
+            # run_trials seeds the flows with the first child of seed + k
+            child = np.random.SeedSequence(11 + k).spawn(1)[0]
+            flows = simulator.generate_flows(net, {0: 30, 1: 20}, {0: point, 1: point}, child)
+            for switch in sorted(net.switches):
+                rate = simulator.honey_traffic_rate(net, flows, switch)
+                expected.append([str(2 * point), switch, repr(rate)])
+        assert rows == expected
+        assert any(float(r[2]) > 0 for r in rows[1:])
 
 
 class TestReportCommands:

@@ -1,14 +1,18 @@
+import dataclasses
 import io
+import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from honeyflow.errors import ConfigError, EmptyObservation, TopologyError
+from honeyflow.errors import ConfigError, EmptyObservation, HoneyflowError, TopologyError
 from honeyflow.simulator import (
     CSV_COLUMNS,
     Endpoint,
     FlowRecord,
+    FlowTable,
     OutcomeKind,
     attacker_episode,
     build_network,
@@ -20,6 +24,7 @@ from honeyflow.simulator import (
     uniform_type_policy,
     write_report_csv,
 )
+from oracles import scalar_flows, scalar_observation, scalar_switch_rate
 
 
 def _endpoint(eid, value=1.0, weaknesses=(0,), fake=False, attacker_value=None):
@@ -321,3 +326,161 @@ class TestHoneyTrafficRate:
         net = _chain_net()
         with pytest.raises(TopologyError, match="unknown switch"):
             honey_traffic_rate(net, [], "nope")
+
+
+class TestFlowTable:
+    def test_rows_become_records_on_demand(self):
+        net = _chain_net()
+        flows = generate_flows(net, {0: 6, 1: 4}, {1: 3}, seed=4)
+        assert isinstance(flows, FlowTable) and len(flows) == 13
+        records = list(flows)
+        assert [flows[k] for k in range(-len(flows), 0)] == records
+        assert list(flows[2:5]) == records[2:5]
+        assert flows == records
+        for f in records:
+            assert f.path == net.paths[(f.origin, f.destination)]
+        assert records[-1].is_honey and records[-1].info == 1
+
+    def test_hand_built_records_off_the_network_paths_rejected(self):
+        net = _chain_net()
+        detour = FlowRecord("client1", "server1", 0, ("s1", "s3"), False)
+        with pytest.raises(TopologyError, match="does not follow a network path"):
+            observe(net, [detour])
+        stranger = FlowRecord("client1", "elsewhere", 0, (), False)
+        with pytest.raises(TopologyError, match="does not follow"):
+            honey_traffic_rate(net, [stranger], "s1")
+
+    def test_untyped_records_rejected(self):
+        net = _chain_net()
+        untyped = FlowRecord("client1", "server1", None, ("s1", "s2", "s3"), False)
+        with pytest.raises(ConfigError, match="no type id"):
+            observe(net, [untyped])
+
+    def test_flows_of_an_equal_network_are_converted(self):
+        """A table generated on one network object reads the same on an
+        equal, separately built one."""
+        flows = generate_flows(_chain_net(), {0: 30, 1: 30}, {0: 10}, seed=8)
+        other = _chain_net()
+        assert observe(other, flows) == observe(other, list(flows))
+        assert honey_traffic_rate(other, flows, "s2") == honey_traffic_rate(
+            _chain_net(), list(flows), "s2"
+        )
+
+
+def test_block_draw_matches_scalar_draws():
+    """generate_flows draws a type block with one integers(0, highs) call.
+    numpy must give the scalar loop's numbers and leave the generator in
+    the same state: bounds of 1 (no draw), near 2**32 and above it."""
+    bounds = np.array([1, 2, 3, 7, 2**31, 2**32 - 1, 2**32, 2**32 + 5, 2**40])
+    for seed in range(30):
+        highs = np.random.default_rng(seed).choice(bounds, size=400)
+        block_rng = np.random.default_rng([seed, 1])
+        scalar_rng = np.random.default_rng([seed, 1])
+        block = block_rng.integers(0, highs)
+        assert block.tolist() == [scalar_rng.integers(int(h)) for h in highs]
+        assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def _random_topology(rng: np.random.Generator) -> dict:
+    """1-5 real and 0-3 fake endpoints on 1-4 switches. Each endpoint
+    links to one or two switches or, now and then, to none; neighbouring
+    switches mostly link, so some pairs are unreachable. Weaknesses are
+    drawn among types 0-2, and the compromised set at random."""
+    n_real, n_fake = int(rng.integers(1, 6)), int(rng.integers(0, 4))
+    if n_real + n_fake < 2:
+        n_fake += 1
+    switches = [f"s{k}" for k in range(int(rng.integers(1, 5)))]
+    endpoints, links = [], []
+    for k in range(n_real + n_fake):
+        eid = f"{'f' if k >= n_real else 'h'}{k}"
+        endpoints.append(
+            {
+                "id": eid,
+                "defender_value": round(float(rng.uniform(0.0, 3.0)), 2),
+                "attacker_value": round(float(rng.uniform(-1.0, 3.0)), 2),
+                "weaknesses": [t for t in range(3) if rng.random() < 0.6],
+                "fake": k >= n_real,
+            }
+        )
+        if rng.random() < 0.95:
+            hosts = rng.choice(switches, size=min(len(switches), int(rng.integers(1, 3))), replace=False)
+            links += [[eid, str(s)] for s in hosts]
+    links += [[a, b] for a, b in zip(switches, switches[1:]) if rng.random() < 0.9]
+    links += [[a, b] for a, b in itertools.combinations(switches, 2) if rng.random() < 0.3]
+    compromised = [s for s in switches if rng.random() < 0.4]
+    return {"endpoints": endpoints, "switches": switches, "links": links, "compromised": compromised}
+
+
+class TestScalarOracle:
+    def test_flows_observation_and_rates_match_the_scalar_loop(self):
+        """On 400 seeded random topologies the columns give the scalar
+        loop's flows, observation counts and switch rates, or its first
+        error message."""
+        seen = Counter()
+        for case in range(400):
+            rng = np.random.default_rng([2020, case])
+            topology = _random_topology(rng)
+            real = {t: int(rng.integers(0, 25)) for t in range(3) if rng.random() < 0.7}
+            honey = {t: int(rng.integers(0, 25)) for t in range(3) if rng.random() < 0.5}
+            seed = int(rng.integers(2**32))
+            net = network_from_dict(topology)
+            try:
+                expected = scalar_flows(topology, real, honey, seed)
+            except ValueError as exc:
+                with pytest.raises(HoneyflowError) as got:
+                    generate_flows(net, real, honey, seed)
+                assert str(got.value) == str(exc)
+                seen["unreachable"] += str(exc).startswith("no path")
+                continue
+            flows = generate_flows(net, real, honey, seed)
+            assert [dataclasses.astuple(f) for f in flows] == expected
+
+            split = scalar_observation(expected, topology["compromised"])
+            records = [FlowRecord(*f) for f in expected]
+            for given in (flows, records):
+                observation = observe(net, given)
+                assert observation.real_honey_split() == split
+                assert observation.totals() == {t: r + h for t, (r, h) in split.items()}
+                for switch in topology["switches"]:
+                    assert honey_traffic_rate(net, given, switch) == scalar_switch_rate(
+                        expected, switch
+                    )
+
+            fakes = [e for e in topology["endpoints"] if e["fake"]]
+            seen["single fake"] += len(fakes) == 1 and sum(honey.values()) > 0
+            for counts, fake in ((real, False), (honey, True)):
+                seen["one destination"] += any(
+                    n > 0
+                    and sum(t in e["weaknesses"] for e in topology["endpoints"] if e["fake"] == fake) == 1
+                    for t, n in counts.items()
+                )
+        assert seen["single fake"] and seen["one destination"] and seen["unreachable"], seen
+
+    def test_unreachable_pair_reports_the_first_in_draw_order(self):
+        """Two blocks, each with an unreachable pair: the first block's
+        first unreachable flow names the error, as in the scalar loop."""
+        topology = json.loads(json.dumps(_CHAIN_WITH_ISLAND))
+        for seed in range(20):
+            with pytest.raises(ValueError) as expected:
+                scalar_flows(topology, {0: 5, 1: 5}, {}, seed)
+            with pytest.raises(TopologyError) as got:
+                generate_flows(network_from_dict(topology), {0: 5, 1: 5}, {}, seed)
+            assert str(got.value) == str(expected.value)
+
+
+# client3 advertises both types but hangs off an unlinked switch.
+_CHAIN_WITH_ISLAND = {
+    "endpoints": [
+        {"id": "client1", "weaknesses": [0]},
+        {"id": "client2", "weaknesses": [1]},
+        {"id": "client3", "weaknesses": [0, 1]},
+        {"id": "server1", "weaknesses": [0]},
+        {"id": "server2", "weaknesses": [1]},
+    ],
+    "switches": ["s1", "s2", "s9"],
+    "links": [
+        ["client1", "s1"], ["client2", "s1"], ["s1", "s2"],
+        ["server1", "s2"], ["server2", "s2"], ["client3", "s9"],
+    ],
+    "compromised": ["s2"],
+}
