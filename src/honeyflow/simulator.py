@@ -477,7 +477,8 @@ def observe(net: NetworkModel, flows: Sequence[FlowRecord]) -> Observation:
     """Flows whose path crosses at least one compromised switch."""
     seen = _flow_table(net, flows)
     seen = seen.take(seen.lookup(net.index.crosses))
-    return Observation({t: seen.take(seen.info == t) for t in np.unique(seen.info).tolist()})
+    types = np.unique(seen.info).tolist()
+    return Observation({t: seen.take(seen.info == t) for t in types})
 
 
 def uniform_type_policy(totals: Mapping[int, int], rng: np.random.Generator) -> int:

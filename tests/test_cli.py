@@ -245,7 +245,13 @@ class TestExitCodes:
             ("-1:5:1", "honey flow count for type 0"),
             ("5,1000001", "honey flow count for type 1"),
         ],
-        ids=["two-part-sweep", "non-integer-step", "oversize-last-point", "negative-first-point", "oversize-fixed"],
+        ids=[
+            "two-part-sweep",
+            "non-integer-step",
+            "oversize-last-point",
+            "negative-first-point",
+            "oversize-fixed",
+        ],
     )
     def test_simulate_input_checked_before_any_run(
         self, capsys, monkeypatch, chain_topology_path, honey, named

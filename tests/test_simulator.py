@@ -403,12 +403,17 @@ def _random_topology(rng: np.random.Generator) -> dict:
             }
         )
         if rng.random() < 0.95:
-            hosts = rng.choice(switches, size=min(len(switches), int(rng.integers(1, 3))), replace=False)
-            links += [[eid, str(s)] for s in hosts]
+            size = min(len(switches), int(rng.integers(1, 3)))
+            links += [[eid, str(s)] for s in rng.choice(switches, size=size, replace=False)]
     links += [[a, b] for a, b in zip(switches, switches[1:]) if rng.random() < 0.9]
     links += [[a, b] for a, b in itertools.combinations(switches, 2) if rng.random() < 0.3]
     compromised = [s for s in switches if rng.random() < 0.4]
-    return {"endpoints": endpoints, "switches": switches, "links": links, "compromised": compromised}
+    return {
+        "endpoints": endpoints,
+        "switches": switches,
+        "links": links,
+        "compromised": compromised,
+    }
 
 
 class TestScalarOracle:
@@ -449,9 +454,9 @@ class TestScalarOracle:
             fakes = [e for e in topology["endpoints"] if e["fake"]]
             seen["single fake"] += len(fakes) == 1 and sum(honey.values()) > 0
             for counts, fake in ((real, False), (honey, True)):
+                pool = [e for e in topology["endpoints"] if e["fake"] == fake]
                 seen["one destination"] += any(
-                    n > 0
-                    and sum(t in e["weaknesses"] for e in topology["endpoints"] if e["fake"] == fake) == 1
+                    n > 0 and sum(t in e["weaknesses"] for e in pool) == 1
                     for t, n in counts.items()
                 )
         assert seen["single fake"] and seen["one destination"] and seen["unreachable"], seen
