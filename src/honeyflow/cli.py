@@ -17,8 +17,6 @@ import json
 import sys
 from collections.abc import Iterable
 
-import numpy as np
-
 from . import experiments, simulator
 from .equilibrium import solve_stackelberg, verify_equilibrium
 from .errors import HoneyflowError, SolverError
@@ -326,9 +324,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_heuristic(args) -> int:
     inp = HeuristicInput(
-        real_values=np.asarray(args.real_values),
-        fake_values=np.asarray(args.fake_values),
-        real_flow_counts=np.asarray(args.real_flows),
+        real_values=args.real_values,
+        fake_values=args.fake_values,
+        real_flow_counts=args.real_flows,
     )
     counts = recommend_honey_flows(inp)
     if args.format == "json":

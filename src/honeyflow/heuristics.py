@@ -12,6 +12,7 @@ measured against the exact solver, never assumed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,13 +20,19 @@ import numpy as np
 
 from .equilibrium import solve_stackelberg
 from .errors import ValidationError
-from .game import DefenderStrategy, GameSpec, VulnerabilityType
+from .game import MAX_HONEY_FLOW_BOUND, DefenderStrategy, GameSpec, VulnerabilityType
 from .strategies import AttackerModel, evaluate_matchup
 
 
 @dataclass(frozen=True)
 class HeuristicInput:
-    """Per-type real values, fake-host values, and real-flow counts."""
+    """Per-type real values, fake-host values, and real-flow counts.
+
+    Values must be finite. Each count must be an integer in
+    [0, MAX_HONEY_FLOW_BOUND // 2], because the rule recommends up to twice
+    the count and ``exactness_gap`` plays twice the count as a honey bound.
+    Counts are checked as given, before numpy converts them.
+    """
 
     real_values: np.ndarray
     fake_values: np.ndarray
@@ -34,16 +41,24 @@ class HeuristicInput:
     def __post_init__(self) -> None:
         rv = np.asarray(self.real_values, dtype=float)
         fv = np.asarray(self.fake_values, dtype=float)
-        nr = np.asarray(self.real_flow_counts, dtype=int)
-        if not (rv.shape == fv.shape == nr.shape) or rv.ndim != 1:
+        if rv.ndim != 1 or rv.shape != fv.shape or np.shape(self.real_flow_counts) != rv.shape:
             raise ValidationError("real/fake values and flow counts must be "
                                   "1-d vectors of equal length")
+        if not (np.isfinite(rv).all() and np.isfinite(fv).all()):
+            raise ValidationError("real and fake values must be finite")
         if np.any(rv <= 0):
             raise ValidationError("real values must be positive")
         if np.any(fv < 0):
             raise ValidationError("fake values must be nonnegative")
-        if np.any(nr < 0):
-            raise ValidationError("real-flow counts must be nonnegative")
+        try:
+            counts = [operator.index(n) for n in self.real_flow_counts]
+        except TypeError:
+            raise ValidationError("real-flow counts must be integers") from None
+        limit = MAX_HONEY_FLOW_BOUND // 2
+        for n in counts:
+            if not 0 <= n <= limit:
+                raise ValidationError(f"real-flow counts must be in [0, {limit}], got {n}")
+        nr = np.array(counts, dtype=int)
         object.__setattr__(self, "real_values", rv)
         object.__setattr__(self, "fake_values", fv)
         object.__setattr__(self, "real_flow_counts", nr)
@@ -118,8 +133,9 @@ def exactness_gap(inp: HeuristicInput, cost: float | Sequence[float]) -> Heurist
     """Defender value of the ratio rule vs the exact optimum on one game.
 
     The rule's counts are played as a deterministic strategy against a
-    rational attacker; the exact value comes from the LP solver. The gap
-    is reported, not bounded: it is a logged regression metric.
+    rational attacker; the exact value comes from ``solve_stackelberg``,
+    the water-level solver. The gap is reported, not bounded: it is a
+    logged regression metric.
     """
     spec = game_from_heuristic_input(inp, cost)
     counts = recommend_honey_flows(inp)

@@ -15,7 +15,7 @@ import csv
 import enum
 import math
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +27,9 @@ from .errors import ConfigError, EmptyObservation, TopologyError
 # drawing a type block needs roughly 60 bytes per flow more while it
 # runs, so this bounds memory.
 MAX_FLOWS_PER_TYPE = 10**6
+# Largest episode count that run_trials accepts. It keeps one outcome per
+# episode, so this bounds both its run time and its memory.
+MAX_EPISODES = 10**6
 
 
 @dataclass(frozen=True)
@@ -42,16 +45,15 @@ class Endpoint:
 class PairIndex:
     """Per-pair lookups over the sorted endpoint ids, built once per network.
 
-    ``position`` maps an endpoint id to its index in ``ids``. The arrays
-    are indexed by [origin, destination] positions: ``reachable`` says a
-    path exists, ``crosses`` that it passes a compromised switch, and
-    ``incidence[s]`` that it passes switch ``switch_ids[s]``. A model
-    changed with ``dataclasses.replace`` keeps the old index, so build a
-    new network instead.
+    The arrays are indexed by [origin, destination] positions in ``ids``:
+    ``reachable`` says a path exists, ``crosses`` that it passes a
+    compromised switch, and ``incidence[s]`` that it passes switch
+    ``switch_ids[s]``. This is the network's only copy of its routing. A
+    model changed with ``dataclasses.replace`` keeps the old index, so
+    build a new network instead.
     """
 
     ids: tuple[str, ...]
-    position: dict[str, int]
     switch_ids: tuple[str, ...]
     reachable: np.ndarray
     crosses: np.ndarray
@@ -63,27 +65,17 @@ class NetworkModel:
     endpoints: dict[str, Endpoint]
     switches: frozenset[str]
     adjacency: dict[str, tuple[str, ...]]
-    paths: dict[tuple[str, str], tuple[str, ...]]
     compromised: frozenset[str]
     index: PairIndex = field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    origin: str
-    destination: str
-    info: int
-    path: tuple[str, ...]
-    is_honey: bool
-
-
-class FlowTable(Sequence):
+class FlowTable:
     """A flow population stored as columns, one row per flow.
 
     ``origin`` and ``destination`` are positions in ``net.index.ids``,
     ``info`` is the advertised vulnerability type and ``is_honey`` the
-    honey flag. Indexing or iterating builds ``FlowRecord`` objects on
-    demand; the simulator itself reads only the columns.
+    honey flag. ``observe`` and ``honey_traffic_rate`` read a table only on
+    ``net`` or on a network equal to it.
     """
 
     __slots__ = ("net", "origin", "destination", "info", "is_honey")
@@ -98,24 +90,6 @@ class FlowTable(Sequence):
     def __len__(self) -> int:
         return len(self.info)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return self.take(k)
-        return self._record(
-            self.origin[k], self.destination[k], self.info[k], self.is_honey[k]
-        )
-
-    def __iter__(self):
-        columns = (self.origin, self.destination, self.info, self.is_honey)
-        return map(self._record, *(c.tolist() for c in columns))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
     def take(self, rows) -> FlowTable:
         """The table restricted to ``rows`` (a slice, mask or index array)."""
         return FlowTable(
@@ -129,13 +103,6 @@ class FlowTable(Sequence):
     def lookup(self, table: np.ndarray) -> np.ndarray:
         """Each row's entry in an [origin, destination] array of the index."""
         return table[self.origin, self.destination]
-
-    def _record(self, o, d, info, is_honey) -> FlowRecord:
-        ids = self.net.index.ids
-        origin, dest = ids[o], ids[d]
-        return FlowRecord(
-            origin, dest, int(info), self.net.paths[(origin, dest)], bool(is_honey)
-        )
 
 
 class OutcomeKind(enum.Enum):
@@ -169,13 +136,28 @@ def _endpoint_value(raw: Mapping, field: str) -> float:
     )
 
 
+def _node_id(value, what: str) -> str:
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise TopologyError(f"{what} id must be a string or an integer, got {value!r}")
+
+
+def _list_field(payload: Mapping, name: str) -> list:
+    value = payload.get(name, [])
+    if not isinstance(value, list):
+        kind = type(value).__name__
+        raise TopologyError(f"topology field {name} must be a list, got {kind}")
+    return value
+
+
 def network_from_dict(payload: Mapping) -> NetworkModel:
     """Build and validate a NetworkModel from the topology JSON shape.
 
-    Expected keys: ``endpoints`` (objects with id, defender_value,
-    attacker_value, weaknesses, fake), ``switches`` (ids), ``links``
-    (id pairs; endpoint-to-endpoint links are rejected), ``compromised``
-    (switch ids). Unknown fields are rejected.
+    Expected keys, each a list: ``endpoints`` (objects with id,
+    defender_value, attacker_value, weaknesses, and a boolean fake),
+    ``switches`` (ids), ``links`` (id pairs; endpoint-to-endpoint links
+    are rejected), ``compromised`` (switch ids). Node ids are strings or
+    integers. Unknown fields are rejected.
     """
     if not isinstance(payload, Mapping):
         raise TopologyError("topology must be a JSON object")
@@ -184,41 +166,41 @@ def network_from_dict(payload: Mapping) -> NetworkModel:
         raise TopologyError(f"unknown topology fields: {sorted(unknown)}")
 
     endpoints: dict[str, Endpoint] = {}
-    for raw in payload.get("endpoints", []):
+    for raw in _list_field(payload, "endpoints"):
         if not isinstance(raw, Mapping) or "id" not in raw:
             raise TopologyError(f"endpoint {raw!r} must be an object with an id")
+        eid = _node_id(raw["id"], "endpoint")
         unknown = set(raw) - _ENDPOINT_FIELDS
         if unknown:
-            raise TopologyError(
-                f"endpoint {raw.get('id')}: unknown fields {sorted(unknown)}"
-            )
+            raise TopologyError(f"endpoint {eid}: unknown fields {sorted(unknown)}")
         weaknesses = raw.get("weaknesses", [])
         if not isinstance(weaknesses, list) or not all(
             isinstance(w, int) and not isinstance(w, bool) for w in weaknesses
         ):
-            raise TopologyError(
-                f"endpoint {raw['id']}: weaknesses must be a list of type ids"
-            )
+            raise TopologyError(f"endpoint {eid}: weaknesses must be a list of type ids")
+        fake = raw.get("fake", False)
+        if not isinstance(fake, bool):
+            raise TopologyError(f"endpoint {eid}: fake must be true or false, got {fake!r}")
         ep = Endpoint(
-            id=str(raw["id"]),
+            id=eid,
             defender_value=_endpoint_value(raw, "defender_value"),
             attacker_value=_endpoint_value(raw, "attacker_value"),
             weaknesses=frozenset(weaknesses),
-            is_fake=bool(raw.get("fake", False)),
+            is_fake=fake,
         )
         if ep.id in endpoints:
             raise TopologyError(f"duplicate endpoint id {ep.id}")
         endpoints[ep.id] = ep
 
-    switches = frozenset(str(s) for s in payload.get("switches", []))
+    switches = frozenset(_node_id(s, "switch") for s in _list_field(payload, "switches"))
     if switches & set(endpoints):
         raise TopologyError("switch ids overlap endpoint ids")
 
     links = []
-    for pair in payload.get("links", []):
+    for pair in _list_field(payload, "links"):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise TopologyError(f"link {pair!r} must be a pair of node ids")
-        a, b = str(pair[0]), str(pair[1])
+        a, b = (_node_id(node, "link node") for node in pair)
         for node in (a, b):
             if node not in endpoints and node not in switches:
                 raise TopologyError(f"link references unknown node {node}")
@@ -226,7 +208,9 @@ def network_from_dict(payload: Mapping) -> NetworkModel:
             raise TopologyError(f"endpoints {a} and {b} may not link directly")
         links.append((a, b))
 
-    compromised = frozenset(str(s) for s in payload.get("compromised", []))
+    compromised = frozenset(
+        _node_id(s, "compromised switch") for s in _list_field(payload, "compromised")
+    )
     if not compromised <= switches:
         raise TopologyError("compromised ids must name switches")
 
@@ -239,11 +223,11 @@ def build_network(
     links: Iterable[tuple[str, str]],
     compromised: Iterable[str] = (),
 ) -> NetworkModel:
-    """Validate node counts and precompute per-pair switch paths.
+    """Validate node counts and route every endpoint pair into a PairIndex.
 
     Paths are shortest by hop count with ties broken toward lower node
     ids, and never route through an intermediate endpoint. Pairs with no
-    path are left out; requesting a flow across one raises later.
+    path are marked unreachable; requesting a flow across one raises later.
     """
     switches = frozenset(switches)
     compromised = frozenset(compromised)
@@ -266,15 +250,9 @@ def build_network(
     n = len(ids)
     # pred[o, x]: position of x's predecessor on the path from origin o
     pred = np.full((n, len(position)), -1)
-    paths: dict[tuple[str, str], tuple[str, ...]] = {}
     for o, origin in enumerate(ids):
-        route = {origin: ()}  # the switches between origin and each node
         for node, prev in _predecessors(adj, origin, endpoints).items():
             pred[o, position[node]] = position[prev]
-            route[node] = route[prev] + (prev,) if prev != origin else ()
-        for dest in ids:
-            if dest != origin and dest in route:
-                paths[(origin, dest)] = route[dest]
 
     reachable = pred[:, :n] >= 0
     incidence = np.zeros((len(switch_ids), n, n), dtype=bool)
@@ -288,7 +266,6 @@ def build_network(
     watched = [position[s] - n for s in sorted(compromised & switches)]
     index = PairIndex(
         ids=ids,
-        position={e: position[e] for e in ids},
         switch_ids=switch_ids,
         reachable=reachable,
         crosses=incidence[watched].any(axis=0),
@@ -298,7 +275,6 @@ def build_network(
         endpoints=dict(endpoints),
         switches=switches,
         adjacency=adj,
-        paths=paths,
         compromised=compromised,
         index=index,
     )
@@ -430,24 +406,11 @@ def _draw_pairs(
     return origin, dest
 
 
-def _flow_table(net: NetworkModel, flows: Sequence[FlowRecord]) -> FlowTable:
-    """The flows as a table over ``net``. Records are converted; each must
-    run between two of its endpoints along the path it assigns them."""
-    if isinstance(flows, FlowTable) and flows.net is net:
-        return flows
-    position = net.index.position
-    rows = []
-    for f in flows:
-        if net.paths.get((f.origin, f.destination)) != tuple(f.path):
-            raise TopologyError(
-                f"flow {f.origin} -> {f.destination} does not follow a network path"
-            )
-        if not isinstance(f.info, (int, np.integer)):
-            raise ConfigError(f"flow {f.origin} -> {f.destination} has no type id")
-        rows.append((position[f.origin], position[f.destination], f.info, f.is_honey))
-    columns = list(zip(*rows)) or [(), (), (), ()]
-    dtypes = (np.int32, np.int32, np.int64, bool)
-    return FlowTable(net, *(np.array(c, dtype=t) for c, t in zip(columns, dtypes)))
+def _check_network(net: NetworkModel, flows: FlowTable) -> None:
+    """Raise TopologyError unless the flows were generated on ``net`` or on
+    an equal network, whose endpoint positions and routing are the same."""
+    if flows.net is not net and flows.net != net:
+        raise TopologyError("the flows were generated on a different network")
 
 
 @dataclass(frozen=True)
@@ -473,10 +436,10 @@ class Observation:
         return split
 
 
-def observe(net: NetworkModel, flows: Sequence[FlowRecord]) -> Observation:
+def observe(net: NetworkModel, flows: FlowTable) -> Observation:
     """Flows whose path crosses at least one compromised switch."""
-    seen = _flow_table(net, flows)
-    seen = seen.take(seen.lookup(net.index.crosses))
+    _check_network(net, flows)
+    seen = flows.take(flows.lookup(net.index.crosses))
     types = np.unique(seen.info).tolist()
     return Observation({t: seen.take(seen.info == t) for t in types})
 
@@ -492,16 +455,12 @@ def uniform_type_policy(totals: Mapping[int, int], rng: np.random.Generator) -> 
 def attacker_episode(
     net: NetworkModel,
     observation: Observation,
-    policy,
+    chosen: int,
     seed,
 ) -> EpisodeOutcome:
-    """One attack: pick a type (fixed id or policy callable), draw an
-    observed flow of that type uniformly, and resolve the outcome."""
+    """One attack on type ``chosen``: draw an observed flow of that type
+    uniformly and resolve the outcome."""
     rng = np.random.default_rng(seed)
-    if callable(policy):
-        chosen = int(policy(observation.totals(), rng))
-    else:
-        chosen = int(policy)
     flows = observation.observed.get(chosen, ())
     if not flows:
         raise EmptyObservation(f"no observed flows of type {chosen}")
@@ -536,10 +495,6 @@ class SimulationReport:
     switch_rates: dict[str, float]
     episodes: int
     seed: int
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            write_report_csv([self], fh)
 
 
 CSV_COLUMNS = (
@@ -584,10 +539,13 @@ def run_trials(
     Episode seeds come from splitting a single seed sequence, so any
     execution order (or parallel execution) reproduces the same report:
     the first child seeds the flows and child k + 1 episode k. Children
-    are spawned one at a time, so memory does not grow with ``episodes``.
+    are spawned one at a time. ``episodes`` must lie in [1, MAX_EPISODES];
+    it is checked before any flow is drawn.
     """
-    if episodes < 1:
-        raise ConfigError("episode count must be at least 1")
+    if not 1 <= episodes <= MAX_EPISODES:
+        raise ConfigError(
+            f"episode count must be at least 1 and at most {MAX_EPISODES}, got {episodes}"
+        )
     ss = np.random.SeedSequence(seed)
     flows = generate_flows(net, real_counts, honey_counts, ss.spawn(1)[0])
     observation = observe(net, flows)
@@ -629,19 +587,17 @@ def run_trials(
     return SimulationReport(tuple(rows), switch_rates, episodes, seed)
 
 
-def honey_traffic_rate(
-    net: NetworkModel, flows: Sequence[FlowRecord], switch: str
-) -> float:
+def honey_traffic_rate(net: NetworkModel, flows: FlowTable, switch: str) -> float:
     """Fraction of the traffic through one switch that is honey traffic.
 
     0 when no honey flows pass, and by convention 0 when nothing passes.
     """
     if switch not in net.switches:
         raise TopologyError(f"unknown switch {switch}")
-    table = _flow_table(net, flows)
+    _check_network(net, flows)
     index = net.index
-    through = table.lookup(index.incidence[index.switch_ids.index(switch)])
+    through = flows.lookup(index.incidence[index.switch_ids.index(switch)])
     passing = int(np.count_nonzero(through))
     if not passing:
         return 0.0
-    return int(np.count_nonzero(through & table.is_honey)) / passing
+    return int(np.count_nonzero(through & flows.is_honey)) / passing

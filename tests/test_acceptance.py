@@ -3,7 +3,7 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Criteria, tolerances, and runtime budgets are pinned here and nowhere
 else; the brute-force reference values come from tests/oracles.py, which
-shares no code with the LP solver under test.
+shares no code with the solver under test.
 """
 
 import time

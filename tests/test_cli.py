@@ -10,6 +10,10 @@ from honeyflow.cli import run
 from honeyflow.game import load_spec
 
 
+# A valid heuristic input; argparse keeps the last of a repeated option.
+_HEURISTIC = ("--real-values", "10", "--fake-values", "1", "--real-flows", "10")
+
+
 def _run(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -142,6 +146,14 @@ class TestExitCodes:
             ("simulate", lambda t: t["links"].append(["s1"])),
             ("simulate", lambda t: t["endpoints"][2].update(attacker_value=float("nan"))),
             ("simulate", lambda t: t["endpoints"][0].update(weaknesses=[None])),
+            ("simulate", lambda t: t.update(endpoints=5)),
+            ("simulate", lambda t: t.update(links=7)),
+            ("simulate", lambda t: t.update(switches="s1")),
+            ("simulate", lambda t: t.update(compromised="s2")),
+            ("simulate", lambda t: t["endpoints"][4].update(fake="no")),
+            ("simulate", lambda t: t["endpoints"][0].update(id=1.5)),
+            ("simulate", lambda t: t["switches"].append(None)),
+            ("simulate", lambda t: t["links"].append([True, "s1"])),
             ("solve", lambda g: g["types"][0].update(honey_flow_bound=10**11)),
             ("evaluate", lambda g: g["types"][0].update(honey_flow_bound=10**6 + 1)),
         ],
@@ -155,6 +167,14 @@ class TestExitCodes:
             "one-element-link",
             "nan-endpoint-value",
             "null-weakness",
+            "endpoints-not-a-list",
+            "links-not-a-list",
+            "switches-a-string",
+            "compromised-a-string",
+            "fake-not-a-boolean",
+            "float-endpoint-id",
+            "null-switch-id",
+            "boolean-link-node",
             "oversize-honey-bound",
             "oversize-honey-bound-evaluate",
         ],
@@ -193,6 +213,12 @@ class TestExitCodes:
             (["ratio", "--ratios", "1e10", "--real-flows", "10"], "honey_flow_bound"),
             (["ratio", "--real-flows", ","], "real-flow counts"),
             (["ratio", "--real-flows", "0"], "real-flow counts"),
+            (["heuristic", *_HEURISTIC, "--real-values", "nan"], "finite"),
+            (["heuristic", *_HEURISTIC, "--real-values", "inf"], "finite"),
+            (["heuristic", *_HEURISTIC, "--fake-values", "nan"], "finite"),
+            (["heuristic", *_HEURISTIC, "--real-flows", "500001"], "[0, 500000], got 500001"),
+            (["heuristic", *_HEURISTIC, "--real-flows", str(5 * 10**18)], f"got {5 * 10**18}"),
+            (["heuristic", *_HEURISTIC, "--real-flows", str(2**63)], f"got {2**63}"),
         ],
         ids=[
             "sweep-zero-trials",
@@ -204,6 +230,12 @@ class TestExitCodes:
             "ratio-oversize-bound",
             "ratio-no-real-flows",
             "ratio-zero-real-flows",
+            "heuristic-nan-real-value",
+            "heuristic-infinite-real-value",
+            "heuristic-nan-fake-value",
+            "heuristic-oversize-count",
+            "heuristic-count-overflowing-when-doubled",
+            "heuristic-count-wrapping-negative",
         ],
     )
     def test_bad_arguments_are_config_errors(self, capsys, argv, named):
@@ -266,6 +298,22 @@ class TestExitCodes:
         assert (code, out, runs) == (1, "", [])
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+
+    @pytest.mark.parametrize("episodes", ["0", "1000001", "99999999999999999999"])
+    def test_bad_episode_counts_are_config_errors(
+        self, capsys, monkeypatch, chain_topology_path, episodes
+    ):
+        """The episode count is checked before any flow is drawn."""
+        drawn = []
+        monkeypatch.setattr(simulator, "generate_flows", lambda *a: drawn.append(a))
+        code, out, err = _run(
+            capsys, "simulate", "--topology", chain_topology_path, "--real", "5,5",
+            "--honey", "1,1", "--episodes", episodes,
+        )
+        assert (code, out, drawn) == (1, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at most {simulator.MAX_EPISODES}, got {episodes}" in err
 
 
 class TestHeuristicCommand:

@@ -62,6 +62,17 @@ class TestValidation:
         with pytest.raises(ValidationError, match="counts"):
             _inp(10, 1, -1)
 
+    def test_counts_checked_before_numpy_converts_them(self):
+        """2**63 would wrap negative and 5e18 overflow once doubled."""
+        for n in (500_001, 5 * 10**18, 2**63):
+            with pytest.raises(ValidationError, match=rf"\[0, 500000\], got {n}$"):
+                HeuristicInput([10.0], [1.0], [n])
+        with pytest.raises(ValidationError, match="integers"):
+            HeuristicInput([10.0], [1.0], [1.5])
+        assert recommend_honey_flows(HeuristicInput([10.0], [1.0], [500_000])).tolist() == [
+            1_000_000
+        ]
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="equal length"):
             HeuristicInput(
