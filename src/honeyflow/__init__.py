@@ -11,7 +11,6 @@ and replays everything in a flow-level simulator.
 from .equilibrium import (
     Equilibrium,
     VerificationReport,
-    build_best_response_lp,
     solve_stackelberg,
     verify_equilibrium,
 )
@@ -41,14 +40,11 @@ from .game import (
     utilities,
     utility_vs_mixed_attacker,
     validate_game,
-    validate_strategy,
 )
 from .heuristics import HeuristicInput, exactness_gap, recommend_honey_flows
-from .lp import LinearProgram, LpSolution, solve_lp
 from .strategies import (
     AttackerModel,
     MatchupResult,
-    best_response_defender,
     evaluate_matchup,
     greedy_attacker,
     no_deception_strategy,
@@ -71,8 +67,6 @@ __all__ = [
     "GameSpec",
     "HeuristicInput",
     "HoneyflowError",
-    "LinearProgram",
-    "LpSolution",
     "MatchupResult",
     "NO_ATTACK",
     "ShapeError",
@@ -82,8 +76,6 @@ __all__ = [
     "VerificationReport",
     "VulnerabilityType",
     "attacker_utility",
-    "best_response_defender",
-    "build_best_response_lp",
     "defender_utility",
     "evaluate_matchup",
     "exactness_gap",
@@ -92,7 +84,6 @@ __all__ = [
     "no_deception_strategy",
     "rational_attacker",
     "recommend_honey_flows",
-    "solve_lp",
     "solve_stackelberg",
     "spec_from_dict",
     "spec_to_dict",
@@ -102,6 +93,5 @@ __all__ = [
     "utilities",
     "utility_vs_mixed_attacker",
     "validate_game",
-    "validate_strategy",
     "verify_equilibrium",
 ]

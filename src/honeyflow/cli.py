@@ -11,8 +11,6 @@ are withheld unless --with-timing is passed.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from collections.abc import Iterable
@@ -37,7 +35,11 @@ EXIT_SOLVER = 2
 
 
 class _CliParser(argparse.ArgumentParser):
-    """argparse that reports usage problems via exit code 1."""
+    """argparse that reports usage problems via exit code 1 and takes
+    options only by their full names (so ``sweep --cost`` is not ``--costs``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise HoneyflowError(message)
@@ -67,7 +69,7 @@ def _strategy_payload(strategy: DefenderStrategy) -> list[list[float]]:
     return [[float(p) for p in m] for m in strategy.marginals]
 
 
-def _params_from_args(args) -> experiments.GeneratorParams:
+def _params_from_args(args, **extra) -> experiments.GeneratorParams:
     real_flows = (
         tuple(args.real_flow_range) if args.real_flow_range else args.real_flows
     )
@@ -76,7 +78,7 @@ def _params_from_args(args) -> experiments.GeneratorParams:
         real_flows=real_flows,
         honey_bound_range=tuple(args.honey_bounds),
         value_mode=args.value_mode,
-        cost=args.cost,
+        **extra,
     )
 
 
@@ -94,7 +96,6 @@ def _add_generator_args(sub: argparse.ArgumentParser) -> None:
         choices=[experiments.MODE_FAKE_ZERO, experiments.MODE_FAKE_EQUALS_REAL],
         default=experiments.MODE_FAKE_ZERO,
     )
-    sub.add_argument("--cost", type=float, default=1e-4)
     sub.add_argument("--trials", type=int, default=100)
 
 
@@ -138,6 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matchup", help="defender x attacker-model grid over random games")
     _add_generator_args(p)
+    p.add_argument("--cost", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
     p.add_argument("--with-timing", action="store_true")
@@ -236,7 +238,7 @@ def _cmd_evaluate(args) -> int:
         "uniform": AttackerModel.UNIFORM_RANDOM,
         "greedy": AttackerModel.GREEDY,
     }[args.attacker]
-    result = evaluate_matchup(spec, strategy, args.defender, model)
+    result = evaluate_matchup(spec, strategy, model)
     behavior = (
         str(result.attacker_behavior)
         if not isinstance(result.attacker_behavior, dict)
@@ -290,17 +292,6 @@ def _honey_configs(text: str, n_types: int) -> Iterable[dict[int, int]]:
     return [dict(enumerate(counts))]
 
 
-def _write_switch_rates(path: str, runs) -> None:
-    """One row per (population, switch): the population's total honey
-    flows, the switch id and its honey-traffic rate."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("honey_count", "switch", "honey_rate"))
-        for honey, report in runs:
-            for switch, rate in report.switch_rates.items():
-                writer.writerow((sum(honey.values()), switch, repr(rate)))
-
-
 def _cmd_simulate(args) -> int:
     with open(args.topology, "r", encoding="utf-8") as fh:
         net = simulator.network_from_dict(json.load(fh))
@@ -314,11 +305,33 @@ def _cmd_simulate(args) -> int:
         (honey, simulator.run_trials(net, real, honey, policy, args.episodes, args.seed + k))
         for k, honey in enumerate(honey_configs)
     ]
-    buf = io.StringIO()
-    simulator.write_report_csv((report for _, report in runs), buf)
-    _emit(buf.getvalue(), args.output)
+    stats = experiments.ExperimentReport(
+        ("honey_count", "type", "mean_def", "mean_att", "stderr_def", "stderr_att",
+         "detect_rate"),
+        tuple(
+            (r.honey_count, r.vuln_type, r.mean_defender, r.mean_attacker,
+             r.stderr_defender, r.stderr_attacker, r.defeat_rate)
+            for _, report in runs
+            for r in report.rows
+        ),
+        {},
+    )
+    if args.output:
+        stats.write_csv(args.output)  # no .meta.json: the CSV is the whole record
+    else:
+        stats.write_rows(sys.stdout)
     if args.switch_rates:
-        _write_switch_rates(args.switch_rates, runs)
+        # one row per (population, switch): its total honey flows, the
+        # switch and the switch's honey-traffic rate
+        experiments.ExperimentReport(
+            ("honey_count", "switch", "honey_rate"),
+            tuple(
+                (sum(honey.values()), switch, rate)
+                for honey, report in runs
+                for switch, rate in report.switch_rates.items()
+            ),
+            {},
+        ).write_csv(args.switch_rates)
     return EXIT_OK
 
 
@@ -353,7 +366,7 @@ def run(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.command == "matchup":
             report = experiments.matchup_grid(
-                _params_from_args(args), args.trials, args.seed
+                _params_from_args(args, cost=args.cost), args.trials, args.seed
             )
             _report_out(report, args)
             return EXIT_OK
@@ -380,7 +393,7 @@ def run(argv: list[str] | None = None) -> int:
     except HoneyflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:  # RecursionError: deep JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -106,7 +106,7 @@ def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgr
     if fixed.is_attack:
         k = fixed.target
         sl = slice(offsets[k], offsets[k] + spec.types[k].honey_flow_bound + 1)
-        c[sl] += -attack_values(spec.type_by_id(k))
+        c[sl] += -attack_values(spec.types[k])
 
     eq_rows = np.zeros((len(spec.types), width))
     for t in spec.types:
@@ -121,11 +121,11 @@ def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgr
         if rival.is_attack:
             m = rival.target
             sl = slice(offsets[m], offsets[m] + spec.types[m].honey_flow_bound + 1)
-            ineq_rows[row, sl] += attack_values(spec.type_by_id(m))
+            ineq_rows[row, sl] += attack_values(spec.types[m])
         if fixed.is_attack:
             k = fixed.target
             sl = slice(offsets[k], offsets[k] + spec.types[k].honey_flow_bound + 1)
-            ineq_rows[row, sl] -= attack_values(spec.type_by_id(k))
+            ineq_rows[row, sl] -= attack_values(spec.types[k])
     ineq_rhs = np.zeros(len(rivals))
 
     return LinearProgram(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import platform
 import statistics
 import time
@@ -33,7 +34,6 @@ from .strategies import (
 
 MODE_FAKE_ZERO = "fake-zero-real-one"
 MODE_FAKE_EQUALS_REAL = "fake-equals-real-random"
-MODE_EXPLICIT = "explicit"
 
 DEFAULT_COST_SWEEP = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 
@@ -50,9 +50,6 @@ class GeneratorParams:
     real_flows: int | tuple[int, int] = 500
     honey_bound_range: tuple[int, int] = (500, 1000)
     value_mode: str = MODE_FAKE_ZERO
-    value_range: tuple[float, float] = (0.5, 1.0)
-    real_values: tuple[float, ...] | None = None
-    fake_values: tuple[float, ...] | None = None
     cost: float = 1e-4
 
     def __post_init__(self) -> None:
@@ -65,19 +62,8 @@ class GeneratorParams:
             lo, hi = self.real_flows
             if lo > hi or lo < 0:
                 raise ConfigError(f"empty real flow range [{lo}, {hi}]")
-        if self.value_mode not in (MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL, MODE_EXPLICIT):
+        if self.value_mode not in (MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL):
             raise ConfigError(f"unknown value mode {self.value_mode!r}")
-        lo, hi = self.value_range
-        if lo > hi:
-            raise ConfigError(f"empty value range [{lo}, {hi}]")
-        if self.value_mode == MODE_EXPLICIT:
-            if self.real_values is None or self.fake_values is None:
-                raise ConfigError("explicit mode needs real_values and fake_values")
-            if (
-                len(self.real_values) != self.type_count
-                or len(self.fake_values) != self.type_count
-            ):
-                raise ConfigError("explicit value vectors must match type_count")
         if self.cost < 0:
             raise ConfigError("cost must be nonnegative")
 
@@ -96,12 +82,8 @@ def random_game(params: GeneratorParams, seed) -> GameSpec:
         h = int(rng.integers(lo, hi + 1))
         if params.value_mode == MODE_FAKE_ZERO:
             real_v, honey_v = 1.0, 0.0
-        elif params.value_mode == MODE_FAKE_EQUALS_REAL:
-            v = float(rng.uniform(*params.value_range))
-            real_v, honey_v = v, v
         else:
-            real_v = float(params.real_values[i])
-            honey_v = float(params.fake_values[i])
+            real_v = honey_v = float(rng.uniform(0.5, 1.0))
         types.append(
             VulnerabilityType(
                 id=i,
@@ -188,7 +170,7 @@ def cost_sweep(
         for t in range(trials):
             spec = random_game(swept, game_seeds[t])
             for name, strategy, solve_time in _three_defenders(spec):
-                result = evaluate_matchup(spec, strategy, name, AttackerModel.RATIONAL)
+                result = evaluate_matchup(spec, strategy, AttackerModel.RATIONAL)
                 sums[name][0] += result.defender_value
                 sums[name][1] += result.attacker_value
                 total_time += solve_time
@@ -224,7 +206,7 @@ def matchup_grid(
         spec = random_game(params, game_seeds[t])
         for name, strategy, _solve_time in _three_defenders(spec):
             for attacker in attackers:
-                result = evaluate_matchup(spec, strategy, name, attacker)
+                result = evaluate_matchup(spec, strategy, attacker)
                 sums[(name, attacker)][0] += result.defender_value
                 sums[(name, attacker)][1] += result.attacker_value
     rows = tuple(
@@ -250,8 +232,8 @@ def ratio_analysis(
     real-flow count the argmax ratio over the grid (the knee) lands in the
     metadata under ``optimal_ratios``.
     """
-    if not ratios or min(ratios) < 0:
-        raise ConfigError("ratio grid must be nonempty and nonnegative")
+    if not ratios or not all(0 <= r < math.inf for r in ratios):  # NaN fails too
+        raise ConfigError("ratio grid must be nonempty, finite and nonnegative")
     if len(real_values) != len(fake_values):
         raise ConfigError(
             f"{len(real_values)} real values but {len(fake_values)} fake values"
@@ -262,7 +244,12 @@ def ratio_analysis(
     rows = []
     optimal: dict[str, float] = {}
     for rf in real_flow_counts:
-        bound = max(round_half_up(max_ratio * rf), 0)
+        try:
+            bound = max(round_half_up(max_ratio * rf), 0)
+        except OverflowError:  # ratio x count is beyond the floats
+            raise ConfigError(
+                f"honey_flow_bound overflows: ratio {max_ratio} times {rf} real flows"
+            ) from None
         types = tuple(
             VulnerabilityType(
                 id=i,
@@ -279,9 +266,7 @@ def ratio_analysis(
         for ratio in ratios:
             j = min(round_half_up(ratio * rf), bound)
             strategy = DefenderStrategy.from_counts(spec, [j] * len(types))
-            result = evaluate_matchup(
-                spec, strategy, f"ratio={ratio}", AttackerModel.RATIONAL
-            )
+            result = evaluate_matchup(spec, strategy, AttackerModel.RATIONAL)
             rows.append((int(rf), float(ratio), result.defender_value, result.attacker_value))
             if best is None or result.defender_value > best[1]:
                 best = (float(ratio), result.defender_value)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -102,9 +101,7 @@ class HeuristicGap:
         return self.exact_value - self.heuristic_value
 
 
-def game_from_heuristic_input(
-    inp: HeuristicInput, cost: float | Sequence[float]
-) -> GameSpec:
+def game_from_heuristic_input(inp: HeuristicInput, cost: float) -> GameSpec:
     """Game whose optimum the ratio rule approximates.
 
     Fake-host values enter the attacker's payoff as losses (hitting a fake
@@ -112,7 +109,6 @@ def game_from_heuristic_input(
     honey bound is twice the real-flow count so every branch's output is
     playable.
     """
-    costs = np.broadcast_to(np.asarray(cost, dtype=float), inp.real_values.shape)
     types = tuple(
         VulnerabilityType(
             id=i,
@@ -120,16 +116,16 @@ def game_from_heuristic_input(
             attacker_honey_value=float(-fv),
             real_flow_count=int(nr),
             honey_flow_bound=int(2 * nr),
-            honey_flow_cost=float(ci),
+            honey_flow_cost=float(cost),
         )
-        for i, (rv, fv, nr, ci) in enumerate(
-            zip(inp.real_values, inp.fake_values, inp.real_flow_counts, costs)
+        for i, (rv, fv, nr) in enumerate(
+            zip(inp.real_values, inp.fake_values, inp.real_flow_counts)
         )
     )
     return GameSpec(types)
 
 
-def exactness_gap(inp: HeuristicInput, cost: float | Sequence[float]) -> HeuristicGap:
+def exactness_gap(inp: HeuristicInput, cost: float) -> HeuristicGap:
     """Defender value of the ratio rule vs the exact optimum on one game.
 
     The rule's counts are played as a deterministic strategy against a
@@ -140,7 +136,7 @@ def exactness_gap(inp: HeuristicInput, cost: float | Sequence[float]) -> Heurist
     spec = game_from_heuristic_input(inp, cost)
     counts = recommend_honey_flows(inp)
     strategy = DefenderStrategy.from_counts(spec, counts.tolist())
-    played = evaluate_matchup(spec, strategy, "ratio-rule", AttackerModel.RATIONAL)
+    played = evaluate_matchup(spec, strategy, AttackerModel.RATIONAL)
     exact = solve_stackelberg(spec)
     return HeuristicGap(
         heuristic_counts=counts,

@@ -11,7 +11,6 @@ up only as a per-switch traffic-rate metric.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from collections import deque
@@ -495,35 +494,6 @@ class SimulationReport:
     switch_rates: dict[str, float]
     episodes: int
     seed: int
-
-
-CSV_COLUMNS = (
-    "honey_count",
-    "type",
-    "mean_def",
-    "mean_att",
-    "stderr_def",
-    "stderr_att",
-    "detect_rate",
-)
-
-
-def write_report_csv(reports: Iterable[SimulationReport], fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(CSV_COLUMNS)
-    for report in reports:
-        for row in report.rows:
-            writer.writerow(
-                [
-                    row.honey_count,
-                    row.vuln_type,
-                    repr(row.mean_defender),
-                    repr(row.mean_attacker),
-                    repr(row.stderr_defender),
-                    repr(row.stderr_attacker),
-                    repr(row.defeat_rate),
-                ]
-            )
 
 
 def run_trials(

@@ -24,7 +24,6 @@ from .game import (
     summarize,
     utilities,
     utility_vs_mixed_attacker,
-    validate_attacker_dist,
     validate_game,
 )
 
@@ -40,7 +39,6 @@ class MatchupResult:
     defender_value: float
     attacker_value: float
     attacker_behavior: AttackerAction | dict[AttackerAction, float]
-    defender_strategy_label: str
 
 
 def no_deception_strategy(spec: GameSpec) -> DefenderStrategy:
@@ -60,33 +58,6 @@ def uniform_random_strategy(spec: GameSpec) -> DefenderStrategy:
     )
 
 
-def best_response_defender(
-    spec: GameSpec, attacker_dist: dict[AttackerAction, float]
-) -> DefenderStrategy:
-    """Optimal deterministic strategy against a fixed attacker distribution.
-
-    With the attacker fixed, the defender's objective separates by type:
-    pick the count j maximizing q_i * (expected defense value at j) minus
-    j times the flow cost. The objective is linear in each marginal, so a
-    point mass per type is optimal; scanning j is exact. Ties prefer the
-    smaller count.
-    """
-    validate_game(spec)
-    validate_attacker_dist(spec, attacker_dist)
-    q = np.zeros(len(spec.types))
-    for action, prob in attacker_dist.items():
-        if action.is_attack:
-            q[action.target] += prob
-
-    counts = []
-    for t in spec.types:
-        js = np.arange(t.honey_flow_bound + 1, dtype=float)
-        defense = -attack_values(t)
-        score = q[t.id] * defense - js * t.honey_flow_cost
-        counts.append(int(np.argmax(score)))  # first max: smallest j wins ties
-    return DefenderStrategy.from_counts(spec, counts)
-
-
 def greedy_attacker(spec: GameSpec) -> AttackerAction:
     """Naive attacker assuming every honey bound is fully deployed.
 
@@ -97,7 +68,7 @@ def greedy_attacker(spec: GameSpec) -> AttackerAction:
     validate_game(spec)
     best: tuple[float, int] | None = None
     for i in spec.attackable_ids:
-        u = float(attack_values(spec.type_by_id(i))[-1])
+        u = float(attack_values(spec.types[i])[-1])
         if best is None or u > best[0]:
             best = (u, i)
     if best is None or best[0] < 0.0:
@@ -136,7 +107,6 @@ def rational_attacker(spec: GameSpec, strategy: DefenderStrategy) -> AttackerAct
 def evaluate_matchup(
     spec: GameSpec,
     strategy: DefenderStrategy,
-    label: str,
     attacker: AttackerModel,
 ) -> MatchupResult:
     """Resolve an attacker model against a defender strategy and score it."""
@@ -153,5 +123,4 @@ def evaluate_matchup(
         defender_value=d_val,
         attacker_value=a_val,
         attacker_behavior=behavior,
-        defender_strategy_label=label,
     )

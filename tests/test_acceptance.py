@@ -119,7 +119,7 @@ def test_criterion_3_dominance_over_baselines():
                 uniform_random_strategy(spec),
                 no_deception_strategy(spec),
             ):
-                result = evaluate_matchup(spec, baseline, "base", AttackerModel.RATIONAL)
+                result = evaluate_matchup(spec, baseline, AttackerModel.RATIONAL)
                 if stackelberg_value < result.defender_value - 1e-6:
                     violations += 1
     elapsed = time.perf_counter() - start
@@ -144,7 +144,7 @@ def test_criterion_4_cost_regimes():
             spec = random_game(params, seed=3_000 + game_index)
             stackelberg_value = solve_stackelberg(spec).defender_value
             none_value = evaluate_matchup(
-                spec, no_deception_strategy(spec), "none", AttackerModel.RATIONAL
+                spec, no_deception_strategy(spec), AttackerModel.RATIONAL
             ).defender_value
             if abs(stackelberg_value - none_value) > 1e-6:
                 high_ok = False
@@ -162,10 +162,10 @@ def test_criterion_4_cost_regimes():
             spec = random_game(params, seed=4_000 + game_index)
             stackelberg_value = solve_stackelberg(spec).defender_value
             uniform_value = evaluate_matchup(
-                spec, uniform_random_strategy(spec), "u", AttackerModel.RATIONAL
+                spec, uniform_random_strategy(spec), AttackerModel.RATIONAL
             ).defender_value
             none_value = evaluate_matchup(
-                spec, no_deception_strategy(spec), "n", AttackerModel.RATIONAL
+                spec, no_deception_strategy(spec), AttackerModel.RATIONAL
             ).defender_value
             if not (
                 stackelberg_value >= uniform_value - 1e-9

@@ -156,6 +156,8 @@ class TestExitCodes:
             ("simulate", lambda t: t["links"].append([True, "s1"])),
             ("solve", lambda g: g["types"][0].update(honey_flow_bound=10**11)),
             ("evaluate", lambda g: g["types"][0].update(honey_flow_bound=10**6 + 1)),
+            ("solve", lambda g: g["types"][0].update(real_flows=10**400)),
+            ("evaluate", lambda g: g["types"][0].update(real_flows=10**400)),
         ],
         ids=[
             "null-value",
@@ -177,6 +179,8 @@ class TestExitCodes:
             "boolean-link-node",
             "oversize-honey-bound",
             "oversize-honey-bound-evaluate",
+            "real-flows-beyond-float",
+            "real-flows-beyond-float-evaluate",
         ],
     )
     def test_bad_input_is_config_error(
@@ -206,6 +210,8 @@ class TestExitCodes:
         [
             (["sweep", "--trials", "0"], "trials"),
             (["sweep", "--trials", "-1"], "trials"),
+            (["sweep", "--cost", "0.5"], "unrecognized arguments: --cost"),
+            (["matchup", "--cost", "-1"], "cost must be nonnegative"),
             (["matchup", "--trials", "0"], "trials"),
             (["bench", "--trials", "0"], "trials"),
             (["bench", "--sizes", "1", "--trials", "1", "--with-timing"], "--with-timing"),
@@ -213,6 +219,10 @@ class TestExitCodes:
             (["ratio", "--ratios", "1e10", "--real-flows", "10"], "honey_flow_bound"),
             (["ratio", "--real-flows", ","], "real-flow counts"),
             (["ratio", "--real-flows", "0"], "real-flow counts"),
+            (["ratio", "--ratios", "inf"], "ratio grid must be nonempty, finite"),
+            (["ratio", "--ratios", "1e400"], "ratio grid must be nonempty, finite"),
+            (["ratio", "--ratios", "0,nan"], "ratio grid must be nonempty, finite"),
+            (["ratio", "--ratios", "1e308", "--real-flows", "10"], "overflows"),
             (["heuristic", *_HEURISTIC, "--real-values", "nan"], "finite"),
             (["heuristic", *_HEURISTIC, "--real-values", "inf"], "finite"),
             (["heuristic", *_HEURISTIC, "--fake-values", "nan"], "finite"),
@@ -223,6 +233,8 @@ class TestExitCodes:
         ids=[
             "sweep-zero-trials",
             "sweep-negative-trials",
+            "sweep-has-no-cost",
+            "matchup-negative-cost",
             "matchup-zero-trials",
             "bench-zero-trials",
             "bench-with-timing",
@@ -230,6 +242,10 @@ class TestExitCodes:
             "ratio-oversize-bound",
             "ratio-no-real-flows",
             "ratio-zero-real-flows",
+            "ratio-infinite",
+            "ratio-beyond-float",
+            "ratio-nan",
+            "ratio-bound-overflows",
             "heuristic-nan-real-value",
             "heuristic-infinite-real-value",
             "heuristic-nan-fake-value",
@@ -245,6 +261,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert named in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--game", "{input}"],
+            ["evaluate", "--game", "{input}"],
+            ["simulate", "--topology", "{input}", "--real", "5,5", "--honey", "1,1"],
+        ],
+        ids=["solve", "evaluate", "simulate"],
+    )
+    def test_deeply_nested_json_is_config_error(self, capsys, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = _run(capsys, *(a.replace("{input}", str(deep)) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "recursion" in err
 
     @pytest.mark.parametrize(
         "counts, named",

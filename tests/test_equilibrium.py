@@ -259,7 +259,7 @@ class TestEquilibriumProperties:
             spec = _random_spec(rng)
             eq = solve_stackelberg(spec)
             for baseline in (no_deception_strategy(spec), uniform_random_strategy(spec)):
-                result = evaluate_matchup(spec, baseline, "base", AttackerModel.RATIONAL)
+                result = evaluate_matchup(spec, baseline, AttackerModel.RATIONAL)
                 assert eq.defender_value >= result.defender_value - 1e-6
 
     def test_scaling_covariance(self):
@@ -280,7 +280,7 @@ class TestEquilibriumProperties:
                 )
             )
             carried = evaluate_matchup(
-                scaled, eq.strategy, "carried", AttackerModel.RATIONAL
+                scaled, eq.strategy, AttackerModel.RATIONAL
             )
             assert carried.defender_value == pytest.approx(
                 lam * eq.defender_value, abs=1e-6

@@ -8,7 +8,6 @@ from honeyflow.equilibrium import solve_stackelberg
 from honeyflow.errors import ConfigError
 from honeyflow.experiments import (
     DEFAULT_COST_SWEEP,
-    MODE_EXPLICIT,
     MODE_FAKE_EQUALS_REAL,
     GeneratorParams,
     cost_sweep,
@@ -58,21 +57,6 @@ class TestRandomGame:
             assert 0.5 <= t.attacker_real_value <= 1.0
             assert t.attacker_honey_value == t.attacker_real_value
 
-    def test_explicit_vectors(self):
-        params = GeneratorParams(
-            type_count=5,
-            real_flows=100,
-            honey_bound_range=(50, 50),
-            value_mode=MODE_EXPLICIT,
-            real_values=(0.8, 0.5, 0.9, 0.6, 1.0),
-            fake_values=(0.0, 0.0, 0.0, 0.0, 0.0),
-            cost=0.0005,
-        )
-        spec = random_game(params, seed=3)
-        assert [t.attacker_real_value for t in spec.types] == [0.8, 0.5, 0.9, 0.6, 1.0]
-        assert all(t.attacker_honey_value == 0.0 for t in spec.types)
-        assert all(t.honey_flow_cost == 0.0005 for t in spec.types)
-
     def test_same_seed_identical(self):
         params = GeneratorParams(
             type_count=3,
@@ -89,14 +73,9 @@ class TestRandomGame:
             GeneratorParams(type_count=1, real_flows=5, honey_bound_range=(3, 2))
         with pytest.raises(ConfigError):
             GeneratorParams(type_count=1, real_flows=5, honey_bound_range=(1, 2), value_mode="?")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown value mode 'explicit'"):
             GeneratorParams(
-                type_count=2,
-                real_flows=5,
-                honey_bound_range=(1, 2),
-                value_mode=MODE_EXPLICIT,
-                real_values=(1.0,),
-                fake_values=(0.0,),
+                type_count=2, real_flows=5, honey_bound_range=(1, 2), value_mode="explicit"
             )
 
 
@@ -184,7 +163,7 @@ class TestRatioAnalysis:
         )
         spec = GameSpec(types)
         base = evaluate_matchup(
-            spec, no_deception_strategy(spec), "none", AttackerModel.RATIONAL
+            spec, no_deception_strategy(spec), AttackerModel.RATIONAL
         )
         assert first["defender_value"] == pytest.approx(base.defender_value, abs=1e-9)
 

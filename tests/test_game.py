@@ -17,7 +17,6 @@ from honeyflow.game import (
     summarize,
     utility_vs_mixed_attacker,
     validate_game,
-    validate_strategy,
 )
 
 ATTACK_0 = AttackerAction.attack(0)
@@ -81,6 +80,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="honey_flow_bound"):
             validate_game(GameSpec((VulnerabilityType(0, 1.0, 0.0, 1, -1, 0.1),)))
 
+    def test_real_flow_count_must_convert_to_a_float(self):
+        too_large = GameSpec((VulnerabilityType(0, 1.0, 0.0, 10**400, 1, 0.1),))
+        with pytest.raises(ValidationError, match="type 0: real_flow_count is too large"):
+            validate_game(too_large)
+        for count in (10**20, 10**300):  # beyond int64, still a finite float
+            validate_game(GameSpec((VulnerabilityType(0, 1.0, 0.0, count, 1, 0.1),)))
+
     def test_empty_game_rejected(self):
         with pytest.raises(ValidationError, match="at least one"):
             validate_game(GameSpec(()))
@@ -100,26 +106,6 @@ class TestValidation:
             )
         )
         assert spec.attackable_ids == (1,)
-
-    def test_validate_strategy_checks_distributions(self, worked_example):
-        good = DefenderStrategy(
-            (np.array([0.0, 0.5, 0.5]), np.array([0.25, 0.25, 0.25, 0.25]))
-        )
-        validate_strategy(worked_example, good)
-        with pytest.raises(DistributionError, match="sums to"):
-            validate_strategy(
-                worked_example,
-                DefenderStrategy(
-                    (np.array([0.0, 0.5, 0.6]), np.array([0.25, 0.25, 0.25, 0.25]))
-                ),
-            )
-        with pytest.raises(DistributionError, match="outside"):
-            validate_strategy(
-                worked_example,
-                DefenderStrategy(
-                    (np.array([-0.5, 1.0, 0.5]), np.array([0.25, 0.25, 0.25, 0.25]))
-                ),
-            )
 
 
 class TestRealAttackProbability:

@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 import re
@@ -7,9 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from honeyflow import cli
 from honeyflow.errors import ConfigError, EmptyObservation, HoneyflowError, TopologyError
 from honeyflow.simulator import (
-    CSV_COLUMNS,
     Endpoint,
     FlowTable,
     OutcomeKind,
@@ -21,7 +20,6 @@ from honeyflow.simulator import (
     observe,
     run_trials,
     uniform_type_policy,
-    write_report_csv,
 )
 from oracles import scalar_flows, scalar_observation, scalar_switch_rate
 
@@ -322,13 +320,17 @@ class TestRunTrials:
         with pytest.raises(ConfigError, match="at least 1"):
             run_trials(net, {0: 5}, {}, 0, episodes=0, seed=1)
 
-    def test_csv_schema(self):
-        net = _chain_net()
+    def test_csv_schema(self, capsys, chain_topology_path):
+        """``simulate`` writes a header and one line per report row."""
+        with open(chain_topology_path, encoding="utf-8") as fh:
+            net = network_from_dict(json.load(fh))
         report = run_trials(net, {0: 20, 1: 20}, {0: 5, 1: 5}, uniform_type_policy, 200, 2)
-        buf = io.StringIO()
-        write_report_csv([report], buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
+        argv = ["simulate", "--topology", chain_topology_path, "--real", "20,20",
+                "--honey", "5,5", "--episodes", "200", "--seed", "2"]
+        assert cli.run(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        header = "honey_count,type,mean_def,mean_att,stderr_def,stderr_att,detect_rate"
+        assert lines[0] == header
         assert len(lines) == 1 + len(report.rows)
 
 

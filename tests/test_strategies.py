@@ -1,9 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from honeyflow.errors import DistributionError, EmptyActionSet
+from honeyflow.errors import EmptyActionSet
 from honeyflow.game import (
     NO_ATTACK,
     AttackerAction,
@@ -12,11 +10,9 @@ from honeyflow.game import (
     VulnerabilityType,
     attacker_utility,
     summarize,
-    utility_vs_mixed_attacker,
 )
 from honeyflow.strategies import (
     AttackerModel,
-    best_response_defender,
     evaluate_matchup,
     greedy_attacker,
     no_deception_strategy,
@@ -39,7 +35,7 @@ class TestBaselines:
         response = rational_attacker(worked_example, strategy)
         assert response == ATTACK_1
         assert attacker_utility(worked_example, strategy, response) == pytest.approx(20.0)
-        result = evaluate_matchup(worked_example, strategy, "none", AttackerModel.RATIONAL)
+        result = evaluate_matchup(worked_example, strategy, AttackerModel.RATIONAL)
         assert result.defender_value == pytest.approx(-20.0)
 
     def test_uniform_marginals(self):
@@ -57,45 +53,6 @@ class TestBaselines:
     def test_uniform_with_zero_bound_equals_no_deception(self):
         spec = GameSpec((VulnerabilityType(0, 1.0, 0.0, 3, 0, 0.1),))
         assert uniform_random_strategy(spec).marginals[0] == pytest.approx([1.0])
-
-
-class TestBestResponseDefender:
-    def test_no_attack_means_no_honey(self, worked_example):
-        strategy = best_response_defender(worked_example, {NO_ATTACK: 1.0})
-        for m in strategy.marginals:
-            assert m[0] == 1.0
-
-    def test_uniform_attacker_matches_grid_oracle(self, worked_example):
-        dist = {ATTACK_0: 0.5, ATTACK_1: 0.5}
-        strategy = best_response_defender(worked_example, dist)
-        value, _ = utility_vs_mixed_attacker(worked_example, strategy, dist)
-        best = max(
-            utility_vs_mixed_attacker(
-                worked_example,
-                DefenderStrategy.from_counts(worked_example, [j0, j1]),
-                dist,
-            )[0]
-            for j0, j1 in itertools.product(range(3), range(4))
-        )
-        assert value == pytest.approx(best, abs=1e-9)
-
-    def test_free_flows_max_out_under_threat(self):
-        spec = GameSpec((VulnerabilityType(0, 2.0, -1.0, 4, 3, 0.0),))
-        strategy = best_response_defender(spec, {ATTACK_0: 1.0})
-        assert strategy.marginals[0][-1] == 1.0
-
-    def test_bad_distribution_rejected(self, worked_example):
-        with pytest.raises(DistributionError):
-            best_response_defender(worked_example, {ATTACK_0: 0.4})
-
-    def test_dominates_every_point_mass(self, worked_example):
-        dist = {ATTACK_0: 0.3, ATTACK_1: 0.6, NO_ATTACK: 0.1}
-        chosen = best_response_defender(worked_example, dist)
-        chosen_value, _ = utility_vs_mixed_attacker(worked_example, chosen, dist)
-        for j0, j1 in itertools.product(range(3), range(4)):
-            point = DefenderStrategy.from_counts(worked_example, [j0, j1])
-            value, _ = utility_vs_mixed_attacker(worked_example, point, dist)
-            assert chosen_value >= value - 1e-12
 
 
 class TestGreedyAttacker:
@@ -243,35 +200,34 @@ class TestRationalAttacker:
 class TestEvaluateMatchup:
     def test_hand_built_strategy_vs_rational(self, worked_example, worked_example_strategy):
         result = evaluate_matchup(
-            worked_example, worked_example_strategy, "manual", AttackerModel.RATIONAL
+            worked_example, worked_example_strategy, AttackerModel.RATIONAL
         )
         assert result.defender_value == pytest.approx(-11.75, abs=1e-9)
         assert result.attacker_value == pytest.approx(8.75, abs=1e-9)
         assert result.attacker_behavior == ATTACK_1
-        assert result.defender_strategy_label == "manual"
 
     def test_greedy_and_rational_both_recorded_for_optimum(self, worked_example):
         from honeyflow.equilibrium import solve_stackelberg
 
         eq = solve_stackelberg(worked_example)
         vs_rational = evaluate_matchup(
-            worked_example, eq.strategy, "opt", AttackerModel.RATIONAL
+            worked_example, eq.strategy, AttackerModel.RATIONAL
         )
         vs_greedy = evaluate_matchup(
-            worked_example, eq.strategy, "opt", AttackerModel.GREEDY
+            worked_example, eq.strategy, AttackerModel.GREEDY
         )
         # No ordering is promised between the two; both must simply be
         # finite, reproducible numbers.
-        again = evaluate_matchup(worked_example, eq.strategy, "opt", AttackerModel.GREEDY)
+        again = evaluate_matchup(worked_example, eq.strategy, AttackerModel.GREEDY)
         assert vs_greedy == again
         assert np.isfinite(vs_rational.defender_value)
         assert np.isfinite(vs_greedy.defender_value)
 
     def test_pure_function_identical_outputs(self, worked_example, worked_example_strategy):
         first = evaluate_matchup(
-            worked_example, worked_example_strategy, "x", AttackerModel.UNIFORM_RANDOM
+            worked_example, worked_example_strategy, AttackerModel.UNIFORM_RANDOM
         )
         second = evaluate_matchup(
-            worked_example, worked_example_strategy, "x", AttackerModel.UNIFORM_RANDOM
+            worked_example, worked_example_strategy, AttackerModel.UNIFORM_RANDOM
         )
         assert first == second
