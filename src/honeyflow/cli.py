@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from . import experiments, simulator
 from .equilibrium import solve_stackelberg, verify_equilibrium
 from .errors import HoneyflowError, SolverError
-from .game import DefenderStrategy, dump_spec, load_spec
+from .game import DefenderStrategy, dump_spec, load_spec, to_json
 from .heuristics import HeuristicInput, recommend_honey_flows
 from .strategies import (
     AttackerModel,
@@ -53,10 +53,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _to_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
@@ -66,7 +62,7 @@ def _ints(text: str) -> list[int]:
 
 
 def _strategy_payload(strategy: DefenderStrategy) -> list[list[float]]:
-    return [[float(p) for p in m] for m in strategy.marginals]
+    return [m.tolist() for m in strategy.marginals]
 
 
 def _params_from_args(args, **extra) -> experiments.GeneratorParams:
@@ -99,26 +95,23 @@ def _add_generator_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trials", type=int, default=100)
 
 
-def _report_out(report: experiments.ExperimentReport, args) -> None:
+def _report_out(report: experiments.ExperimentReport, args) -> int:
     if args.output:
         report.write_csv(args.output, with_timing=args.with_timing)
         report.write_metadata(args.output + ".meta.json")
     else:
         report.write_rows(sys.stdout, with_timing=args.with_timing)
+    return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _CliParser(prog="honeyflow", description=__doc__)
-    parser.add_argument("--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="compute the optimal honey-flow strategy")
+def _solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--game", required=True, help="game spec JSON path")
     p.add_argument("--output", default=None)
     p.add_argument("--with-timing", action="store_true")
     p.add_argument("--dump-spec", default=None, help="re-emit the parsed spec as JSON")
 
-    p = sub.add_parser("evaluate", help="score one defender against one attacker model")
+
+def _evaluate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--game", required=True)
     p.add_argument(
         "--defender", choices=["stackelberg", "uniform", "none"], default="stackelberg"
@@ -130,21 +123,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--dump-spec", default=None)
 
-    p = sub.add_parser("sweep", help="honey-flow cost sweep over random games")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     _add_generator_args(p)
     p.add_argument("--costs", type=_floats, default=list(experiments.DEFAULT_COST_SWEEP))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
     p.add_argument("--with-timing", action="store_true")
 
-    p = sub.add_parser("matchup", help="defender x attacker-model grid over random games")
+
+def _matchup_args(p: argparse.ArgumentParser) -> None:
     _add_generator_args(p)
     p.add_argument("--cost", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
     p.add_argument("--with-timing", action="store_true")
 
-    p = sub.add_parser("ratio", help="defender value vs honey/real flow ratio")
+
+def _ratio_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--real-values", type=_floats, default=[10.0, 20.0, 30.0, 40.0])
     p.add_argument("--fake-values", type=_floats, default=[9.0, 18.0, 27.0, 32.0])
     p.add_argument(
@@ -157,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--with-timing", action="store_true")
 
-    p = sub.add_parser("bench", help="solver scalability benchmark")
+
+def _bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dimension", choices=["types", "honey_bounds"], default="types")
     p.add_argument("--sizes", type=_ints, default=[1, 2, 4, 8, 16])
     p.add_argument("--trials", type=int, default=5)
@@ -165,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(with_timing=True)  # timing is what bench reports
 
-    p = sub.add_parser("simulate", help="flow-level reconnaissance simulation")
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topology", required=True, help="topology JSON path")
     p.add_argument("--real", type=_ints, required=True, help="real flows per type, e.g. 500,500")
     p.add_argument(
@@ -184,13 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write per-switch honey-traffic rates as CSV (honey_count,switch,honey_rate)",
     )
 
-    p = sub.add_parser("heuristic", help="ratio-rule honey-flow recommendation")
+
+def _heuristic_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--real-values", type=_floats, required=True)
     p.add_argument("--fake-values", type=_floats, required=True)
     p.add_argument("--real-flows", type=_ints, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output", default=None)
-    return parser
 
 
 def _cmd_solve(args) -> int:
@@ -219,7 +217,7 @@ def _cmd_solve(args) -> int:
     }
     if args.with_timing:
         payload["solve_time"] = eq.solve_time
-    _emit(_to_json(payload), args.output)
+    _emit(to_json(payload), args.output)
     return EXIT_OK
 
 
@@ -246,7 +244,7 @@ def _cmd_evaluate(args) -> int:
     )
     if args.format == "json":
         _emit(
-            _to_json(
+            to_json(
                 {
                     "defender": args.defender,
                     "attacker": args.attacker,
@@ -292,15 +290,28 @@ def _honey_configs(text: str, n_types: int) -> Iterable[dict[int, int]]:
     return [dict(enumerate(counts))]
 
 
+def _policy(text: str, n_types: int):
+    """The attacker policy that ``--policy`` names: "uniform" or a type id."""
+    if text == "uniform":
+        return simulator.uniform_type_policy
+    try:
+        chosen = int(text)
+    except ValueError:
+        chosen = -1
+    if not 0 <= chosen < n_types:
+        raise HoneyflowError(
+            f'--policy takes "uniform" or a type id in [0, {n_types}), got {text!r}'
+        )
+    return chosen
+
+
 def _cmd_simulate(args) -> int:
     with open(args.topology, "r", encoding="utf-8") as fh:
         net = simulator.network_from_dict(json.load(fh))
     real = dict(enumerate(args.real))
     simulator.check_flow_counts("real", real)
     honey_configs = _honey_configs(args.honey, len(args.real))
-    policy = (
-        simulator.uniform_type_policy if args.policy == "uniform" else int(args.policy)
-    )
+    policy = _policy(args.policy, len(args.real))
     runs = [
         (honey, simulator.run_trials(net, real, honey, policy, args.episodes, args.seed + k))
         for k, honey in enumerate(honey_configs)
@@ -343,50 +354,77 @@ def _cmd_heuristic(args) -> int:
     )
     counts = recommend_honey_flows(inp)
     if args.format == "json":
-        _emit(_to_json({"honey_flows": [int(c) for c in counts]}), args.output)
+        _emit(to_json({"honey_flows": [int(c) for c in counts]}), args.output)
     else:
         lines = ["type,honey_flows"] + [f"{i},{int(c)}" for i, c in enumerate(counts)]
         _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
+def _cmd_sweep(args) -> int:
+    report = experiments.cost_sweep(_params_from_args(args), args.costs, args.trials, args.seed)
+    return _report_out(report, args)
+
+
+def _cmd_matchup(args) -> int:
+    report = experiments.matchup_grid(
+        _params_from_args(args, cost=args.cost), args.trials, args.seed
+    )
+    return _report_out(report, args)
+
+
+def _cmd_ratio(args) -> int:
+    report = experiments.ratio_analysis(
+        args.real_values, args.fake_values, args.ratios, args.real_flows, args.cost
+    )
+    return _report_out(report, args)
+
+
+def _cmd_bench(args) -> int:
+    report = experiments.scalability_bench(args.dimension, args.sizes, args.trials, args.seed)
+    return _report_out(report, args)
+
+
+# name: (help, adds the subcommand's arguments, runs it)
+_SUBCOMMANDS = {
+    "solve": ("compute the optimal honey-flow strategy", _solve_args, _cmd_solve),
+    "evaluate": ("score one defender against one attacker model", _evaluate_args, _cmd_evaluate),
+    "sweep": ("honey-flow cost sweep over random games", _sweep_args, _cmd_sweep),
+    "matchup": ("defender x attacker-model grid over random games", _matchup_args, _cmd_matchup),
+    "ratio": ("defender value vs honey/real flow ratio", _ratio_args, _cmd_ratio),
+    "bench": ("solver scalability benchmark", _bench_args, _cmd_bench),
+    "simulate": ("flow-level reconnaissance simulation", _simulate_args, _cmd_simulate),
+    "heuristic": ("ratio-rule honey-flow recommendation", _heuristic_args, _cmd_heuristic),
+}
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for one command line.
+
+    Every subcommand is registered with its help, so the top-level help
+    and usage errors are complete, but only the subcommand that ``argv``
+    names gets its arguments; building them all costs more than most
+    solves. That subcommand is the first token not starting with "-":
+    the top-level options (-h, --verbose) take no values, so no earlier
+    token can be an option's value.
+    """
+    parser = _CliParser(prog="honeyflow", description=__doc__)
+    parser.add_argument("--verbose", action="store_true")
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = next((a for a in argv if not a.startswith("-")), None)
+    for name, (help_text, add_args, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == chosen:
+            add_args(p)
+    return parser
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "sweep":
-            report = experiments.cost_sweep(
-                _params_from_args(args), args.costs, args.trials, args.seed
-            )
-            _report_out(report, args)
-            return EXIT_OK
-        if args.command == "matchup":
-            report = experiments.matchup_grid(
-                _params_from_args(args, cost=args.cost), args.trials, args.seed
-            )
-            _report_out(report, args)
-            return EXIT_OK
-        if args.command == "ratio":
-            report = experiments.ratio_analysis(
-                args.real_values, args.fake_values, args.ratios, args.real_flows, args.cost
-            )
-            _report_out(report, args)
-            return EXIT_OK
-        if args.command == "bench":
-            report = experiments.scalability_bench(
-                args.dimension, args.sizes, args.trials, args.seed
-            )
-            _report_out(report, args)
-            return EXIT_OK
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "heuristic":
-            return _cmd_heuristic(args)
-        raise HoneyflowError(f"unknown command {args.command!r}")
+        args = build_parser(argv).parse_args(argv)
+        return _SUBCOMMANDS[args.command][2](args)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 import platform
 import statistics
@@ -23,7 +22,14 @@ import numpy as np
 from . import __version__
 from .equilibrium import solve_stackelberg
 from .errors import ConfigError
-from .game import DefenderStrategy, GameSpec, VulnerabilityType, validate_game
+from .game import (
+    MAX_TYPES,
+    DefenderStrategy,
+    GameSpec,
+    VulnerabilityType,
+    to_json,
+    validate_game,
+)
 from .heuristics import round_half_up
 from .strategies import (
     AttackerModel,
@@ -53,8 +59,10 @@ class GeneratorParams:
     cost: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.type_count < 1:
-            raise ConfigError("type_count must be at least 1")
+        if not 1 <= self.type_count <= MAX_TYPES:
+            raise ConfigError(
+                f"type_count must be at least 1 and at most {MAX_TYPES}, got {self.type_count}"
+            )
         lo, hi = self.honey_bound_range
         if lo > hi or lo < 0:
             raise ConfigError(f"empty honey bound range [{lo}, {hi}]")
@@ -124,8 +132,7 @@ class ExperimentReport:
 
     def write_metadata(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.metadata, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(to_json(self.metadata))
 
 
 def _game_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:
@@ -299,6 +306,8 @@ def scalability_bench(
     """
     if dimension not in ("types", "honey_bounds"):
         raise ConfigError(f"unknown bench dimension {dimension!r}")
+    if not sizes:
+        raise ConfigError("bench needs at least one size")
     if list(sizes) != sorted(sizes):
         raise ConfigError("sizes must be ascending")
     game_seeds = _game_seeds(seed, trials)

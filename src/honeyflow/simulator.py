@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
+from array import array
+from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
@@ -26,8 +27,9 @@ from .errors import ConfigError, EmptyObservation, TopologyError
 # drawing a type block needs roughly 60 bytes per flow more while it
 # runs, so this bounds memory.
 MAX_FLOWS_PER_TYPE = 10**6
-# Largest episode count that run_trials accepts. It keeps one outcome per
-# episode, so this bounds both its run time and its memory.
+# Largest episode count that run_trials accepts. It keeps two payoffs per
+# episode (16 bytes), so this bounds its memory to about 16 MB; mostly it
+# bounds its run time.
 MAX_EPISODES = 10**6
 
 
@@ -521,7 +523,10 @@ def run_trials(
     observation = observe(net, flows)
     totals = observation.totals()
 
-    payoffs: dict[int, list[EpisodeOutcome]] = {}
+    # per attacked type: its episodes' payoffs and its defeat count
+    attacker: dict[int, array] = {}
+    defender: dict[int, array] = {}
+    defeats: Counter[int] = Counter()
     for _ in range(episodes):
         rng = np.random.default_rng(ss.spawn(1)[0])
         if callable(policy):
@@ -529,14 +534,16 @@ def run_trials(
         else:
             chosen = int(policy)
         outcome = attacker_episode(net, observation, chosen, rng)
-        payoffs.setdefault(chosen, []).append(outcome)
+        attacker.setdefault(chosen, array("d")).append(outcome.attacker_payoff)
+        defender.setdefault(chosen, array("d")).append(outcome.defender_payoff)
+        if outcome.kind is OutcomeKind.DEFEAT:
+            defeats[chosen] += 1
 
     rows = []
-    for vuln in sorted(payoffs):
-        outs = payoffs[vuln]
-        apay = np.array([o.attacker_payoff for o in outs])
-        dpay = np.array([o.defender_payoff for o in outs])
-        n = len(outs)
+    for vuln in sorted(attacker):
+        apay = np.frombuffer(attacker[vuln])
+        dpay = np.frombuffer(defender[vuln])
+        n = len(apay)
         rows.append(
             TypeStats(
                 vuln_type=vuln,
@@ -546,9 +553,7 @@ def run_trials(
                 mean_attacker=float(apay.mean()),
                 stderr_defender=float(dpay.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
                 stderr_attacker=float(apay.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-                defeat_rate=float(
-                    sum(o.kind is OutcomeKind.DEFEAT for o in outs) / n
-                ),
+                defeat_rate=defeats[vuln] / n,
             )
         )
     switch_rates = {

@@ -7,7 +7,10 @@ import pytest
 
 from honeyflow import simulator
 from honeyflow.cli import run
-from honeyflow.game import load_spec
+from honeyflow.game import MAX_TYPES, load_spec
+
+HELP_DIR = os.path.join(os.path.dirname(__file__), "data", "cli_help")
+COMMANDS = ("solve", "evaluate", "sweep", "matchup", "ratio", "bench", "simulate", "heuristic")
 
 
 # A valid heuristic input; argparse keeps the last of a repeated option.
@@ -215,6 +218,9 @@ class TestExitCodes:
             (["matchup", "--trials", "0"], "trials"),
             (["bench", "--trials", "0"], "trials"),
             (["bench", "--sizes", "1", "--trials", "1", "--with-timing"], "--with-timing"),
+            (["bench", "--sizes", ""], "bench needs at least one size"),
+            (["sweep", "--types", str(MAX_TYPES + 1)], f"at most {MAX_TYPES}, got"),
+            (["matchup", "--types", "8000"], f"at most {MAX_TYPES}, got 8000"),
             (["ratio", "--real-values", "1,2,3", "--fake-values", "0.5"], "fake values"),
             (["ratio", "--ratios", "1e10", "--real-flows", "10"], "honey_flow_bound"),
             (["ratio", "--real-flows", ","], "real-flow counts"),
@@ -238,6 +244,9 @@ class TestExitCodes:
             "matchup-zero-trials",
             "bench-zero-trials",
             "bench-with-timing",
+            "bench-no-sizes",
+            "sweep-too-many-types",
+            "matchup-too-many-types",
             "ratio-vector-lengths",
             "ratio-oversize-bound",
             "ratio-no-real-flows",
@@ -347,6 +356,72 @@ class TestExitCodes:
         assert (code, out, drawn) == (1, "", [])
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"at most {simulator.MAX_EPISODES}, got {episodes}" in err
+
+    @pytest.mark.parametrize("command", ["solve", "evaluate"])
+    def test_type_count_cap(self, capsys, tmp_path, worked_example_path, command):
+        payload = json.loads(open(worked_example_path).read())
+        payload["types"] = [payload["types"][0]] * (MAX_TYPES + 1)
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, command, "--game", str(big))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: game has {MAX_TYPES + 1} types, more than the cap of {MAX_TYPES}\n"
+        )
+
+    @pytest.mark.parametrize("policy", ["x", "1.0", "", "2", "9", "-1"])
+    def test_bad_policy_is_config_error(self, capsys, monkeypatch, chain_topology_path, policy):
+        """--policy is checked before any flow is drawn."""
+        drawn = []
+        monkeypatch.setattr(simulator, "generate_flows", lambda *a: drawn.append(a))
+        code, out, err = _run(
+            capsys, "simulate", "--topology", chain_topology_path, "--real", "5,5",
+            "--honey", "1,1", "--episodes", "10", f"--policy={policy}",
+        )
+        assert (code, out, drawn) == (1, "", [])
+        assert err == (
+            f'error: --policy takes "uniform" or a type id in [0, 2), got {policy!r}\n'
+        )
+
+    def test_non_finite_result_is_config_error(self, capsys, tmp_path, worked_example_path):
+        """A value that overflows to infinity is not printed as JSON's -Infinity."""
+        payload = json.loads(open(worked_example_path).read())
+        for t in payload["types"]:
+            t["cost_per_flow"] = 1e308  # the uniform defender's expected cost overflows
+        game = tmp_path / "costly.json"
+        game.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, "evaluate", "--game", str(game), "--defender", "uniform")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Out of range float values") and err.count("\n") == 1
+
+
+def _golden(name: str) -> str:
+    with open(os.path.join(HELP_DIR, name + ".txt"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+class TestHelpText:
+    """Help and usage errors match text recorded when the parser built every
+    subcommand's arguments up front (at an 80-column terminal)."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [("help_top", ["--help"]), ("help_h_solve", ["-h", "solve"])]
+        + [(f"help_{c}", [c, "--help"]) for c in COMMANDS],
+    )
+    def test_help(self, capsys, monkeypatch, name, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (_golden(name), "")
+
+    @pytest.mark.parametrize(
+        "name, argv", [("missing_command", []), ("invalid_choice", ["bogus"])]
+    )
+    def test_usage_errors(self, capsys, monkeypatch, name, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _run(capsys, *argv) == (1, "", _golden(name))
 
 
 class TestHeuristicCommand:

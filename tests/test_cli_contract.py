@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from honeyflow.cli import run
+from honeyflow.game import MAX_TYPES
 
 WORKED_EXAMPLE = {
     "types": [
@@ -132,6 +133,7 @@ HUGE_COUNT = json.dumps(
 LARGE_COUNT = json.dumps(  # a count well beyond int64 that still solves
     {"types": [dict(WORKED_EXAMPLE["types"][0], real_flows=10**20)]}
 )
+TOO_MANY_TYPES = json.dumps({"types": WORKED_EXAMPLE["types"][:1] * (MAX_TYPES + 1)})
 
 
 def _check_contract(tmp_path, text: str, argv: list[str]) -> int:
@@ -156,6 +158,7 @@ def _check_contract(tmp_path, text: str, argv: list[str]) -> int:
 @example(text=DEEP)
 @example(text=HUGE_COUNT)
 @example(text=LARGE_COUNT)
+@example(text=TOO_MANY_TYPES)
 def test_solve_contract(tmp_path, text):
     _check_contract(tmp_path, text, ["solve", "--game", "{input}"])
 
@@ -169,6 +172,7 @@ def test_solve_contract(tmp_path, text):
 )
 @example(text=DEEP, defender="stackelberg", attacker="rational", fmt="json")
 @example(text=HUGE_COUNT, defender="uniform", attacker="greedy", fmt="csv")
+@example(text=TOO_MANY_TYPES, defender="stackelberg", attacker="rational", fmt="json")
 def test_evaluate_contract(tmp_path, text, defender, attacker, fmt):
     _check_contract(
         tmp_path,

@@ -17,6 +17,7 @@ from honeyflow.experiments import (
     scalability_bench,
 )
 from honeyflow.game import (
+    MAX_TYPES,
     DefenderStrategy,
     GameSpec,
     VulnerabilityType,
@@ -73,6 +74,8 @@ class TestRandomGame:
             GeneratorParams(type_count=1, real_flows=5, honey_bound_range=(3, 2))
         with pytest.raises(ConfigError):
             GeneratorParams(type_count=1, real_flows=5, honey_bound_range=(1, 2), value_mode="?")
+        with pytest.raises(ConfigError, match=f"at most {MAX_TYPES}, got {MAX_TYPES + 1}"):
+            GeneratorParams(type_count=MAX_TYPES + 1, real_flows=5, honey_bound_range=(1, 2))
         with pytest.raises(ConfigError, match="unknown value mode 'explicit'"):
             GeneratorParams(
                 type_count=2, real_flows=5, honey_bound_range=(1, 2), value_mode="explicit"
@@ -221,6 +224,10 @@ class TestScalabilityBench:
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ConfigError):
             scalability_bench("widths", sizes=[1], trials=1, seed=0)
+
+    def test_empty_sizes_rejected(self):
+        with pytest.raises(ConfigError, match="at least one size"):
+            scalability_bench("types", sizes=[], trials=1, seed=0)
 
 
 class TestReportFiles:

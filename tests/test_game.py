@@ -1,10 +1,14 @@
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from honeyflow.errors import DistributionError, ShapeError, ValidationError
 from honeyflow.game import (
+    MAX_TYPES,
     NO_ATTACK,
     AttackerAction,
     DefenderStrategy,
@@ -15,6 +19,7 @@ from honeyflow.game import (
     spec_from_dict,
     spec_to_dict,
     summarize,
+    to_json,
     utility_vs_mixed_attacker,
     validate_game,
 )
@@ -342,3 +347,48 @@ class TestJsonSchema:
         payload["types"][0]["cost_per_flow"] = -2.0
         with pytest.raises(ValidationError):
             spec_from_dict(payload)
+
+    def test_type_count_capped_before_types_are_built(self, worked_example):
+        payload = spec_to_dict(worked_example)
+        payload["types"] = [payload["types"][0]] * MAX_TYPES + [{"bad": 1}]
+        with pytest.raises(ValidationError, match=f"{MAX_TYPES + 1} types, more than the cap"):
+            spec_from_dict(payload)
+
+
+# Finite floats, with the edge cases of float repr named explicitly.
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308, 3.0, -2.0**60, 1e16]
+)
+TEXT = st.text(max_size=6) | st.sampled_from(
+    ["é", "\u2028", "\ud800", '"\\/', "\n\t\x00", "日本"]
+)
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | TEXT
+PAYLOADS = st.recursive(
+    SCALARS | st.lists(FLOATS, max_size=6),
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=3).map(tuple)
+        | st.dictionaries(TEXT, kids, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestToJson:
+    @settings(max_examples=200, deadline=None)
+    @given(payload=PAYLOADS)
+    @example(payload={})
+    @example(payload=[])
+    @example(payload={"a": [], "b": {}, "c": ()})
+    @example(payload=[1.0, "x", 2.0])
+    @example(payload=[True, None, 3, -0.0])
+    @example(payload=[[0.25, 0.75], [1.0]])
+    @example(payload={"types": [{"k": 1e308, "é": 5e-324}]})
+    def test_bytes_match_json_dumps(self, payload):
+        assert to_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("wrap", [lambda x: x, lambda x: [1.0, x], lambda x: {"a": {"b": x}}])
+    def test_non_finite_floats_raise(self, bad, wrap):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            to_json(wrap(bad))

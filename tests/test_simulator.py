@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -319,6 +320,21 @@ class TestRunTrials:
         net = _chain_net()
         with pytest.raises(ConfigError, match="at least 1"):
             run_trials(net, {0: 5}, {}, 0, episodes=0, seed=1)
+
+    def test_memory_does_not_hold_an_object_per_episode(self, chain_topology_path):
+        """20,000 episodes keep two float payoffs each (320 kB); one outcome
+        object per episode, as run_trials once kept, peaked above 3 MB."""
+        with open(chain_topology_path, encoding="utf-8") as fh:
+            net = network_from_dict(json.load(fh))
+        args = (net, {0: 20, 1: 20}, {0: 5, 1: 5}, uniform_type_policy)
+        run_trials(*args, 10, 1)  # first-call allocations are not the episodes'
+        tracemalloc.start()
+        try:
+            run_trials(*args, 20_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_csv_schema(self, capsys, chain_topology_path):
         """``simulate`` writes a header and one line per report row."""
