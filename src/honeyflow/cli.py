@@ -61,6 +61,17 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: SeedSequence takes only nonnegative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _strategy_payload(strategy: DefenderStrategy) -> list[list[float]]:
     return [m.tolist() for m in strategy.marginals]
 
@@ -127,7 +138,7 @@ def _evaluate_args(p: argparse.ArgumentParser) -> None:
 def _sweep_args(p: argparse.ArgumentParser) -> None:
     _add_generator_args(p)
     p.add_argument("--costs", type=_floats, default=list(experiments.DEFAULT_COST_SWEEP))
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
     p.add_argument("--with-timing", action="store_true")
 
@@ -135,7 +146,7 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
 def _matchup_args(p: argparse.ArgumentParser) -> None:
     _add_generator_args(p)
     p.add_argument("--cost", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
     p.add_argument("--with-timing", action="store_true")
 
@@ -158,7 +169,7 @@ def _bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dimension", choices=["types", "honey_bounds"], default="types")
     p.add_argument("--sizes", type=_ints, default=[1, 2, 4, 8, 16])
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
     p.set_defaults(with_timing=True)  # timing is what bench reports
 
@@ -173,7 +184,7 @@ def _simulate_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--episodes", type=int, default=2000)
     p.add_argument("--policy", default="uniform", help='"uniform" or a fixed type id')
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
     p.add_argument(
         "--switch-rates",
@@ -256,6 +267,8 @@ def _cmd_evaluate(args) -> int:
             args.output,
         )
     else:
+        experiments.check_finite("defender_value", result.defender_value)
+        experiments.check_finite("attacker_value", result.attacker_value)
         lines = [
             "defender,attacker,defender_value,attacker_value",
             f"{args.defender},{args.attacker},{result.defender_value!r},{result.attacker_value!r}",
@@ -290,10 +303,10 @@ def _honey_configs(text: str, n_types: int) -> Iterable[dict[int, int]]:
     return [dict(enumerate(counts))]
 
 
-def _policy(text: str, n_types: int):
+def _policy(text: str, n_types: int) -> str | int:
     """The attacker policy that ``--policy`` names: "uniform" or a type id."""
     if text == "uniform":
-        return simulator.uniform_type_policy
+        return text
     try:
         chosen = int(text)
     except ValueError:

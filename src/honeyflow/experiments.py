@@ -23,6 +23,8 @@ from . import __version__
 from .equilibrium import solve_stackelberg
 from .errors import ConfigError
 from .game import (
+    MAX_HONEY_FLOW_BOUND,
+    MAX_STRATEGY_SIZE,
     MAX_TYPES,
     DefenderStrategy,
     GameSpec,
@@ -66,6 +68,16 @@ class GeneratorParams:
         lo, hi = self.honey_bound_range
         if lo > hi or lo < 0:
             raise ConfigError(f"empty honey bound range [{lo}, {hi}]")
+        if hi > MAX_HONEY_FLOW_BOUND:
+            raise ConfigError(
+                f"honey bounds must be at most {MAX_HONEY_FLOW_BOUND}, got {hi}"
+            )
+        if self.type_count * (hi + 1) > MAX_STRATEGY_SIZE:
+            raise ConfigError(
+                f"{self.type_count} types with honey bounds up to {hi} can hold "
+                f"{self.type_count * (hi + 1)} strategy entries, more than the cap of "
+                f"{MAX_STRATEGY_SIZE}"
+            )
         if isinstance(self.real_flows, tuple):
             lo, hi = self.real_flows
             if lo > hi or lo < 0:
@@ -105,30 +117,43 @@ def random_game(params: GeneratorParams, seed) -> GameSpec:
     return GameSpec(tuple(types))
 
 
+def check_finite(column: str, value) -> None:
+    """Raise ConfigError if ``value`` is a NaN or infinite float: a CSV
+    cell must hold a number that reads back."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{column} is {value!r}; CSV output takes finite values only")
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     metadata: dict
 
-    def write_rows(self, fh, with_timing: bool = False) -> None:
-        """Write the CSV to an open text handle; floats print as repr and
-        timing columns are dropped unless ``with_timing``."""
+    def _cells(self, with_timing: bool = False) -> list[list]:
+        """The header and rows as CSV cells; floats print as repr and
+        timing columns are dropped unless ``with_timing``. Raises
+        ConfigError on a non-finite float, so no partial CSV is written."""
         keep = [
             i
             for i, c in enumerate(self.columns)
             if with_timing or c not in TIMING_COLUMNS
         ]
-        writer = csv.writer(fh)
-        writer.writerow([self.columns[i] for i in keep])
+        lines = [[self.columns[i] for i in keep]]
         for row in self.rows:
-            writer.writerow(
-                [repr(v) if isinstance(v, float) else v for i, v in enumerate(row) if i in keep]
-            )
+            for i in keep:
+                check_finite(self.columns[i], row[i])
+            lines.append([repr(row[i]) if isinstance(row[i], float) else row[i] for i in keep])
+        return lines
+
+    def write_rows(self, fh, with_timing: bool = False) -> None:
+        """Write the CSV to an open text handle."""
+        csv.writer(fh).writerows(self._cells(with_timing))
 
     def write_csv(self, path, with_timing: bool = False) -> None:
+        lines = self._cells(with_timing)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            self.write_rows(fh, with_timing)
+            csv.writer(fh).writerows(lines)
 
     def write_metadata(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -44,6 +44,13 @@ MAX_HONEY_FLOW_BOUND = 10**6
 # before any type is built.
 MAX_TYPES = 1024
 
+# Largest total of honey_flow_bound + 1 over a game's types, the number of
+# probabilities a strategy holds. The two caps above bound one type and
+# the type count, but together they allow 10^9 entries; this bounds them
+# together (2^22 float64 entries are 32 MiB) and still admits a single
+# type at MAX_HONEY_FLOW_BOUND.
+MAX_STRATEGY_SIZE = 2**22
+
 
 @dataclass(frozen=True)
 class VulnerabilityType:
@@ -194,6 +201,12 @@ def validate_game(spec: GameSpec) -> GameSpec:
                 f"type {t.id}: honey_flow_bound must be in [0, {MAX_HONEY_FLOW_BOUND}], "
                 f"got {t.honey_flow_bound}"
             )
+    size = sum(t.honey_flow_bound + 1 for t in spec.types)
+    if size > MAX_STRATEGY_SIZE:
+        raise ValidationError(
+            f"the types' honey_flow_bound + 1 add up to {size}, "
+            f"more than the cap of {MAX_STRATEGY_SIZE}"
+        )
     return spec
 
 

@@ -15,11 +15,12 @@ import enum
 import math
 from array import array
 from collections import Counter, deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pcg
 from .errors import ConfigError, EmptyObservation, TopologyError
 
 # Largest real or honey flow count per type that generate_flows accepts.
@@ -31,6 +32,9 @@ MAX_FLOWS_PER_TYPE = 10**6
 # episode (16 bytes), so this bounds its memory to about 16 MB; mostly it
 # bounds its run time.
 MAX_EPISODES = 10**6
+# Episodes whose draws episode_draws computes together. About 150 bytes
+# of numpy temporaries per episode are alive while a block is drawn.
+EPISODE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -445,27 +449,17 @@ def observe(net: NetworkModel, flows: FlowTable) -> Observation:
     return Observation({t: seen.take(seen.info == t) for t in types})
 
 
-def uniform_type_policy(totals: Mapping[int, int], rng: np.random.Generator) -> int:
-    """Uniform choice among the types with at least one observed flow."""
-    types = sorted(t for t, n in totals.items() if n > 0)
-    if not types:
-        raise EmptyObservation("no observed flows of any type")
-    return types[rng.integers(len(types))]
-
-
 def attacker_episode(
     net: NetworkModel,
     observation: Observation,
     chosen: int,
-    seed,
+    row: int,
 ) -> EpisodeOutcome:
-    """One attack on type ``chosen``: draw an observed flow of that type
-    uniformly and resolve the outcome."""
-    rng = np.random.default_rng(seed)
+    """One attack on type ``chosen`` that hits its observed flow ``row`` (a
+    position in ``observation.observed[chosen]``): resolve the outcome."""
     flows = observation.observed.get(chosen, ())
     if not flows:
         raise EmptyObservation(f"no observed flows of type {chosen}")
-    row = rng.integers(len(flows))
     target = net.endpoints[flows.net.index.ids[flows.destination[row]]]
     if flows.is_honey[row]:
         return EpisodeOutcome(
@@ -476,6 +470,57 @@ def attacker_episode(
             OutcomeKind.SUCCESS, target.id, target.attacker_value, -target.defender_value
         )
     return EpisodeOutcome(OutcomeKind.NOOP, target.id, 0.0, 0.0)
+
+
+def episode_draws(
+    totals: Mapping[int, int], policy, episodes: int, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each episode's attacked type and observed-flow row, as arrays of
+    ``EPISODE_BLOCK`` episodes at a time.
+
+    ``totals`` maps each type to its observed flow count. ``policy`` is
+    "uniform" (a uniform choice among the observed types) or a type id.
+    Episode k draws from ``default_rng`` seeded with child k + 1 of
+    ``SeedSequence(seed)``: the type as ``integers(len(types))`` over the
+    sorted observed types, then the row as ``integers(totals[type])``. A
+    fixed policy draws no type, like a uniform one with a single type.
+    The draws are computed for a whole block at once (see ``pcg``); only
+    the few episodes whose draw Lemire's method rejects get a real
+    generator. Raises EmptyObservation before any draw when the policy
+    has no observed flow to attack.
+    """
+    if policy == "uniform":
+        types = sorted(t for t, n in totals.items() if n > 0)
+        if not types:
+            raise EmptyObservation("no observed flows of any type")
+    elif isinstance(policy, (int, np.integer)) and not isinstance(policy, bool):
+        types = [int(policy)]
+        if totals.get(types[0], 0) <= 0:
+            raise EmptyObservation(f"no observed flows of type {types[0]}")
+    else:
+        raise ConfigError(f'policy must be "uniform" or a type id, got {policy!r}')
+    type_ids = np.array(types)
+    counts = np.array([totals[t] for t in types], dtype=np.uint64)
+    for start in range(0, episodes, EPISODE_BLOCK):
+        keys = np.arange(start + 1, min(start + EPISODE_BLOCK, episodes) + 1)
+        words = pcg.first_outputs(seed, keys)
+        # the type takes the low 32 bits; the row takes the next 32 bits
+        # numpy hands out: the buffered high half, or the low half when
+        # the type draw consumed nothing
+        if len(types) > 1:
+            pick, redo = pcg.bounded(words & np.uint64(0xFFFFFFFF), len(types))
+            words >>= np.uint64(32)
+        else:
+            pick, redo = np.zeros(len(keys), dtype=np.uint64), False
+            words &= np.uint64(0xFFFFFFFF)
+        rows, redo_row = pcg.bounded(words, counts[pick])
+        pick, rows = pick.astype(np.int64), rows.astype(np.int64)
+        for i in np.flatnonzero(redo | redo_row).tolist():
+            child = np.random.SeedSequence(seed, spawn_key=(int(keys[i]),))
+            rng = np.random.default_rng(child)
+            pick[i] = rng.integers(len(types))
+            rows[i] = rng.integers(totals[types[pick[i]]])
+        yield type_ids[pick], rows
 
 
 @dataclass(frozen=True)
@@ -508,11 +553,11 @@ def run_trials(
 ) -> SimulationReport:
     """Generate one flow population, then run seeded independent episodes.
 
-    Episode seeds come from splitting a single seed sequence, so any
-    execution order (or parallel execution) reproduces the same report:
-    the first child seeds the flows and child k + 1 episode k. Children
-    are spawned one at a time. ``episodes`` must lie in [1, MAX_EPISODES];
-    it is checked before any flow is drawn.
+    Seeds come from splitting a single seed sequence, so any execution
+    order reproduces the same report: the first child seeds the flows and
+    child k + 1 episode k. ``episode_draws`` describes ``policy`` and what
+    an episode draws. ``episodes`` must lie in [1, MAX_EPISODES]; it and
+    the seed are checked before any flow is drawn.
     """
     if not 1 <= episodes <= MAX_EPISODES:
         raise ConfigError(
@@ -521,23 +566,18 @@ def run_trials(
     ss = np.random.SeedSequence(seed)
     flows = generate_flows(net, real_counts, honey_counts, ss.spawn(1)[0])
     observation = observe(net, flows)
-    totals = observation.totals()
 
     # per attacked type: its episodes' payoffs and its defeat count
     attacker: dict[int, array] = {}
     defender: dict[int, array] = {}
     defeats: Counter[int] = Counter()
-    for _ in range(episodes):
-        rng = np.random.default_rng(ss.spawn(1)[0])
-        if callable(policy):
-            chosen = int(policy(totals, rng))
-        else:
-            chosen = int(policy)
-        outcome = attacker_episode(net, observation, chosen, rng)
-        attacker.setdefault(chosen, array("d")).append(outcome.attacker_payoff)
-        defender.setdefault(chosen, array("d")).append(outcome.defender_payoff)
-        if outcome.kind is OutcomeKind.DEFEAT:
-            defeats[chosen] += 1
+    for chosen, rows in episode_draws(observation.totals(), policy, episodes, seed):
+        for vuln, row in zip(chosen.tolist(), rows.tolist()):
+            outcome = attacker_episode(net, observation, vuln, row)
+            attacker.setdefault(vuln, array("d")).append(outcome.attacker_payoff)
+            defender.setdefault(vuln, array("d")).append(outcome.defender_payoff)
+            if outcome.kind is OutcomeKind.DEFEAT:
+                defeats[vuln] += 1
 
     rows = []
     for vuln in sorted(attacker):

@@ -28,7 +28,9 @@ inputs, using the water-level form of the same lemma (see its docstring).
 `scalar_flows` is the simulator's reference: the flow population drawn one
 flow at a time with two scalar `Generator.integers` calls, over paths it
 routes itself from the topology JSON, plus the observation counts and
-per-switch honey rates read off those flows.
+per-switch honey rates read off those flows. `scalar_episodes` is the
+episode loop's: each episode's attacked type and flow row from its own
+`SeedSequence` child and `Generator`.
 """
 
 from __future__ import annotations
@@ -427,3 +429,21 @@ def scalar_switch_rate(flows: list[tuple], switch: str) -> float:
     """Share of honey flows among the flows through one switch (0 if none)."""
     through = [is_honey for _, _, _, path, is_honey in flows if switch in path]
     return sum(through) / len(through) if through else 0.0
+
+
+def scalar_episodes(totals: dict, policy, episodes: int, seed) -> tuple[list[int], list[int]]:
+    """(attacked types, observed-flow rows) of ``episodes`` episodes, one at
+    a time: spawn the next child of ``SeedSequence(seed)`` (the first one
+    seeds the flows), build its generator, draw the type uniformly among
+    the sorted observed types unless ``policy`` fixes it, then the row
+    among that type's observed flows."""
+    ss = np.random.SeedSequence(seed)
+    ss.spawn(1)
+    types = sorted(t for t, n in totals.items() if n > 0)
+    chosen, rows = [], []
+    for _ in range(episodes):
+        rng = np.random.default_rng(ss.spawn(1)[0])
+        vuln = types[rng.integers(len(types))] if policy == "uniform" else policy
+        chosen.append(int(vuln))
+        rows.append(int(rng.integers(totals[vuln])))
+    return chosen, rows

@@ -394,6 +394,56 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: Out of range float values") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["sweep", "matchup"])
+    def test_strategy_size_cap(self, capsys, command):
+        code, out, err = _run(capsys, command, "--honey-bounds", "1000000", "1000000")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: 5 types with honey bounds up to 1000000 can hold 5000005 strategy "
+            "entries, more than the cap of 4194304\n"
+        )
+
+    MATCHUP_OVERFLOW = ("matchup", "--trials", "2", "--cost", "1e308", "--types", "2",
+                        "--honey-bounds", "5", "5", "--real-flows", "5")
+
+    def test_non_finite_csv_cell_is_config_error(self, capsys, tmp_path):
+        """The uniform defender's cost overflows to -inf; no CSV line is
+        printed or written."""
+        code, out, err = _run(capsys, *self.MATCHUP_OVERFLOW)
+        assert (code, out) == (1, "")
+        assert err == "error: mean_def is -inf; CSV output takes finite values only\n"
+        target = tmp_path / "grid.csv"
+        code, _, _ = _run(capsys, *self.MATCHUP_OVERFLOW, "--output", str(target))
+        assert code == 1
+        assert not target.exists()
+
+    def test_non_finite_evaluate_csv_is_config_error(self, capsys, tmp_path, worked_example_path):
+        payload = json.loads(open(worked_example_path).read())
+        for t in payload["types"]:
+            t["cost_per_flow"] = 1e308
+        game = tmp_path / "costly.json"
+        game.write_text(json.dumps(payload))
+        code, out, err = _run(
+            capsys, "evaluate", "--game", str(game), "--defender", "uniform", "--format", "csv"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: defender_value is -inf; CSV output takes finite values only\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--topology", "missing.json", "--real", "5", "--honey", "1"),
+            ("sweep", "--trials", "1"),
+            ("matchup", "--trials", "1"),
+            ("bench", "--sizes", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_names_the_option(self, capsys, argv):
+        code, out, err = _run(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: argument --seed: must be a nonnegative integer, got -1\n"
+
 
 def _golden(name: str) -> str:
     with open(os.path.join(HELP_DIR, name + ".txt"), encoding="utf-8") as fh:

@@ -17,6 +17,8 @@ from honeyflow.experiments import (
     scalability_bench,
 )
 from honeyflow.game import (
+    MAX_HONEY_FLOW_BOUND,
+    MAX_STRATEGY_SIZE,
     MAX_TYPES,
     DefenderStrategy,
     GameSpec,
@@ -80,6 +82,18 @@ class TestRandomGame:
             GeneratorParams(
                 type_count=2, real_flows=5, honey_bound_range=(1, 2), value_mode="explicit"
             )
+
+    def test_strategy_size_capped(self):
+        """The largest game the params can draw is checked against the caps
+        before any game is drawn."""
+        GeneratorParams(type_count=1, honey_bound_range=(MAX_HONEY_FLOW_BOUND,) * 2)
+        top = MAX_HONEY_FLOW_BOUND + 1
+        with pytest.raises(ConfigError, match=f"at most {MAX_HONEY_FLOW_BOUND}, got {top}"):
+            GeneratorParams(type_count=1, honey_bound_range=(0, top))
+        hi = MAX_STRATEGY_SIZE // MAX_TYPES - 1
+        GeneratorParams(type_count=MAX_TYPES, honey_bound_range=(0, hi))
+        with pytest.raises(ConfigError, match=f"more than the cap of {MAX_STRATEGY_SIZE}"):
+            GeneratorParams(type_count=MAX_TYPES, honey_bound_range=(0, hi + 1))
 
 
 class TestCostSweep:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from honeyflow.errors import DistributionError, ShapeError, ValidationError
 from honeyflow.game import (
+    MAX_HONEY_FLOW_BOUND,
+    MAX_STRATEGY_SIZE,
     MAX_TYPES,
     NO_ATTACK,
     AttackerAction,
@@ -353,6 +355,20 @@ class TestJsonSchema:
         payload["types"] = [payload["types"][0]] * MAX_TYPES + [{"bad": 1}]
         with pytest.raises(ValidationError, match=f"{MAX_TYPES + 1} types, more than the cap"):
             spec_from_dict(payload)
+
+    def test_strategy_size_capped(self, worked_example):
+        """The honey bounds + 1 may add up to MAX_STRATEGY_SIZE, no more;
+        a single type at MAX_HONEY_FLOW_BOUND stays far below it."""
+        base = spec_to_dict(worked_example)["types"][0]
+        spec_from_dict({"types": [dict(base, honey_flow_bound=MAX_HONEY_FLOW_BOUND)]})
+        eighth = dict(base, honey_flow_bound=MAX_STRATEGY_SIZE // 8 - 1)
+        spec_from_dict({"types": [eighth] * 8})
+        over = dict(base, honey_flow_bound=MAX_STRATEGY_SIZE // 8)
+        with pytest.raises(
+            ValidationError,
+            match=f"add up to {MAX_STRATEGY_SIZE + 1}, more than the cap of {MAX_STRATEGY_SIZE}",
+        ):
+            spec_from_dict({"types": [eighth] * 7 + [over]})
 
 
 # Finite floats, with the edge cases of float repr named explicitly.

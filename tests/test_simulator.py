@@ -13,16 +13,18 @@ from honeyflow.simulator import (
     Endpoint,
     FlowTable,
     OutcomeKind,
+    EPISODE_BLOCK,
     attacker_episode,
     build_network,
+    episode_draws,
     generate_flows,
     honey_traffic_rate,
     network_from_dict,
     observe,
     run_trials,
-    uniform_type_policy,
 )
-from oracles import scalar_flows, scalar_observation, scalar_switch_rate
+from honeyflow.pcg import bounded, first_outputs
+from oracles import scalar_episodes, scalar_flows, scalar_observation, scalar_switch_rate
 
 
 def _endpoint(eid, value=1.0, weaknesses=(0,), fake=False, attacker_value=None):
@@ -239,15 +241,15 @@ class TestAttackerEpisode:
         net = _chain_net(compromised=("s2",))
         flows = generate_flows(net, {}, {0: 10}, seed=2)
         obs = observe(net, flows)
-        outcome = attacker_episode(net, obs, 0, seed=11)
-        assert outcome.kind is OutcomeKind.DEFEAT
+        for row in range(10):
+            assert attacker_episode(net, obs, 0, row).kind is OutcomeKind.DEFEAT
 
     def test_only_real_means_success(self):
         net = _chain_net(compromised=("s1", "s2", "s3"))
         flows = generate_flows(net, {0: 10}, {}, seed=2)
         obs = observe(net, flows)
-        outcome = attacker_episode(net, obs, 0, seed=11)
-        assert outcome.kind is OutcomeKind.SUCCESS
+        for row in range(10):
+            assert attacker_episode(net, obs, 0, row).kind is OutcomeKind.SUCCESS
 
     def test_mismatched_weakness_is_noop(self):
         net = _chain_net(compromised=("s2",))
@@ -257,7 +259,7 @@ class TestAttackerEpisode:
         row = [np.array([ids.index(e)], dtype=np.int32) for e in ("client1", "server2")]
         flow = FlowTable(net, *row, np.array([0]), np.array([False]))
         obs = observe(net, flow)
-        outcome = attacker_episode(net, obs, 0, seed=4)
+        outcome = attacker_episode(net, obs, 0, 0)
         assert outcome.kind is OutcomeKind.NOOP
         assert outcome.attacker_payoff == 0.0
         assert outcome.defender_payoff == 0.0
@@ -266,7 +268,7 @@ class TestAttackerEpisode:
         net = _chain_net()
         obs = observe(net, _no_flows(net))
         with pytest.raises(EmptyObservation):
-            attacker_episode(net, obs, 0, seed=1)
+            attacker_episode(net, obs, 0, 0)
 
     def test_half_honey_defeat_frequency(self):
         """5 real + 5 honey of one type: defeat frequency over 10k seeded
@@ -279,14 +281,8 @@ class TestAttackerEpisode:
         }
         links = [("r1", "s1"), ("r2", "s1"), ("f1", "s1"), ("f2", "s1")]
         net = build_network(eps, ["s1"], links, compromised=["s1"])
-        flows = generate_flows(net, {0: 5}, {0: 5}, seed=9)
-        obs = observe(net, flows)
-        ss = np.random.SeedSequence(77)
-        defeats = sum(
-            attacker_episode(net, obs, 0, child).kind is OutcomeKind.DEFEAT
-            for child in ss.spawn(10_000)
-        )
-        assert abs(defeats / 10_000 - 0.5) < 0.02
+        report = run_trials(net, {0: 5}, {0: 5}, 0, episodes=10_000, seed=77)
+        assert abs(report.rows[0].defeat_rate - 0.5) < 0.02
 
     def test_zero_sum_episode_bookkeeping(self):
         """With attacker and defender valuations equal, every outcome kind
@@ -294,12 +290,12 @@ class TestAttackerEpisode:
         net = _chain_net(compromised=("s1", "s2", "s3"))
         flows = generate_flows(net, {0: 7, 1: 3}, {0: 4, 1: 2}, seed=13)
         obs = observe(net, flows)
-        ss = np.random.SeedSequence(5)
-        for k, child in enumerate(ss.spawn(200)):
-            outcome = attacker_episode(net, obs, k % 2, child)
-            assert outcome.attacker_payoff + outcome.defender_payoff == pytest.approx(
-                0.0, abs=1e-12
-            )
+        for vuln, count in obs.totals().items():
+            for row in range(count):
+                outcome = attacker_episode(net, obs, vuln, row)
+                assert outcome.attacker_payoff + outcome.defender_payoff == pytest.approx(
+                    0.0, abs=1e-12
+                )
 
 
 class TestRunTrials:
@@ -312,8 +308,8 @@ class TestRunTrials:
 
     def test_deterministic_given_seed(self):
         net = _chain_net()
-        a = run_trials(net, {0: 30, 1: 30}, {0: 10, 1: 10}, uniform_type_policy, 300, 21)
-        b = run_trials(net, {0: 30, 1: 30}, {0: 10, 1: 10}, uniform_type_policy, 300, 21)
+        a = run_trials(net, {0: 30, 1: 30}, {0: 10, 1: 10}, "uniform", 300, 21)
+        b = run_trials(net, {0: 30, 1: 30}, {0: 10, 1: 10}, "uniform", 300, 21)
         assert a == b
 
     def test_bad_episode_count(self):
@@ -326,7 +322,7 @@ class TestRunTrials:
         object per episode, as run_trials once kept, peaked above 3 MB."""
         with open(chain_topology_path, encoding="utf-8") as fh:
             net = network_from_dict(json.load(fh))
-        args = (net, {0: 20, 1: 20}, {0: 5, 1: 5}, uniform_type_policy)
+        args = (net, {0: 20, 1: 20}, {0: 5, 1: 5}, "uniform")
         run_trials(*args, 10, 1)  # first-call allocations are not the episodes'
         tracemalloc.start()
         try:
@@ -340,7 +336,7 @@ class TestRunTrials:
         """``simulate`` writes a header and one line per report row."""
         with open(chain_topology_path, encoding="utf-8") as fh:
             net = network_from_dict(json.load(fh))
-        report = run_trials(net, {0: 20, 1: 20}, {0: 5, 1: 5}, uniform_type_policy, 200, 2)
+        report = run_trials(net, {0: 20, 1: 20}, {0: 5, 1: 5}, "uniform", 200, 2)
         argv = ["simulate", "--topology", chain_topology_path, "--real", "20,20",
                 "--honey", "5,5", "--episodes", "200", "--seed", "2"]
         assert cli.run(argv) == 0
@@ -348,6 +344,97 @@ class TestRunTrials:
         header = "honey_count,type,mean_def,mean_att,stderr_def,stderr_att,detect_rate"
         assert lines[0] == header
         assert len(lines) == 1 + len(report.rows)
+
+
+# 2**32 and 2**64 + 1 make SeedSequence entropy of two and three words
+EPISODE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 1)
+
+
+def _drawn(totals, policy, episodes, seed):
+    """episode_draws' (types, rows) over all its blocks, as lists."""
+    blocks = list(episode_draws(totals, policy, episodes, seed))
+    return tuple(np.concatenate(column).tolist() for column in zip(*blocks))
+
+
+class TestEpisodeDraws:
+    @pytest.mark.parametrize("seed", EPISODE_SEEDS)
+    @pytest.mark.parametrize("policy", ["uniform", 2])
+    def test_matches_scalar_episodes(self, seed, policy):
+        # 3 * 2**30 flows make a quarter of the row draws reject
+        totals = {0: 3, 2: 999_999, 5: 7, 7: 3 * 2**30}
+        assert _drawn(totals, policy, 400, seed) == scalar_episodes(totals, policy, 400, seed)
+
+    @pytest.mark.parametrize(
+        "episodes", [EPISODE_BLOCK - 1, EPISODE_BLOCK, EPISODE_BLOCK + 1]
+    )
+    @pytest.mark.parametrize("policy", ["uniform", 1])
+    def test_block_edges_match_scalar_episodes(self, episodes, policy):
+        totals = {0: 40, 1: 25, 3: 2}
+        for seed in (0, 2**64 + 1):
+            assert _drawn(totals, policy, episodes, seed) == scalar_episodes(
+                totals, policy, episodes, seed
+            )
+
+    @pytest.mark.parametrize(
+        "totals, policy",
+        [({4: 50}, "uniform"), ({0: 1, 1: 1}, "uniform"), ({0: 9, 3: 1}, 3), ({3: 1}, "uniform")],
+        ids=["one-type", "one-flow-types", "fixed-one-flow", "one-type-one-flow"],
+    )
+    def test_bound_one_draws_nothing(self, totals, policy):
+        """A single observed type (type bound 1) or a single observed flow
+        (row bound 1) consumes no random word, so the next draw takes the
+        word it would have taken."""
+        for seed in EPISODE_SEEDS:
+            assert _drawn(totals, policy, 200, seed) == scalar_episodes(
+                totals, policy, 200, seed
+            )
+
+    @pytest.mark.parametrize("seed", [*EPISODE_SEEDS, 2**200 + 12345])
+    def test_first_outputs_match_pcg64(self, seed):
+        keys = np.array([0, 1, 2, 1000, 2**31, 2**32 - 1])
+        expected = [
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(int(k),))).random_raw()
+            for k in keys
+        ]
+        assert first_outputs(seed, keys).tolist() == expected
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 7, 999_999, 3 * 2**30, 2**32 - 1])
+    def test_bounded_matches_generator_integers(self, bound):
+        """Generator.integers(bound) takes 32-bit words, low half of each
+        64-bit output first, and skips the ones Lemire's method rejects."""
+        raw = np.random.PCG64(5).random_raw(2000)
+        words = np.column_stack([raw & 0xFFFFFFFF, raw >> 32]).ravel()
+        draws, rejected = bounded(words, bound)
+        rng = np.random.Generator(np.random.PCG64(5))
+        kept = draws[~rejected].tolist()
+        assert kept == [int(rng.integers(bound)) for _ in kept]
+        if bound == 3 * 2**30:  # rejects when the low product word < 2**30
+            assert 800 < np.count_nonzero(rejected) < 1200
+
+    def test_empty_observation_raised_before_any_episode(self, monkeypatch):
+        attacks = []
+        monkeypatch.setattr(
+            "honeyflow.simulator.attacker_episode", lambda *a: attacks.append(a)
+        )
+        blind = _chain_net(compromised=())
+        with pytest.raises(EmptyObservation, match="^no observed flows of any type$"):
+            run_trials(blind, {0: 20}, {0: 5}, "uniform", 10, 1)
+        net = _chain_net(compromised=("s1", "s2", "s3"))
+        with pytest.raises(EmptyObservation, match="^no observed flows of type 1$"):
+            run_trials(net, {0: 20}, {0: 5}, 1, 10, 1)
+        assert attacks == []
+
+    @pytest.mark.parametrize("policy", [lambda totals, rng: 0, "0", 1.0, True, None])
+    def test_policy_is_uniform_or_a_type_id(self, policy):
+        with pytest.raises(ConfigError, match="policy must be"):
+            next(episode_draws({0: 5, 1: 5}, policy, 10, 1))
+
+    def test_negative_seed_rejected_before_flows(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr("honeyflow.simulator.generate_flows", lambda *a: drawn.append(a))
+        with pytest.raises(ValueError, match="non-negative"):
+            run_trials(_chain_net(), {0: 5}, {}, 0, 10, -1)
+        assert drawn == []
 
 
 class TestHoneyTrafficRate:
