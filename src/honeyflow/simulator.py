@@ -493,8 +493,8 @@ def episode_draws(
         types = sorted(t for t, n in totals.items() if n > 0)
         if not types:
             raise EmptyObservation("no observed flows of any type")
-    elif isinstance(policy, (int, np.integer)) and not isinstance(policy, bool):
-        types = [int(policy)]
+    elif isinstance(policy, int) and not isinstance(policy, bool):
+        types = [policy]
         if totals.get(types[0], 0) <= 0:
             raise EmptyObservation(f"no observed flows of type {types[0]}")
     else:
