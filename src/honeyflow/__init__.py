@@ -39,7 +39,6 @@ from .game import (
     summarize,
     utilities,
     utility_vs_mixed_attacker,
-    validate_game,
 )
 from .heuristics import HeuristicInput, exactness_gap, recommend_honey_flows
 from .strategies import (
@@ -92,6 +91,5 @@ __all__ = [
     "uniform_random_strategy",
     "utilities",
     "utility_vs_mixed_attacker",
-    "validate_game",
     "verify_equilibrium",
 ]

@@ -38,7 +38,6 @@ from .game import (
     attack_values,
     summarize,
     utilities,
-    validate_game,
 )
 from .lp import LinearProgram, solve_lp  # noqa: F401  (perfbench wraps equilibrium.solve_lp)
 
@@ -93,7 +92,6 @@ def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgr
     The solver does not use it: it is the reference the tests check
     ``solve_stackelberg``'s per-action statuses and values against.
     """
-    validate_game(spec)
     attackable = spec.attackable_ids
     if fixed.is_attack and fixed.target not in attackable:
         raise ValidationError(f"{fixed} targets an unattackable type")
@@ -191,7 +189,8 @@ def water_level(curves: list[Curve], low: float) -> float:
         for _, u, cost in curves:
             j, _ = _hold(u, tau)
             if j > 0:
-                slope += cost / (u[j - 1] - u[j])
+                # A Python float divide: it gives inf on overflow, not a warning.
+                slope += cost / float(u[j - 1] - u[j])
         return slope
 
     candidates = np.unique(np.concatenate([[low]] + [u for _, u, _ in curves]))
@@ -234,7 +233,6 @@ def solve_stackelberg(spec: GameSpec) -> Equilibrium:
     at the chosen action's own level, and the reported values are scored
     from it.
     """
-    validate_game(spec)
     start = time.perf_counter()
     curves = type_curves(spec)
     low = max([0.0] + [float(u[-1]) for _, u, _ in curves])
@@ -246,7 +244,13 @@ def solve_stackelberg(spec: GameSpec) -> Equilibrium:
     }
     if low <= TIE_TOL:
         levels[NO_ATTACK] = 0.0
-    values = {a: _value(curves, tau) for a, tau in levels.items()}
+    # Attacks held at tau* share V(tau*). No-attack (level 0.0) keeps its own
+    # call, since a tau* of -0.0 would give V the other sign of zero.
+    at_top = _value(curves, top)
+    values = {
+        a: at_top if a.is_attack and tau == top else _value(curves, tau)
+        for a, tau in levels.items()
+    }
     actions = [AttackerAction.attack(type_id) for type_id, _, _ in curves] + [NO_ATTACK]
     per_action = {
         a: ("optimal", values[a]) if a in values else ("infeasible", None)

@@ -30,7 +30,6 @@ from .game import (
     GameSpec,
     VulnerabilityType,
     to_json,
-    validate_game,
 )
 from .heuristics import round_half_up
 from .strategies import (
@@ -293,7 +292,7 @@ def ratio_analysis(
             )
             for i, (rv, fv) in enumerate(zip(real_values, fake_values))
         )
-        spec = validate_game(GameSpec(types))
+        spec = GameSpec(types)
         best: tuple[float, float] | None = None
         for ratio in ratios:
             j = min(round_half_up(ratio * rf), bound)

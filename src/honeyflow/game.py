@@ -4,7 +4,8 @@ A game instance is a list of vulnerability types. The defender randomizes,
 per type, over how many honey flows to create (a marginal distribution over
 counts 0..H_i); the attacker targets one type or declines to attack. Attacks
 draw a random flow of the chosen type, so the probability of hitting a real
-flow when j honey flows are up is R_i / (j + R_i).
+flow when j honey flows are up is R_i / (j + R_i). A ``GameSpec`` checks
+its types when it is built, so every function here can take it as valid.
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ BEST_RESPONSE_TOL = 1e-6
 # anything allocates them.
 MAX_HONEY_FLOW_BOUND = 10**6
 
-# Largest number of vulnerability types a game may have. The solve is
-# quadratic in the type count: at this cap a fake-zero game (5 real flows,
-# honey bound 5, cost 0.1) took 2.9 s to solve on a 2-vCPU x86-64 host, and
-# twice as many types took 10.9 s. Larger games are rejected as bad input
+# Largest number of vulnerability types a game may have. The solve
+# evaluates V once at the water level tau* and once more for each type
+# whose no-honey value u_k(0) lies below tau*, and each evaluation visits
+# every type, so the solve is quadratic in the number of those types. On a
+# 2-vCPU x86-64 host at this cap, a fake-zero game (5 real flows, honey
+# bound 5, cost 0.1; every type at tau*) solves in 0.05 s, and a game with
+# 576 types below tau* in 1.8 s. Larger games are rejected as bad input
 # before any type is built.
 MAX_TYPES = 1024
 
@@ -80,12 +84,59 @@ class VulnerabilityType:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """An ordered collection of vulnerability types."""
+    """An ordered collection of vulnerability types.
+
+    Building one checks every type and spec invariant and raises
+    ValidationError naming the first violated invariant and the offending
+    type id, so a GameSpec that exists is valid.
+    """
 
     types: tuple[VulnerabilityType, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "types", tuple(self.types))
+        if not self.types:
+            raise ValidationError("game must have at least one vulnerability type")
+        for pos, t in enumerate(self.types):
+            if t.id != pos:
+                raise ValidationError(
+                    f"type ids must be consecutive from 0; position {pos} has id {t.id}"
+                )
+            for name in ("attacker_real_value", "attacker_honey_value", "honey_flow_cost"):
+                if not math.isfinite(getattr(t, name)):
+                    raise ValidationError(
+                        f"type {t.id}: {name} must be finite, got {getattr(t, name)}"
+                    )
+            if t.attacker_honey_value > t.attacker_real_value:
+                raise ValidationError(
+                    f"type {t.id}: honey value {t.attacker_honey_value} exceeds "
+                    f"real value {t.attacker_real_value}"
+                )
+            if t.honey_flow_cost < 0:
+                raise ValidationError(
+                    f"type {t.id}: honey_flow_cost must be nonnegative, "
+                    f"got {t.honey_flow_cost}"
+                )
+            if t.real_flow_count < 0:
+                raise ValidationError(
+                    f"type {t.id}: real_flow_count must be nonnegative, "
+                    f"got {t.real_flow_count}"
+                )
+            if t.real_flow_count > sys.float_info.max:  # exact int/float comparison
+                raise ValidationError(
+                    f"type {t.id}: real_flow_count is too large to convert to a float"
+                )
+            if not 0 <= t.honey_flow_bound <= MAX_HONEY_FLOW_BOUND:
+                raise ValidationError(
+                    f"type {t.id}: honey_flow_bound must be in [0, {MAX_HONEY_FLOW_BOUND}], "
+                    f"got {t.honey_flow_bound}"
+                )
+        size = sum(t.honey_flow_bound + 1 for t in self.types)
+        if size > MAX_STRATEGY_SIZE:
+            raise ValidationError(
+                f"the types' honey_flow_bound + 1 add up to {size}, "
+                f"more than the cap of {MAX_STRATEGY_SIZE}"
+            )
 
     @property
     def attackable_ids(self) -> tuple[int, ...]:
@@ -157,57 +208,6 @@ class AttackerAction:
 
 
 NO_ATTACK = AttackerAction.no_attack()
-
-
-def validate_game(spec: GameSpec) -> GameSpec:
-    """Check all type and spec invariants; return the spec unchanged.
-
-    Raises ValidationError naming the first violated invariant and the
-    offending type id.
-    """
-    if not spec.types:
-        raise ValidationError("game must have at least one vulnerability type")
-    for pos, t in enumerate(spec.types):
-        if t.id != pos:
-            raise ValidationError(
-                f"type ids must be consecutive from 0; position {pos} has id {t.id}"
-            )
-        for name in ("attacker_real_value", "attacker_honey_value", "honey_flow_cost"):
-            if not math.isfinite(getattr(t, name)):
-                raise ValidationError(
-                    f"type {t.id}: {name} must be finite, got {getattr(t, name)}"
-                )
-        if t.attacker_honey_value > t.attacker_real_value:
-            raise ValidationError(
-                f"type {t.id}: honey value {t.attacker_honey_value} exceeds "
-                f"real value {t.attacker_real_value}"
-            )
-        if t.honey_flow_cost < 0:
-            raise ValidationError(
-                f"type {t.id}: honey_flow_cost must be nonnegative, "
-                f"got {t.honey_flow_cost}"
-            )
-        if t.real_flow_count < 0:
-            raise ValidationError(
-                f"type {t.id}: real_flow_count must be nonnegative, "
-                f"got {t.real_flow_count}"
-            )
-        if t.real_flow_count > sys.float_info.max:  # exact int/float comparison
-            raise ValidationError(
-                f"type {t.id}: real_flow_count is too large to convert to a float"
-            )
-        if not 0 <= t.honey_flow_bound <= MAX_HONEY_FLOW_BOUND:
-            raise ValidationError(
-                f"type {t.id}: honey_flow_bound must be in [0, {MAX_HONEY_FLOW_BOUND}], "
-                f"got {t.honey_flow_bound}"
-            )
-    size = sum(t.honey_flow_bound + 1 for t in spec.types)
-    if size > MAX_STRATEGY_SIZE:
-        raise ValidationError(
-            f"the types' honey_flow_bound + 1 add up to {size}, "
-            f"more than the cap of {MAX_STRATEGY_SIZE}"
-        )
-    return spec
 
 
 def _check_strategy_shape(spec: GameSpec, strategy: DefenderStrategy) -> None:
@@ -351,7 +351,7 @@ _TYPE_FIELDS = {
 
 def _number(raw: Mapping, field: str, idx: int) -> float:
     """A JSON number as float; null, bools, strings and overflow are rejected
-    (finiteness is left to validate_game)."""
+    (finiteness is checked when the GameSpec is built)."""
     value = raw[field]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
@@ -405,7 +405,7 @@ def spec_from_dict(payload: Mapping) -> GameSpec:
                 honey_flow_cost=_number(raw, "cost_per_flow", idx),
             )
         )
-    return validate_game(GameSpec(tuple(types)))
+    return GameSpec(tuple(types))
 
 
 def spec_to_dict(spec: GameSpec) -> dict:

@@ -584,18 +584,21 @@ def run_trials(
         apay = np.frombuffer(attacker[vuln])
         dpay = np.frombuffer(defender[vuln])
         n = len(apay)
-        rows.append(
-            TypeStats(
-                vuln_type=vuln,
-                honey_count=int(honey_counts.get(vuln, 0)),
-                episodes=n,
-                mean_defender=float(dpay.mean()),
-                mean_attacker=float(apay.mean()),
-                stderr_defender=float(dpay.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-                stderr_attacker=float(apay.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-                defeat_rate=defeats[vuln] / n,
+        # Payoffs near the float maximum can sum past it. The statistic is
+        # then infinite, and the CSV writer rejects it with a one-line error.
+        with np.errstate(over="ignore"):
+            rows.append(
+                TypeStats(
+                    vuln_type=vuln,
+                    honey_count=int(honey_counts.get(vuln, 0)),
+                    episodes=n,
+                    mean_defender=float(dpay.mean()),
+                    mean_attacker=float(apay.mean()),
+                    stderr_defender=float(dpay.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+                    stderr_attacker=float(apay.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+                    defeat_rate=defeats[vuln] / n,
+                )
             )
-        )
     switch_rates = {
         s: honey_traffic_rate(net, flows, s) for s in sorted(net.switches)
     }

@@ -24,7 +24,6 @@ from .game import (
     summarize,
     utilities,
     utility_vs_mixed_attacker,
-    validate_game,
 )
 
 
@@ -43,13 +42,11 @@ class MatchupResult:
 
 def no_deception_strategy(spec: GameSpec) -> DefenderStrategy:
     """Zero honey flows for every type, with certainty."""
-    validate_game(spec)
     return DefenderStrategy.from_counts(spec, [0] * len(spec.types))
 
 
 def uniform_random_strategy(spec: GameSpec) -> DefenderStrategy:
     """Each type's honey count drawn uniformly from 0..H_i."""
-    validate_game(spec)
     return DefenderStrategy(
         tuple(
             np.full(t.honey_flow_bound + 1, 1.0 / (t.honey_flow_bound + 1))
@@ -65,7 +62,6 @@ def greedy_attacker(spec: GameSpec) -> AttackerAction:
     flows are up and attacks the best one (lowest id on ties). Declines to
     attack when every pessimistic estimate is negative.
     """
-    validate_game(spec)
     best: tuple[float, int] | None = None
     for i in spec.attackable_ids:
         u = float(attack_values(spec.types[i])[-1])
@@ -78,7 +74,6 @@ def greedy_attacker(spec: GameSpec) -> AttackerAction:
 
 def uniform_attacker(spec: GameSpec) -> dict[AttackerAction, float]:
     """Uniform distribution over the attackable types (never declines)."""
-    validate_game(spec)
     attackable = spec.attackable_ids
     if not attackable:
         raise EmptyActionSet("no attackable vulnerability types")
@@ -96,7 +91,6 @@ def rational_attacker(spec: GameSpec, strategy: DefenderStrategy) -> AttackerAct
     cost, which is sunk before the attacker moves, so every tied action
     leaves the defender within ``TIE_TOL`` of its best.
     """
-    validate_game(spec)
     summary = summarize(spec, strategy)
     actions = [AttackerAction.attack(i) for i in spec.attackable_ids] + [NO_ATTACK]
     values = [utilities(spec, summary, a)[1] for a in actions]

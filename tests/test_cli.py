@@ -417,6 +417,31 @@ class TestExitCodes:
         assert code == 1
         assert not target.exists()
 
+    def test_non_finite_simulate_mean_is_config_error(self, capsys, tmp_path):
+        """Payoffs near the float maximum sum past it; the run ends in one
+        error line, with no numpy overflow warning."""
+        endpoints = [
+            {"id": "c1", "defender_value": 1e308, "attacker_value": 1.0, "weaknesses": [0],
+             "fake": False},
+            {"id": "c2", "defender_value": 2.0, "attacker_value": 2.0, "weaknesses": [1],
+             "fake": False},
+            {"id": "f1", "defender_value": 0.0, "attacker_value": -1.0, "weaknesses": [0, 1],
+             "fake": True},
+        ]
+        topology = tmp_path / "topology.json"
+        topology.write_text(json.dumps({
+            "endpoints": endpoints,
+            "switches": ["s1", "s2"],
+            "links": [["c1", "s1"], ["f1", "s1"], ["s1", "s2"], ["c2", "s2"]],
+            "compromised": ["s1"],
+        }))
+        code, out, err = _run(
+            capsys, "simulate", "--topology", str(topology), "--real", "1,0",
+            "--honey", "0,0", "--episodes", "20",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: mean_def is -inf; CSV output takes finite values only\n"
+
     def test_non_finite_evaluate_csv_is_config_error(self, capsys, tmp_path, worked_example_path):
         payload = json.loads(open(worked_example_path).read())
         for t in payload["types"]:

@@ -134,6 +134,14 @@ LARGE_COUNT = json.dumps(  # a count well beyond int64 that still solves
     {"types": [dict(WORKED_EXAMPLE["types"][0], real_flows=10**20)]}
 )
 TOO_MANY_TYPES = json.dumps({"types": WORKED_EXAMPLE["types"][:1] * (MAX_TYPES + 1)})
+# A defender value whose episode payoffs sum past the largest float.
+FLOAT_MAX_VALUE = json.dumps(
+    dict(
+        CHAIN_TOPOLOGY,
+        endpoints=[dict(CHAIN_TOPOLOGY["endpoints"][0], defender_value=1e308)]
+        + CHAIN_TOPOLOGY["endpoints"][1:],
+    )
+)
 
 
 def _check_contract(tmp_path, text: str, argv: list[str]) -> int:
@@ -190,6 +198,7 @@ def test_evaluate_contract(tmp_path, text, defender, attacker, fmt):
     policy=st.sampled_from(["uniform", "0", "1"]),
 )
 @example(text=DEEP, real=[2, 2], honey=1, policy="uniform")
+@example(text=FLOAT_MAX_VALUE, real=[1, 0], honey=0, policy="uniform")
 def test_simulate_contract(tmp_path, text, real, honey, policy):
     _check_contract(
         tmp_path,

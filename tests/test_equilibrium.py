@@ -18,6 +18,7 @@ from honeyflow.experiments import (
     random_game,
 )
 from honeyflow.game import (
+    MAX_TYPES,
     NO_ATTACK,
     AttackerAction,
     DefenderStrategy,
@@ -156,6 +157,26 @@ class TestSolveStackelberg:
         assert eq.attacker_action == NO_ATTACK
         assert eq.defender_value == pytest.approx(0.0, abs=1e-12)
         assert all(m[0] == pytest.approx(1.0) for m in eq.strategy.marginals)
+
+    def test_water_level_value_computed_once(self, monkeypatch):
+        """Every attack held at tau* shares one V(tau*): a fake-zero game of
+        MAX_TYPES identical types needs a single evaluation, not one per type."""
+        params = GeneratorParams(
+            type_count=MAX_TYPES, real_flows=5, honey_bound_range=(5, 5), cost=0.1
+        )
+        spec = random_game(params, 1)
+        calls = []
+        value = equilibrium._value
+
+        def counted(curves, tau):
+            calls.append(tau)
+            return value(curves, tau)
+
+        monkeypatch.setattr(equilibrium, "_value", counted)
+        eq = solve_stackelberg(spec)
+        assert 1 <= len(calls) <= 2
+        feasible = [v for status, v in eq.per_action_values.values() if status == "optimal"]
+        assert len(feasible) == MAX_TYPES and len(set(feasible)) == 1
 
 
 def _ladder_games():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -23,7 +24,6 @@ from honeyflow.game import (
     summarize,
     to_json,
     utility_vs_mixed_attacker,
-    validate_game,
 )
 
 ATTACK_0 = AttackerAction.attack(0)
@@ -58,49 +58,66 @@ def _random_strategy(rng: np.random.Generator, spec: GameSpec) -> DefenderStrate
 
 
 class TestValidation:
+    """A GameSpec checks its types when it is built."""
+
     def test_worked_example_accepted(self, worked_example):
-        assert validate_game(worked_example) is worked_example
+        assert GameSpec(worked_example.types) == worked_example
 
     def test_negative_cost_rejected(self):
-        spec = GameSpec((VulnerabilityType(0, 1.0, 0.0, 1, 1, -1.0),))
         with pytest.raises(ValidationError, match="type 0.*cost"):
-            validate_game(spec)
+            GameSpec((VulnerabilityType(0, 1.0, 0.0, 1, 1, -1.0),))
 
     def test_honey_value_above_real_rejected(self):
-        spec = GameSpec((VulnerabilityType(0, 1.0, 2.0, 1, 1, 0.1),))
         with pytest.raises(ValidationError, match="honey value"):
-            validate_game(spec)
+            GameSpec((VulnerabilityType(0, 1.0, 2.0, 1, 1, 0.1),))
 
     def test_nonconsecutive_ids_rejected(self):
-        spec = GameSpec(
-            (
-                VulnerabilityType(0, 1.0, 0.0, 1, 1, 0.1),
-                VulnerabilityType(2, 1.0, 0.0, 1, 1, 0.1),
-            )
-        )
         with pytest.raises(ValidationError, match="consecutive"):
-            validate_game(spec)
+            GameSpec(
+                (
+                    VulnerabilityType(0, 1.0, 0.0, 1, 1, 0.1),
+                    VulnerabilityType(2, 1.0, 0.0, 1, 1, 0.1),
+                )
+            )
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError, match="real_flow_count"):
-            validate_game(GameSpec((VulnerabilityType(0, 1.0, 0.0, -1, 1, 0.1),)))
+            GameSpec((VulnerabilityType(0, 1.0, 0.0, -1, 1, 0.1),))
         with pytest.raises(ValidationError, match="honey_flow_bound"):
-            validate_game(GameSpec((VulnerabilityType(0, 1.0, 0.0, 1, -1, 0.1),)))
+            GameSpec((VulnerabilityType(0, 1.0, 0.0, 1, -1, 0.1),))
 
     def test_real_flow_count_must_convert_to_a_float(self):
-        too_large = GameSpec((VulnerabilityType(0, 1.0, 0.0, 10**400, 1, 0.1),))
         with pytest.raises(ValidationError, match="type 0: real_flow_count is too large"):
-            validate_game(too_large)
+            GameSpec((VulnerabilityType(0, 1.0, 0.0, 10**400, 1, 0.1),))
         for count in (10**20, 10**300):  # beyond int64, still a finite float
-            validate_game(GameSpec((VulnerabilityType(0, 1.0, 0.0, count, 1, 0.1),)))
+            GameSpec((VulnerabilityType(0, 1.0, 0.0, count, 1, 0.1),))
 
     def test_empty_game_rejected(self):
         with pytest.raises(ValidationError, match="at least one"):
-            validate_game(GameSpec(()))
+            GameSpec(())
 
-    def test_strategy_shape_not_checked_by_validate_game(self, worked_example):
+    def test_replace_checks_the_new_types(self, worked_example):
+        bad = dataclasses.replace(worked_example.types[0], honey_flow_cost=-1.0)
+        with pytest.raises(ValidationError, match="type 0: honey_flow_cost"):
+            dataclasses.replace(worked_example, types=(bad,) + worked_example.types[1:])
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            (VulnerabilityType(0, 10.0, -5.0, 5, 2, math.nan), "honey_flow_cost must be finite"),
+            (VulnerabilityType(0, 1.0, 1.25, 5, 2, 1.0), "honey value 1.25 exceeds real value"),
+        ],
+        ids=["nan-cost", "honey-above-real"],
+    )
+    def test_invalid_type_never_reaches_a_utility(self, worked_example, bad, named):
+        with pytest.raises(ValidationError, match=named):
+            spec = GameSpec((bad,) + worked_example.types[1:])
+            strategy = DefenderStrategy.from_counts(spec, [1, 1])
+            defender_utility(spec, strategy, ATTACK_0)
+            attacker_utility(spec, strategy, ATTACK_0)
+
+    def test_strategy_shape_not_checked_at_construction(self, worked_example):
         # Length mismatches surface later, in the utility operations.
-        validate_game(worked_example)
         bad = DefenderStrategy((np.array([1.0]), np.array([1.0])))
         with pytest.raises(ShapeError):
             summarize(worked_example, bad)
