@@ -412,14 +412,14 @@ _SUBCOMMANDS = {
 
 
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for one command line.
+    """The full parser tree, for the command lines ``_parse_args`` does not
+    hand to one subcommand's parser: top-level help and usage errors.
 
-    Every subcommand is registered with its help, so the top-level help
-    and usage errors are complete, but only the subcommand that ``argv``
-    names gets its arguments; building them all costs more than most
-    solves. That subcommand is the first token not starting with "-":
-    the top-level options (-h, --verbose) take no values, so no earlier
-    token can be an option's value.
+    Every subcommand is registered with its help, so that text is
+    complete, but only the subcommand that ``argv`` names gets its
+    arguments (as in ``-h solve``). That subcommand is the first token not
+    starting with "-": the top-level options (-h, --verbose) take no
+    values, so no earlier token can be an option's value.
     """
     parser = _CliParser(prog="honeyflow", description=__doc__)
     parser.add_argument("--verbose", action="store_true")
@@ -432,11 +432,34 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments of one command line, parsed by one parser when it can.
+
+    When ``argv`` names a subcommand after any leading ``--verbose``
+    tokens, only that subcommand's parser is built: it is the parser
+    ``build_parser``'s ``add_parser`` would make, and the full tree would
+    hand it every remaining token, so the result, help and errors are the
+    same. Any other command line goes to the full tree.
+    """
+    verbose = 0
+    while verbose < len(argv) and argv[verbose] == "--verbose":
+        verbose += 1
+    name = argv[verbose] if verbose < len(argv) else None
+    if name not in _SUBCOMMANDS:
+        return build_parser(argv).parse_args(argv)
+    parser = _CliParser(prog=f"honeyflow {name}")
+    _SUBCOMMANDS[name][1](parser)
+    args = parser.parse_args(argv[verbose + 1 :])
+    args.command = name
+    args.verbose = verbose > 0
+    return args
+
+
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _parse_args(argv)
         return _SUBCOMMANDS[args.command][2](args)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -543,6 +543,27 @@ class SimulationReport:
     seed: int
 
 
+def _mean(payoffs: np.ndarray) -> float:
+    return float(payoffs.mean())
+
+
+def _stderr(payoffs: np.ndarray) -> float:
+    return float(payoffs.std(ddof=1) / np.sqrt(len(payoffs)))
+
+
+def _statistic(stat, payoffs: np.ndarray) -> float:
+    """``stat(payoffs)`` for a statistic that scales with the payoffs (the
+    mean or the standard error). Payoffs near the float maximum can sum past
+    it; only then is it recomputed from the payoffs divided by their largest
+    magnitude and scaled back, so it is finite whenever its true value is."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = stat(payoffs)
+        if not math.isfinite(value):
+            scale = float(np.max(np.abs(payoffs)))
+            value = stat(payoffs / scale) * scale
+    return value
+
+
 def run_trials(
     net: NetworkModel,
     real_counts: Mapping[int, int],
@@ -584,21 +605,18 @@ def run_trials(
         apay = np.frombuffer(attacker[vuln])
         dpay = np.frombuffer(defender[vuln])
         n = len(apay)
-        # Payoffs near the float maximum can sum past it. The statistic is
-        # then infinite, and the CSV writer rejects it with a one-line error.
-        with np.errstate(over="ignore"):
-            rows.append(
-                TypeStats(
-                    vuln_type=vuln,
-                    honey_count=int(honey_counts.get(vuln, 0)),
-                    episodes=n,
-                    mean_defender=float(dpay.mean()),
-                    mean_attacker=float(apay.mean()),
-                    stderr_defender=float(dpay.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-                    stderr_attacker=float(apay.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-                    defeat_rate=defeats[vuln] / n,
-                )
+        rows.append(
+            TypeStats(
+                vuln_type=vuln,
+                honey_count=int(honey_counts.get(vuln, 0)),
+                episodes=n,
+                mean_defender=_statistic(_mean, dpay),
+                mean_attacker=_statistic(_mean, apay),
+                stderr_defender=_statistic(_stderr, dpay) if n > 1 else 0.0,
+                stderr_attacker=_statistic(_stderr, apay) if n > 1 else 0.0,
+                defeat_rate=defeats[vuln] / n,
             )
+        )
     switch_rates = {
         s: honey_traffic_rate(net, flows, s) for s in sorted(net.switches)
     }

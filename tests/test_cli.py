@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from honeyflow import simulator
+from honeyflow import cli, simulator
 from honeyflow.cli import run
 from honeyflow.game import MAX_TYPES, load_spec
 
@@ -417,31 +417,6 @@ class TestExitCodes:
         assert code == 1
         assert not target.exists()
 
-    def test_non_finite_simulate_mean_is_config_error(self, capsys, tmp_path):
-        """Payoffs near the float maximum sum past it; the run ends in one
-        error line, with no numpy overflow warning."""
-        endpoints = [
-            {"id": "c1", "defender_value": 1e308, "attacker_value": 1.0, "weaknesses": [0],
-             "fake": False},
-            {"id": "c2", "defender_value": 2.0, "attacker_value": 2.0, "weaknesses": [1],
-             "fake": False},
-            {"id": "f1", "defender_value": 0.0, "attacker_value": -1.0, "weaknesses": [0, 1],
-             "fake": True},
-        ]
-        topology = tmp_path / "topology.json"
-        topology.write_text(json.dumps({
-            "endpoints": endpoints,
-            "switches": ["s1", "s2"],
-            "links": [["c1", "s1"], ["f1", "s1"], ["s1", "s2"], ["c2", "s2"]],
-            "compromised": ["s1"],
-        }))
-        code, out, err = _run(
-            capsys, "simulate", "--topology", str(topology), "--real", "1,0",
-            "--honey", "0,0", "--episodes", "20",
-        )
-        assert (code, out) == (1, "")
-        assert err == "error: mean_def is -inf; CSV output takes finite values only\n"
-
     def test_non_finite_evaluate_csv_is_config_error(self, capsys, tmp_path, worked_example_path):
         payload = json.loads(open(worked_example_path).read())
         for t in payload["types"]:
@@ -497,6 +472,81 @@ class TestHelpText:
     def test_usage_errors(self, capsys, monkeypatch, name, argv):
         monkeypatch.setenv("COLUMNS", "80")
         assert _run(capsys, *argv) == (1, "", _golden(name))
+
+
+# One valid command line per subcommand, each setting some non-default option.
+_VALID = {
+    "solve": ("--game", "g.json", "--with-timing", "--dump-spec", "d.json"),
+    "evaluate": ("--game", "g.json", "--defender", "uniform", "--format", "csv"),
+    "sweep": ("--types", "3", "--costs", "0.1,0.2", "--honey-bounds", "5", "10", "--seed", "5"),
+    "matchup": ("--cost", "0.5", "--trials", "2", "--real-flow-range", "5", "9"),
+    "ratio": ("--ratios", "0.5,1", "--real-flows", "10"),
+    "bench": ("--dimension", "honey_bounds", "--sizes", "1,2"),
+    "simulate": ("--topology", "t.json", "--real", "5,5", "--honey", "0:10:5", "--policy", "1"),
+    "heuristic": _HEURISTIC + ("--format", "csv"),
+}
+
+
+def _full_tree(argv):
+    return cli.build_parser(argv).parse_args(argv)
+
+
+class TestOneParser:
+    """A command line that names a subcommand is parsed by that subcommand's
+    parser alone, with the same result, output and exit code as the full
+    parser tree."""
+
+    def test_valid_commands_cover_every_subcommand(self):
+        assert set(_VALID) == set(COMMANDS) == set(cli._SUBCOMMANDS)
+
+    @pytest.mark.parametrize("verbose", [0, 1, 2])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_namespace_matches_the_full_tree(self, command, verbose):
+        argv = ["--verbose"] * verbose + [command, *_VALID[command]]
+        args = vars(cli._parse_args(argv))
+        assert args == vars(_full_tree(argv))
+        assert (args["command"], args["verbose"]) == (command, verbose > 0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--game", "x", "--bogus"),
+            ("solve",),
+            ("sweep", "--cost", "0.5"),
+            ("solve", "--verbose"),
+            ("sweep", "--seed", "-1"),
+            ("--bogus", "solve", "--game", "x"),
+            ("--verbose=1", "solve"),
+            ("--", "solve"),
+            ("--verbose", "simulate", "--topology", "t.json", "--real", "5"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_errors_match_the_full_tree(self, capsys, monkeypatch, argv):
+        got = _run(capsys, *argv)
+        monkeypatch.setattr(cli, "_parse_args", _full_tree)
+        assert got == _run(capsys, *argv)
+        assert got[:2] == (1, "")
+
+    def test_help_after_verbose_matches_the_golden(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run(["--verbose", "solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (_golden("help_solve"), "")
+
+    def test_a_solve_builds_one_parser(self, capsys, monkeypatch, worked_example_path):
+        built = []
+        init = cli._CliParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._CliParser, "__init__", counted)
+        code, out, _ = _run(capsys, "--verbose", "solve", "--game", worked_example_path)
+        assert code == 0 and json.loads(out)["verified"] is True
+        assert built == ["honeyflow solve"]
 
 
 class TestHeuristicCommand:
@@ -563,6 +613,35 @@ class TestSimulate:
         lines = out.strip().splitlines()
         assert lines[0] == "honey_count,type,mean_def,mean_att,stderr_def,stderr_att,detect_rate"
         assert len(lines) >= 2
+
+    def test_payoffs_near_the_float_maximum_have_a_finite_mean(self, capsys, tmp_path):
+        """Every payoff is -1e308, so their sum overflows but their mean does
+        not: the mean is -1e308 and the standard error 0, with no numpy
+        overflow warning."""
+        endpoints = [
+            {"id": "c1", "defender_value": 1e308, "attacker_value": 1.0, "weaknesses": [0],
+             "fake": False},
+            {"id": "c2", "defender_value": 2.0, "attacker_value": 2.0, "weaknesses": [1],
+             "fake": False},
+            {"id": "f1", "defender_value": 0.0, "attacker_value": -1.0, "weaknesses": [0, 1],
+             "fake": True},
+        ]
+        topology = tmp_path / "topology.json"
+        topology.write_text(json.dumps({
+            "endpoints": endpoints,
+            "switches": ["s1", "s2"],
+            "links": [["c1", "s1"], ["f1", "s1"], ["s1", "s2"], ["c2", "s2"]],
+            "compromised": ["s1"],
+        }))
+        code, out, err = _run(
+            capsys, "simulate", "--topology", str(topology), "--real", "1,0",
+            "--honey", "0,0", "--episodes", "20",
+        )
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 1
+        assert (rows[0]["mean_def"], rows[0]["stderr_def"]) == ("-1e+308", "0.0")
+        assert (rows[0]["mean_att"], rows[0]["stderr_att"]) == ("1.0", "0.0")
 
     def test_sweep_and_byte_identity(self, capsys, chain_topology_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

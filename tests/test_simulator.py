@@ -21,6 +21,9 @@ from honeyflow.simulator import (
     honey_traffic_rate,
     network_from_dict,
     observe,
+    _mean,
+    _statistic,
+    _stderr,
     run_trials,
 )
 from honeyflow.pcg import bounded, first_outputs
@@ -344,6 +347,16 @@ class TestRunTrials:
         header = "honey_count,type,mean_def,mean_att,stderr_def,stderr_att,detect_rate"
         assert lines[0] == header
         assert len(lines) == 1 + len(report.rows)
+
+    def test_overflowing_statistics_are_recomputed_from_scaled_payoffs(self):
+        big = np.array([1e308, 1e308, -1e308, 1e308])
+        assert _statistic(_mean, big) == 0.5e308
+        stderr = _statistic(_stderr, big)
+        assert stderr == pytest.approx(1e308 / np.sqrt(4), rel=1e-12)
+        # The plain statistic is kept whenever it is finite.
+        small = np.array([0.1, 0.2, 0.7])
+        assert _statistic(_mean, small) == float(small.mean())
+        assert _statistic(_stderr, small) == float(small.std(ddof=1) / np.sqrt(3))
 
 
 # 2**32 and 2**64 + 1 make SeedSequence entropy of two and three words
