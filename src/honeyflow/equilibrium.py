@@ -174,21 +174,6 @@ def _value(curves: list[Curve], tau: float) -> float:
     return total
 
 
-def _values(curves: list[Curve], taus: np.ndarray) -> np.ndarray:
-    """V at every level in ``taus``, in one pass over the curves: one
-    ``searchsorted`` per curve over all the levels. It is ``_value``'s
-    arithmetic elementwise, subtracting in the same curve order, so each
-    entry has the bits ``_value`` gives at that level."""
-    totals = -taus
-    for _, u, cost in curves:
-        j = np.searchsorted(-u, -(taus + TIE_TOL))
-        held = j > 0
-        k = j[held]
-        w = np.minimum((u[k - 1] - taus[held]) / (u[k - 1] - u[k]), 1.0)
-        totals[held] -= cost * (k - 1 + w)
-    return totals
-
-
 def water_level(curves: list[Curve], low: float) -> float:
     """tau*: the smallest level >= ``low`` at which V's right slope,
     -1 + sum_m c_m / (u_m(j-1) - u_m(j)) over the segments holding tau, is
@@ -259,16 +244,13 @@ def solve_stackelberg(spec: GameSpec) -> Equilibrium:
     }
     if low <= TIE_TOL:
         levels[NO_ATTACK] = 0.0
-    # Attacks held at tau* share V(tau*). The other levels (attacks whose
-    # u_k(0) lies below tau*, and no-attack at 0.0) are evaluated together;
-    # no-attack keeps its own entry, since a tau* of -0.0 would give V the
-    # other sign of zero.
+    # Attacks held at tau* share V(tau*). No-attack (level 0.0) keeps its own
+    # call, since a tau* of -0.0 would give V the other sign of zero.
     at_top = _value(curves, top)
-    values = {a: at_top for a, tau in levels.items() if a.is_attack and tau == top}
-    below = [a for a in levels if a not in values]
-    if below:
-        taus = np.array([levels[a] for a in below])
-        values.update(zip(below, _values(curves, taus).tolist()))
+    values = {
+        a: at_top if a.is_attack and tau == top else _value(curves, tau)
+        for a, tau in levels.items()
+    }
     actions = [AttackerAction.attack(type_id) for type_id, _, _ in curves] + [NO_ATTACK]
     per_action = {
         a: ("optimal", values[a]) if a in values else ("infeasible", None)

@@ -543,24 +543,25 @@ class SimulationReport:
     seed: int
 
 
-def _mean(payoffs: np.ndarray) -> float:
-    return float(payoffs.mean())
+def _statistic(payoffs: np.ndarray, ddof: int | None = None) -> float:
+    """The mean of ``payoffs`` or, given ``ddof``, its standard error.
 
+    Payoffs near the float maximum can overflow the sum or the squares;
+    only then is the statistic recomputed from the payoffs divided by their
+    largest magnitude and scaled back, so it is finite whenever its true
+    value is.
+    """
 
-def _stderr(payoffs: np.ndarray) -> float:
-    return float(payoffs.std(ddof=1) / np.sqrt(len(payoffs)))
+    def of(x: np.ndarray) -> float:
+        if ddof is None:
+            return float(x.mean())
+        return float(x.std(ddof=ddof) / np.sqrt(len(x)))
 
-
-def _statistic(stat, payoffs: np.ndarray) -> float:
-    """``stat(payoffs)`` for a statistic that scales with the payoffs (the
-    mean or the standard error). Payoffs near the float maximum can sum past
-    it; only then is it recomputed from the payoffs divided by their largest
-    magnitude and scaled back, so it is finite whenever its true value is."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = stat(payoffs)
+        value = of(payoffs)
         if not math.isfinite(value):
             scale = float(np.max(np.abs(payoffs)))
-            value = stat(payoffs / scale) * scale
+            value = of(payoffs / scale) * scale
     return value
 
 
@@ -610,10 +611,10 @@ def run_trials(
                 vuln_type=vuln,
                 honey_count=int(honey_counts.get(vuln, 0)),
                 episodes=n,
-                mean_defender=_statistic(_mean, dpay),
-                mean_attacker=_statistic(_mean, apay),
-                stderr_defender=_statistic(_stderr, dpay) if n > 1 else 0.0,
-                stderr_attacker=_statistic(_stderr, apay) if n > 1 else 0.0,
+                mean_defender=_statistic(dpay),
+                mean_attacker=_statistic(apay),
+                stderr_defender=_statistic(dpay, ddof=1) if n > 1 else 0.0,
+                stderr_attacker=_statistic(apay, ddof=1) if n > 1 else 0.0,
                 defeat_rate=defeats[vuln] / n,
             )
         )

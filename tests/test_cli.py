@@ -394,6 +394,20 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: Out of range float values") and err.count("\n") == 1
 
+    def test_overflowing_value_below_the_water_level_is_one_error_line(self, capsys, tmp_path):
+        """A dear type sets tau* = 10 above the cheap type's u(0) = 1, so the
+        cheap type is valued at its own level, where holding the dear type
+        costs more than the float maximum: V is -inf, with no numpy warning."""
+        dear = {"attacker_real_value": 10.0, "attacker_honey_value": -10.0,
+                "real_flows": 5, "honey_flow_bound": 5, "cost_per_flow": 1e308}
+        cheap = {"attacker_real_value": 1.0, "attacker_honey_value": 0.0,
+                 "real_flows": 1, "honey_flow_bound": 1, "cost_per_flow": 0.1}
+        game = tmp_path / "dear.json"
+        game.write_text(json.dumps({"types": [dear, cheap]}))
+        code, out, err = _run(capsys, "solve", "--game", str(game))
+        assert (code, out) == (1, "")
+        assert err == "error: Out of range float values are not JSON compliant\n"
+
     @pytest.mark.parametrize("command", ["sweep", "matchup"])
     def test_strategy_size_cap(self, capsys, command):
         code, out, err = _run(capsys, command, "--honey-bounds", "1000000", "1000000")

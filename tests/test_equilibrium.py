@@ -178,75 +178,6 @@ class TestSolveStackelberg:
         feasible = [v for status, v in eq.per_action_values.values() if status == "optimal"]
         assert len(feasible) == MAX_TYPES and len(set(feasible)) == 1
 
-    def test_levels_below_the_water_level_take_one_pass(self, monkeypatch):
-        """One dear type sets tau* = 10 above the cheap types' u_k(0): their
-        hundreds of levels are valued in one ``_values`` pass, not one
-        ``_value`` call each."""
-        rng = np.random.default_rng(1)
-        types = [VulnerabilityType(0, 10.0, -10.0, 5, 5, 1e6)] + [
-            VulnerabilityType(i, float(rng.uniform(1.0, 9.0)), 0.0, 5, 5, 0.1)
-            for i in range(1, MAX_TYPES)
-        ]
-        spec = GameSpec(tuple(types))
-        calls = {"_value": 0, "_values": 0}
-        for name in calls:
-            def counted(*args, name=name, f=getattr(equilibrium, name)):
-                calls[name] += 1
-                return f(*args)
-
-            monkeypatch.setattr(equilibrium, name, counted)
-        eq = solve_stackelberg(spec)
-        assert calls == {"_value": 1, "_values": 1}
-        feasible = [a for a, (status, _) in eq.per_action_values.items() if status == "optimal"]
-        assert len(feasible) > 500
-        assert verify_equilibrium(spec, eq).all_passed
-
-    @pytest.mark.parametrize("mode", [MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL])
-    def test_values_below_the_water_level_match_the_per_level_loop(self, mode):
-        """Every action's value has the bits of ``_value`` at its own level,
-        on 150 games per value mode. Each game's random types (per-type
-        values scaled, costs from zero to dear, zero flows and bounds) sit
-        below one dear type that sets tau* above all their u_k(0). Scales
-        that coincide, or differ by a few ulps, put levels on other types'
-        kinks or just below them, within TIE_TOL."""
-        rng = np.random.default_rng([7, len(mode)])
-        for _ in range(150):
-            params = GeneratorParams(
-                type_count=int(rng.integers(1, 9)),
-                real_flows=(0, 20),
-                honey_bound_range=(0, 12),
-                value_mode=mode,
-            )
-            types = [
-                dataclasses.replace(
-                    t,
-                    attacker_real_value=t.attacker_real_value * scale,
-                    attacker_honey_value=t.attacker_honey_value * scale,
-                    honey_flow_cost=float(rng.choice([0.0, rng.uniform(0.0, 0.5), 1e6])),
-                )
-                for t in random_game(params, int(rng.integers(2**32))).types
-                for scale in [
-                    float(rng.choice([rng.uniform(0.2, 1.0), 0.25, 0.5, 1.0]))
-                    * (1.0 + float(rng.choice([-1e-12, 0.0, 1e-12])))
-                ]
-            ]
-            # u(H) < 0 here, so the dear type leaves the others feasible.
-            real = float(rng.uniform(1.0, 2.0))
-            dear = VulnerabilityType(
-                len(types), real, -2.0 * real, int(rng.integers(1, 6)), int(rng.integers(5, 13)), 1e6
-            )
-            spec = GameSpec(tuple(types) + (dear,))
-            curves = equilibrium.type_curves(spec)
-            low = max([0.0] + [float(u[-1]) for _, u, _ in curves])
-            top = equilibrium.water_level(curves, low)
-            u0 = {AttackerAction.attack(i): float(u[0]) for i, u, _ in curves}
-            eq = solve_stackelberg(spec)
-            optimal = {a: v for a, (s, v) in eq.per_action_values.items() if s == "optimal"}
-            assert any(a.is_attack and u0[a] < top for a in optimal)
-            for a, value in optimal.items():
-                level = min(top, u0[a]) if a.is_attack else 0.0
-                assert value.hex() == equilibrium._value(curves, level).hex(), (a, spec)
-
 
 def _ladder_games():
     """Games shaped like the benchmark's solve ladder, in both value modes:

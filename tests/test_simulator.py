@@ -21,9 +21,6 @@ from honeyflow.simulator import (
     honey_traffic_rate,
     network_from_dict,
     observe,
-    _mean,
-    _statistic,
-    _stderr,
     run_trials,
 )
 from honeyflow.pcg import bounded, first_outputs
@@ -348,15 +345,25 @@ class TestRunTrials:
         assert lines[0] == header
         assert len(lines) == 1 + len(report.rows)
 
-    def test_overflowing_statistics_are_recomputed_from_scaled_payoffs(self):
-        big = np.array([1e308, 1e308, -1e308, 1e308])
-        assert _statistic(_mean, big) == 0.5e308
-        stderr = _statistic(_stderr, big)
-        assert stderr == pytest.approx(1e308 / np.sqrt(4), rel=1e-12)
-        # The plain statistic is kept whenever it is finite.
-        small = np.array([0.1, 0.2, 0.7])
-        assert _statistic(_mean, small) == float(small.mean())
-        assert _statistic(_stderr, small) == float(small.std(ddof=1) / np.sqrt(3))
+    def test_payoffs_near_the_float_maximum_have_finite_statistics(self):
+        """Defender payoffs are +1e308 (a fake hit) or -1e308 (a real one):
+        their plain sum and squares overflow, yet the mean and standard
+        error are representable and come out finite."""
+        a = 1e308
+        endpoints = {
+            "client1": _endpoint("client1", a, (0,), attacker_value=1.0),
+            "server1": _endpoint("server1", a, (0,), attacker_value=1.0),
+            "fake1": _endpoint("fake1", 0.0, (0,), fake=True, attacker_value=-a),
+        }
+        links = [("client1", "s1"), ("server1", "s1"), ("fake1", "s1")]
+        net = build_network(endpoints, ["s1"], links, ["s1"])
+        row = run_trials(net, {0: 10}, {0: 10}, 0, episodes=200, seed=1).rows[0]
+        d, n = row.defeat_rate, row.episodes
+        assert 0.0 < d < 1.0
+        assert row.mean_defender == pytest.approx(a * (2 * d - 1), rel=1e-9)
+        assert row.stderr_defender == pytest.approx(
+            a * (2 * np.sqrt(d * (1 - d) / (n - 1))), rel=1e-9
+        )
 
 
 # 2**32 and 2**64 + 1 make SeedSequence entropy of two and three words
