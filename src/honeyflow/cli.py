@@ -148,7 +148,7 @@ def _matchup_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cost", type=float, default=1e-4)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
-    p.add_argument("--with-timing", action="store_true")
+    p.set_defaults(with_timing=False)  # the grid has no timing column
 
 
 def _ratio_args(p: argparse.ArgumentParser) -> None:
@@ -162,7 +162,7 @@ def _ratio_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--real-flows", type=_ints, default=[10, 15, 30])
     p.add_argument("--cost", type=float, default=0.1)
     p.add_argument("--output", default=None)
-    p.add_argument("--with-timing", action="store_true")
+    p.set_defaults(with_timing=False)  # the ratio table has no timing column
 
 
 def _bench_args(p: argparse.ArgumentParser) -> None:
@@ -219,10 +219,7 @@ def _cmd_solve(args) -> int:
         "strategy": _strategy_payload(eq.strategy),
         "per_action": {
             str(a): {"status": s, "value": v}
-            for a, (s, v) in sorted(
-                eq.per_action_values.items(),
-                key=lambda kv: (kv[0].target is None, kv[0].target),
-            )
+            for a, (s, v) in eq.per_action_values.items()
         },
         "verified": report.all_passed,
     }
@@ -411,24 +408,15 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The full parser tree, for the command lines ``_parse_args`` does not
-    hand to one subcommand's parser: top-level help and usage errors.
-
-    Every subcommand is registered with its help, so that text is
-    complete, but only the subcommand that ``argv`` names gets its
-    arguments (as in ``-h solve``). That subcommand is the first token not
-    starting with "-": the top-level options (-h, --verbose) take no
-    values, so no earlier token can be an option's value.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser tree, with every subcommand and its arguments.
+    ``_parse_args`` uses it only for the command lines it does not hand
+    to one subcommand's parser: top-level help and usage errors."""
     parser = _CliParser(prog="honeyflow", description=__doc__)
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    chosen = next((a for a in argv if not a.startswith("-")), None)
     for name, (help_text, add_args, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == chosen:
-            add_args(p)
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -446,7 +434,7 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
         verbose += 1
     name = argv[verbose] if verbose < len(argv) else None
     if name not in _SUBCOMMANDS:
-        return build_parser(argv).parse_args(argv)
+        return build_parser().parse_args(argv)
     parser = _CliParser(prog=f"honeyflow {name}")
     _SUBCOMMANDS[name][1](parser)
     args = parser.parse_args(argv[verbose + 1 :])

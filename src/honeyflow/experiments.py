@@ -172,13 +172,28 @@ def _metadata(seed: int, params: GeneratorParams | None, **extra) -> dict:
     return meta
 
 
-def _three_defenders(spec: GameSpec):
-    eq = solve_stackelberg(spec)
-    return (
-        ("stackelberg", eq.strategy, eq.solve_time),
-        ("uniform", uniform_random_strategy(spec), 0.0),
-        ("no-deception", no_deception_strategy(spec), 0.0),
-    )
+_DEFENDERS = ("stackelberg", "uniform", "no-deception")
+
+
+def _mean_values(params: GeneratorParams, game_seeds, attackers) -> tuple[dict, float]:
+    """Mean (defender value, attacker value) of each defender in
+    ``_DEFENDERS`` against each attacker model, keyed (defender, model),
+    over one game drawn per seed; and the mean Stackelberg solve time."""
+    sums = {(d, a): [0.0, 0.0] for d in _DEFENDERS for a in attackers}
+    total_time = 0.0
+    for game_seed in game_seeds:
+        spec = random_game(params, game_seed)
+        eq = solve_stackelberg(spec)
+        total_time += eq.solve_time
+        strategies = (eq.strategy, uniform_random_strategy(spec), no_deception_strategy(spec))
+        for name, strategy in zip(_DEFENDERS, strategies):
+            for attacker in attackers:
+                result = evaluate_matchup(spec, strategy, attacker)
+                sums[(name, attacker)][0] += result.defender_value
+                sums[(name, attacker)][1] += result.attacker_value
+    trials = len(game_seeds)
+    means = {key: (d / trials, a / trials) for key, (d, a) in sums.items()}
+    return means, total_time / trials
 
 
 def cost_sweep(
@@ -193,23 +208,14 @@ def cost_sweep(
     if not costs:
         raise ConfigError("cost sweep needs at least one cost")
     game_seeds = _game_seeds(seed, trials)
+    rational = AttackerModel.RATIONAL
     rows = []
     for cost in costs:
-        sums = {name: [0.0, 0.0] for name in ("stackelberg", "uniform", "no-deception")}
-        total_time = 0.0
         swept = dataclasses.replace(params, cost=float(cost))
-        for t in range(trials):
-            spec = random_game(swept, game_seeds[t])
-            for name, strategy, solve_time in _three_defenders(spec):
-                result = evaluate_matchup(spec, strategy, AttackerModel.RATIONAL)
-                sums[name][0] += result.defender_value
-                sums[name][1] += result.attacker_value
-                total_time += solve_time
-        row = [float(cost)]
-        for name in ("stackelberg", "uniform", "no-deception"):
-            row.extend([sums[name][0] / trials, sums[name][1] / trials])
-        row.append(total_time / trials)
-        rows.append(tuple(row))
+        means, solve_time = _mean_values(swept, game_seeds, (rational,))
+        rows.append(
+            (float(cost), *(v for d in _DEFENDERS for v in means[(d, rational)]), solve_time)
+        )
     columns = (
         "cost",
         "stackelberg_def",
@@ -229,22 +235,9 @@ def matchup_grid(
     params: GeneratorParams, trials: int = 100, seed: int = 0
 ) -> ExperimentReport:
     """Mean values for every defender x attacker-model pairing."""
-    game_seeds = _game_seeds(seed, trials)
-    attackers = (AttackerModel.RATIONAL, AttackerModel.UNIFORM_RANDOM, AttackerModel.GREEDY)
-    defenders = ("stackelberg", "uniform", "no-deception")
-    sums = {(d, a): [0.0, 0.0] for d in defenders for a in attackers}
-    for t in range(trials):
-        spec = random_game(params, game_seeds[t])
-        for name, strategy, _solve_time in _three_defenders(spec):
-            for attacker in attackers:
-                result = evaluate_matchup(spec, strategy, attacker)
-                sums[(name, attacker)][0] += result.defender_value
-                sums[(name, attacker)][1] += result.attacker_value
-    rows = tuple(
-        (d, a.value, sums[(d, a)][0] / trials, sums[(d, a)][1] / trials)
-        for d in defenders
-        for a in attackers
-    )
+    attackers = tuple(AttackerModel)
+    means, _solve_time = _mean_values(params, _game_seeds(seed, trials), attackers)
+    rows = tuple((d, a.value, *means[(d, a)]) for d in _DEFENDERS for a in attackers)
     columns = ("defender", "attacker", "mean_def", "mean_att")
     return ExperimentReport(columns, rows, _metadata(seed, params, trials=trials))
 

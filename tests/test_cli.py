@@ -218,6 +218,8 @@ class TestExitCodes:
             (["matchup", "--trials", "0"], "trials"),
             (["bench", "--trials", "0"], "trials"),
             (["bench", "--sizes", "1", "--trials", "1", "--with-timing"], "--with-timing"),
+            (["matchup", "--trials", "1", "--with-timing"], "--with-timing"),
+            (["ratio", "--real-flows", "10", "--with-timing"], "--with-timing"),
             (["bench", "--sizes", ""], "bench needs at least one size"),
             (["sweep", "--types", str(MAX_TYPES + 1)], f"at most {MAX_TYPES}, got"),
             (["matchup", "--types", "8000"], f"at most {MAX_TYPES}, got 8000"),
@@ -244,6 +246,8 @@ class TestExitCodes:
             "matchup-zero-trials",
             "bench-zero-trials",
             "bench-with-timing",
+            "matchup-with-timing",
+            "ratio-with-timing",
             "bench-no-sizes",
             "sweep-too-many-types",
             "matchup-too-many-types",
@@ -502,7 +506,7 @@ _VALID = {
 
 
 def _full_tree(argv):
-    return cli.build_parser(argv).parse_args(argv)
+    return cli.build_parser().parse_args(argv)
 
 
 class TestOneParser:

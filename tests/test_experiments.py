@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -125,6 +126,17 @@ class TestCostSweep:
     def test_empty_cost_list_rejected(self):
         with pytest.raises(ConfigError):
             cost_sweep(SMALL, costs=[], trials=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "cost, trials, seed", [(0.01, 3, 4), (1e-5, 2, 9), (0.5, 4, 20200207)]
+    )
+    def test_row_is_the_rational_column_of_the_matchup_grid(self, cost, trials, seed):
+        """At one cost the sweep scores the grid's games against its rational
+        attacker, so each mean is the same float."""
+        sweep = cost_sweep(SMALL, costs=[cost], trials=trials, seed=seed)
+        grid = matchup_grid(dataclasses.replace(SMALL, cost=cost), trials, seed)
+        rational = [r[2:] for r in grid.rows if r[1] == AttackerModel.RATIONAL.value]
+        assert list(sweep.rows[0][1:7]) == [v for means in rational for v in means]
 
 
 class TestMatchupGrid:
