@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 from . import experiments, simulator
 from .equilibrium import solve_stackelberg, verify_equilibrium
 from .errors import HoneyflowError, SolverError
-from .game import DefenderStrategy, dump_spec, load_spec, to_json
+from .game import DefenderStrategy, load_spec, spec_to_dict, to_json
 from .heuristics import HeuristicInput, recommend_honey_flows
 from .strategies import (
     AttackerModel,
@@ -46,8 +46,10 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _emit(text: str, output: str | None) -> None:
+    """The one writer of results: ``text`` to stdout, or to the file
+    ``output`` with its line endings kept as they are."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
+        with open(output, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -107,11 +109,9 @@ def _add_generator_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _report_out(report: experiments.ExperimentReport, args) -> int:
+    _emit(report.csv(with_timing=args.with_timing), args.output)
     if args.output:
-        report.write_csv(args.output, with_timing=args.with_timing)
-        report.write_metadata(args.output + ".meta.json")
-    else:
-        report.write_rows(sys.stdout, with_timing=args.with_timing)
+        _emit(to_json(report.metadata), args.output + ".meta.json")
     return EXIT_OK
 
 
@@ -205,7 +205,7 @@ def _heuristic_args(p: argparse.ArgumentParser) -> None:
 def _cmd_solve(args) -> int:
     spec = load_spec(args.game)
     if args.dump_spec:
-        dump_spec(spec, args.dump_spec)
+        _emit(to_json(spec_to_dict(spec)), args.dump_spec)
     eq = solve_stackelberg(spec)
     report = verify_equilibrium(spec, eq)
     if args.verbose:
@@ -232,7 +232,7 @@ def _cmd_solve(args) -> int:
 def _cmd_evaluate(args) -> int:
     spec = load_spec(args.game)
     if args.dump_spec:
-        dump_spec(spec, args.dump_spec)
+        _emit(to_json(spec_to_dict(spec)), args.dump_spec)
     if args.defender == "stackelberg":
         strategy = solve_stackelberg(spec).strategy
     elif args.defender == "uniform":
@@ -264,13 +264,14 @@ def _cmd_evaluate(args) -> int:
             args.output,
         )
     else:
-        experiments.check_finite("defender_value", result.defender_value)
-        experiments.check_finite("attacker_value", result.attacker_value)
-        lines = [
-            "defender,attacker,defender_value,attacker_value",
-            f"{args.defender},{args.attacker},{result.defender_value!r},{result.attacker_value!r}",
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(
+            experiments.ExperimentReport(
+                ("defender", "attacker", "defender_value", "attacker_value"),
+                ((args.defender, args.attacker, result.defender_value, result.attacker_value),),
+                {},
+            ).csv(),
+            args.output,
+        )
     return EXIT_OK
 
 
@@ -337,14 +338,11 @@ def _cmd_simulate(args) -> int:
         ),
         {},
     )
-    if args.output:
-        stats.write_csv(args.output)  # no .meta.json: the CSV is the whole record
-    else:
-        stats.write_rows(sys.stdout)
+    _emit(stats.csv(), args.output)  # no .meta.json: the CSV is the whole record
     if args.switch_rates:
         # one row per (population, switch): its total honey flows, the
         # switch and the switch's honey-traffic rate
-        experiments.ExperimentReport(
+        rates = experiments.ExperimentReport(
             ("honey_count", "switch", "honey_rate"),
             tuple(
                 (sum(honey.values()), switch, rate)
@@ -352,7 +350,8 @@ def _cmd_simulate(args) -> int:
                 for switch, rate in report.switch_rates.items()
             ),
             {},
-        ).write_csv(args.switch_rates)
+        )
+        _emit(rates.csv(), args.switch_rates)
     return EXIT_OK
 
 
@@ -366,8 +365,10 @@ def _cmd_heuristic(args) -> int:
     if args.format == "json":
         _emit(to_json({"honey_flows": [int(c) for c in counts]}), args.output)
     else:
-        lines = ["type,honey_flows"] + [f"{i},{int(c)}" for i, c in enumerate(counts)]
-        _emit("\n".join(lines) + "\n", args.output)
+        report = experiments.ExperimentReport(
+            ("type", "honey_flows"), tuple((i, int(c)) for i, c in enumerate(counts)), {}
+        )
+        _emit(report.csv(), args.output)
     return EXIT_OK
 
 

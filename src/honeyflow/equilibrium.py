@@ -291,21 +291,18 @@ def verify_equilibrium(spec: GameSpec, eq: Equilibrium) -> VerificationReport:
         CheckResult("strategy-bounds", bound_residual <= BEST_RESPONSE_TOL, bound_residual)
     )
 
+    def compare(name: str, residual: float, a: float, b: float) -> None:
+        """A check of values a and b, with slack scaled to their size."""
+        passed = residual <= BEST_RESPONSE_TOL * max(1.0, abs(a), abs(b))
+        checks.append(CheckResult(name, passed, residual))
+
     summary = summarize(spec, eq.strategy)
     chosen_def, chosen_value = utilities(spec, summary, eq.attacker_action)
     rivals = [AttackerAction.attack(i) for i in spec.attackable_ids] + [NO_ATTACK]
-    br_residual = max(utilities(spec, summary, a)[1] - chosen_value for a in rivals)
-    checks.append(
-        CheckResult("attacker-best-response", br_residual <= BEST_RESPONSE_TOL, br_residual)
-    )
-
-    def_residual = abs(chosen_def - eq.defender_value)
-    checks.append(
-        CheckResult("defender-value-consistency", def_residual <= BEST_RESPONSE_TOL, def_residual)
-    )
-
-    att_residual = abs(chosen_value - eq.attacker_value)
-    checks.append(
-        CheckResult("attacker-value-consistency", att_residual <= BEST_RESPONSE_TOL, att_residual)
-    )
+    best_value = max(utilities(spec, summary, a)[1] for a in rivals)
+    compare("attacker-best-response", best_value - chosen_value, best_value, chosen_value)
+    compare("defender-value-consistency", abs(chosen_def - eq.defender_value), chosen_def,
+            eq.defender_value)
+    compare("attacker-value-consistency", abs(chosen_value - eq.attacker_value), chosen_value,
+            eq.attacker_value)
     return VerificationReport(tuple(checks))

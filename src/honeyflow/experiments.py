@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 import platform
 import statistics
@@ -29,9 +30,8 @@ from .game import (
     DefenderStrategy,
     GameSpec,
     VulnerabilityType,
-    to_json,
 )
-from .heuristics import round_half_up
+from .heuristics import ratio_game, round_half_up
 from .strategies import (
     AttackerModel,
     evaluate_matchup,
@@ -116,7 +116,7 @@ def random_game(params: GeneratorParams, seed) -> GameSpec:
     return GameSpec(tuple(types))
 
 
-def check_finite(column: str, value) -> None:
+def _check_finite(column: str, value) -> None:
     """Raise ConfigError if ``value`` is a NaN or infinite float: a CSV
     cell must hold a number that reads back."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -129,34 +129,24 @@ class ExperimentReport:
     rows: tuple[tuple, ...]
     metadata: dict
 
-    def _cells(self, with_timing: bool = False) -> list[list]:
-        """The header and rows as CSV cells; floats print as repr and
-        timing columns are dropped unless ``with_timing``. Raises
-        ConfigError on a non-finite float, so no partial CSV is written."""
+    def csv(self, with_timing: bool = False) -> str:
+        """The header and rows as CSV text with ``\\r\\n`` line endings;
+        floats print as repr and timing columns are dropped unless
+        ``with_timing``. Raises ConfigError on a non-finite float before
+        any text is returned, so no partial CSV is written."""
         keep = [
             i
             for i, c in enumerate(self.columns)
             if with_timing or c not in TIMING_COLUMNS
         ]
-        lines = [[self.columns[i] for i in keep]]
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow([self.columns[i] for i in keep])
         for row in self.rows:
             for i in keep:
-                check_finite(self.columns[i], row[i])
-            lines.append([repr(row[i]) if isinstance(row[i], float) else row[i] for i in keep])
-        return lines
-
-    def write_rows(self, fh, with_timing: bool = False) -> None:
-        """Write the CSV to an open text handle."""
-        csv.writer(fh).writerows(self._cells(with_timing))
-
-    def write_csv(self, path, with_timing: bool = False) -> None:
-        lines = self._cells(with_timing)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(lines)
-
-    def write_metadata(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(to_json(self.metadata))
+                _check_finite(self.columns[i], row[i])
+            writer.writerow([repr(row[i]) if isinstance(row[i], float) else row[i] for i in keep])
+        return out.getvalue()
 
 
 def _game_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:
@@ -265,6 +255,7 @@ def ratio_analysis(
     if not real_flow_counts or min(real_flow_counts) < 1:
         raise ConfigError("real-flow counts must be nonempty and at least 1")
     max_ratio = max(ratios)
+    n = len(real_values)
     rows = []
     optimal: dict[str, float] = {}
     for rf in real_flow_counts:
@@ -274,22 +265,11 @@ def ratio_analysis(
             raise ConfigError(
                 f"honey_flow_bound overflows: ratio {max_ratio} times {rf} real flows"
             ) from None
-        types = tuple(
-            VulnerabilityType(
-                id=i,
-                attacker_real_value=float(rv),
-                attacker_honey_value=float(-fv),
-                real_flow_count=int(rf),
-                honey_flow_bound=bound,
-                honey_flow_cost=float(cost),
-            )
-            for i, (rv, fv) in enumerate(zip(real_values, fake_values))
-        )
-        spec = GameSpec(types)
+        spec = ratio_game(real_values, fake_values, [rf] * n, [bound] * n, cost)
         best: tuple[float, float] | None = None
         for ratio in ratios:
             j = min(round_half_up(ratio * rf), bound)
-            strategy = DefenderStrategy.from_counts(spec, [j] * len(types))
+            strategy = DefenderStrategy.from_counts(spec, [j] * n)
             result = evaluate_matchup(spec, strategy, AttackerModel.RATIONAL)
             rows.append((int(rf), float(ratio), result.defender_value, result.attacker_value))
             if best is None or result.defender_value > best[1]:
@@ -319,7 +299,10 @@ def scalability_bench(
     ``dimension`` is "types" (vary the number of vulnerability types,
     honey bounds fixed at 100) or "honey_bounds" (5 types, vary the
     bound). A small warm-up solve runs first so first-call overheads are
-    not billed to the first size.
+    not billed to the first size. Every game is drawn before any is timed,
+    and trial t of every size is timed, in size order, before trial t + 1
+    of any size, so a slow spell of the host spreads over the sizes
+    instead of landing on one.
     """
     if dimension not in ("types", "honey_bounds"):
         raise ConfigError(f"unknown bench dimension {dimension!r}")
@@ -331,7 +314,7 @@ def scalability_bench(
     solve_stackelberg(
         random_game(GeneratorParams(type_count=2, real_flows=5, honey_bound_range=(3, 3)), 0)
     )  # warm-up: first-call overheads
-    rows = []
+    specs = []  # specs[k][t]: trial t of size k
     for size in sizes:
         if dimension == "types":
             params = GeneratorParams(
@@ -341,22 +324,17 @@ def scalability_bench(
             params = GeneratorParams(
                 type_count=5, real_flows=500, honey_bound_range=(int(size), int(size))
             )
-        times = []
-        for t in range(trials):
-            spec = random_game(params, game_seeds[t])
+        specs.append([random_game(params, game_seeds[t]) for t in range(trials)])
+    times: list[list[float]] = [[] for _ in sizes]
+    for t in range(trials):
+        for k, size_specs in enumerate(specs):
             start = time.perf_counter()
-            solve_stackelberg(spec)
-            times.append(time.perf_counter() - start)
-        rows.append(
-            (
-                dimension,
-                int(size),
-                statistics.median(times),
-                min(times),
-                max(times),
-                trials,
-            )
-        )
+            solve_stackelberg(size_specs[t])
+            times[k].append(time.perf_counter() - start)
+    rows = [
+        (dimension, int(size), statistics.median(ts), min(ts), max(ts), trials)
+        for size, ts in zip(sizes, times)
+    ]
     columns = ("dimension", "size", "median_time", "min_time", "max_time", "trials")
     meta = _metadata(
         seed,

@@ -29,8 +29,11 @@ PROB_TOL = 1e-9
 # models then break the tie by label: lowest type id first, no-attack last.
 TIE_TOL = 1e-9
 
-# Slack of every check in equilibrium.verify_equilibrium: marginal sums and
-# bounds, the attacker's best-response gap and both value re-computations.
+# Slack of the checks in equilibrium.verify_equilibrium. The marginal sums
+# and bounds may miss by BEST_RESPONSE_TOL. The attacker's best-response gap
+# and both value re-computations compare two values a and b, and may miss by
+# BEST_RESPONSE_TOL * max(1, |a|, |b|): relative for large values, whose
+# rounding alone can exceed any absolute slack, and absolute below 1.
 BEST_RESPONSE_TOL = 1e-6
 
 # Largest honey-flow bound a type may have. A strategy holds H + 1
@@ -427,11 +430,6 @@ def spec_to_dict(spec: GameSpec) -> dict:
 def load_spec(path: str) -> GameSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return spec_from_dict(json.load(fh))
-
-
-def dump_spec(spec: GameSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(spec_to_dict(spec)))
 
 
 _ENCODE = json.JSONEncoder(allow_nan=False).encode

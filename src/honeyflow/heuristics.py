@@ -101,28 +101,32 @@ class HeuristicGap:
         return self.exact_value - self.heuristic_value
 
 
-def game_from_heuristic_input(inp: HeuristicInput, cost: float) -> GameSpec:
-    """Game whose optimum the ratio rule approximates.
-
-    Fake-host values enter the attacker's payoff as losses (hitting a fake
-    asset costs the attacker what the asset pretends to be worth), and the
-    honey bound is twice the real-flow count so every branch's output is
-    playable.
-    """
+def ratio_game(real_values, fake_values, real_flow_counts, honey_flow_bounds, cost) -> GameSpec:
+    """Game of one type per entry of the four sequences, each at ``cost``
+    per honey flow. Fake-host values enter the attacker's payoff as losses:
+    hitting a fake asset costs the attacker what the asset pretends to be
+    worth."""
     types = tuple(
         VulnerabilityType(
             id=i,
             attacker_real_value=float(rv),
             attacker_honey_value=float(-fv),
             real_flow_count=int(nr),
-            honey_flow_bound=int(2 * nr),
+            honey_flow_bound=int(h),
             honey_flow_cost=float(cost),
         )
-        for i, (rv, fv, nr) in enumerate(
-            zip(inp.real_values, inp.fake_values, inp.real_flow_counts)
+        for i, (rv, fv, nr, h) in enumerate(
+            zip(real_values, fake_values, real_flow_counts, honey_flow_bounds)
         )
     )
     return GameSpec(types)
+
+
+def game_from_heuristic_input(inp: HeuristicInput, cost: float) -> GameSpec:
+    """Game whose optimum the ratio rule approximates: the honey bound is
+    twice the real-flow count, so every branch's output is playable."""
+    counts = inp.real_flow_counts
+    return ratio_game(inp.real_values, inp.fake_values, counts, 2 * counts, cost)
 
 
 def exactness_gap(inp: HeuristicInput, cost: float) -> HeuristicGap:

@@ -9,7 +9,8 @@ from honeyflow import cli, simulator
 from honeyflow.cli import run
 from honeyflow.game import MAX_TYPES, load_spec
 
-HELP_DIR = os.path.join(os.path.dirname(__file__), "data", "cli_help")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+HELP_DIR = os.path.join(DATA_DIR, "cli_help")
 COMMANDS = ("solve", "evaluate", "sweep", "matchup", "ratio", "bench", "simulate", "heuristic")
 
 
@@ -71,6 +72,21 @@ class TestSolve:
         )
         assert code == 0
         assert load_spec(str(dumped)) == load_spec(worked_example_path)
+
+
+    def test_large_values_verify(self, capsys, tmp_path):
+        """Values near 1e12 round by more than an absolute 1e-6, so the
+        checks that compare two values scale their slack to the values."""
+        game = tmp_path / "large.json"
+        game.write_text(json.dumps({"types": [
+            {"attacker_real_value": 1e12, "attacker_honey_value": -3e11, "real_flows": 7,
+             "honey_flow_bound": 13, "cost_per_flow": 1e9},
+            {"attacker_real_value": 7e11, "attacker_honey_value": -1e11, "real_flows": 3,
+             "honey_flow_bound": 11, "cost_per_flow": 3e9},
+        ]}))
+        code, out, _ = _run(capsys, "solve", "--game", str(game))
+        assert code == 0
+        assert json.loads(out)["verified"] is True
 
 
 class TestEvaluate:
@@ -809,3 +825,38 @@ class TestReportCommands:
         assert code == 0
         assert out.splitlines()[0] == "defender,attacker,mean_def,mean_att"
         assert len(out.strip().splitlines()) == 10
+
+
+class TestCsvDialect:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--types", "2", "--real-flows", "5", "--honey-bounds", "2", "4",
+             "--costs", "0.01,0.1", "--trials", "1"),
+            ("matchup", "--types", "2", "--real-flows", "5", "--honey-bounds", "2", "4",
+             "--trials", "1"),
+            ("ratio", "--real-values", "10", "--fake-values", "9", "--ratios", "0,1",
+             "--real-flows", "5"),
+            ("bench", "--sizes", "1,2", "--trials", "1"),
+            ("simulate", "--topology", os.path.join(DATA_DIR, "chain_topology.json"),
+             "--real", "20,20", "--honey", "0:10:10", "--episodes", "20"),
+            ("evaluate", "--game", os.path.join(DATA_DIR, "worked_example.json"),
+             "--format", "csv"),
+            ("heuristic", *_HEURISTIC, "--format", "csv"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_csv_line_ends_in_crlf(self, capsys, tmp_path, argv):
+        """On stdout, in the --output file and in simulate's --switch-rates file."""
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        files = [tmp_path / "result.csv"]
+        options = ["--output", str(files[0])]
+        if argv[0] == "simulate":
+            files.append(tmp_path / "rates.csv")
+            options += ["--switch-rates", str(files[1])]
+        code, _, _ = _run(capsys, *argv, *options)
+        assert code == 0
+        for text in [out] + [f.read_bytes().decode("utf-8") for f in files]:
+            assert text.endswith("\r\n")
+            assert text.count("\n") == text.count("\r\n") >= 2

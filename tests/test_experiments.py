@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -24,6 +25,7 @@ from honeyflow.game import (
     DefenderStrategy,
     GameSpec,
     VulnerabilityType,
+    to_json,
     utility_vs_mixed_attacker,
 )
 from honeyflow.strategies import (
@@ -257,37 +259,28 @@ class TestScalabilityBench:
 
 
 class TestReportFiles:
-    def test_csv_drops_timing_by_default(self, tmp_path):
+    def test_csv_drops_timing_by_default(self):
         report = cost_sweep(SMALL, costs=[0.01], trials=2, seed=4)
-        out = tmp_path / "sweep.csv"
-        report.write_csv(out)
-        with open(out) as fh:
-            header = next(csv.reader(fh))
+        header = next(csv.reader(io.StringIO(report.csv(), newline="")))
         assert "solve_time" not in header
 
-        out_t = tmp_path / "sweep_t.csv"
-        report.write_csv(out_t, with_timing=True)
-        with open(out_t) as fh:
-            header = next(csv.reader(fh))
+        text = report.csv(with_timing=True)
+        header = next(csv.reader(io.StringIO(text, newline="")))
         assert "solve_time" in header
 
-    def test_metadata_sidecar(self, tmp_path):
+    def test_metadata_sidecar(self):
         report = cost_sweep(SMALL, costs=[0.01], trials=2, seed=4)
-        meta_path = tmp_path / "sweep.meta.json"
-        report.write_metadata(meta_path)
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(to_json(report.metadata))
         assert meta["seed"] == 4
         assert meta["params"]["type_count"] == 3
         assert "build" in meta
 
-    def test_csv_floats_round_trip(self, tmp_path):
+    def test_csv_floats_round_trip(self):
         report = cost_sweep(SMALL, costs=[0.01], trials=2, seed=4)
-        out = tmp_path / "sweep.csv"
-        report.write_csv(out)
-        with open(out) as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            row = next(reader)
+        reader = csv.reader(io.StringIO(report.csv(), newline=""))
+        header = next(reader)
+        row = next(reader)
         idx = header.index("stackelberg_def")
         original = report.rows[0][report.columns.index("stackelberg_def")]
         assert float(row[idx]) == original
+
