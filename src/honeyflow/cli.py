@@ -2,7 +2,7 @@
 
 Subcommands: solve, evaluate, sweep, matchup, ratio, bench, simulate,
 heuristic. Results go to stdout or --output; diagnostics go to stderr.
-Exit codes: 0 success, 1 validation/config problems, 2 solver failures.
+Exit codes: 0 success, 1 bad input or configuration.
 Randomized subcommands default to a fixed seed, so default runs (and
 their output files) are reproducible byte for byte; wall-clock columns
 are withheld unless --with-timing is passed.
@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 
 from . import experiments, simulator
 from .equilibrium import solve_stackelberg, verify_equilibrium
-from .errors import HoneyflowError, SolverError
+from .errors import HoneyflowError
 from .game import DefenderStrategy, load_spec, spec_to_dict, to_json
 from .heuristics import HeuristicInput, recommend_honey_flows
 from .strategies import (
@@ -31,7 +31,6 @@ DEFAULT_SEED = 20200207
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_SOLVER = 2
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -450,9 +449,6 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
         return _SUBCOMMANDS[args.command][2](args)
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except HoneyflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,7 +35,6 @@ from .game import (
     AttackerAction,
     DefenderStrategy,
     GameSpec,
-    attack_values,
     summarize,
     utilities,
 )
@@ -104,7 +103,7 @@ def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgr
     if fixed.is_attack:
         k = fixed.target
         sl = slice(offsets[k], offsets[k] + spec.types[k].honey_flow_bound + 1)
-        c[sl] += -attack_values(spec.types[k])
+        c[sl] += -spec.attack_values[k]
 
     eq_rows = np.zeros((len(spec.types), width))
     for t in spec.types:
@@ -119,11 +118,11 @@ def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgr
         if rival.is_attack:
             m = rival.target
             sl = slice(offsets[m], offsets[m] + spec.types[m].honey_flow_bound + 1)
-            ineq_rows[row, sl] += attack_values(spec.types[m])
+            ineq_rows[row, sl] += spec.attack_values[m]
         if fixed.is_attack:
             k = fixed.target
             sl = slice(offsets[k], offsets[k] + spec.types[k].honey_flow_bound + 1)
-            ineq_rows[row, sl] -= attack_values(spec.types[k])
+            ineq_rows[row, sl] -= spec.attack_values[k]
     ineq_rhs = np.zeros(len(rivals))
 
     return LinearProgram(
@@ -144,8 +143,8 @@ def type_curves(spec: GameSpec) -> list[Curve]:
     keeps every curve nonincreasing, which the lookups below rely on.
     """
     return [
-        (t.id, np.minimum.accumulate(attack_values(t)), t.honey_flow_cost)
-        for t in spec.types
+        (t.id, np.minimum.accumulate(u), t.honey_flow_cost)
+        for t, u in zip(spec.types, spec.attack_values)
         if t.real_flow_count + t.honey_flow_bound > 0
     ]
 

@@ -5,7 +5,8 @@ per type, over how many honey flows to create (a marginal distribution over
 counts 0..H_i); the attacker targets one type or declines to attack. Attacks
 draw a random flow of the chosen type, so the probability of hitting a real
 flow when j honey flows are up is R_i / (j + R_i). A ``GameSpec`` checks
-its types when it is built, so every function here can take it as valid.
+its types when it is built, so every function here can take it as valid,
+and then tabulates each type's real-hit probabilities and attack values.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
@@ -46,16 +47,21 @@ MAX_HONEY_FLOW_BOUND = 10**6
 # whose no-honey value u_k(0) lies below tau*, and each evaluation visits
 # every type, so the solve is quadratic in the number of those types. On a
 # 2-vCPU x86-64 host at this cap, a fake-zero game (5 real flows, honey
-# bound 5, cost 0.1; every type at tau*) solves in 0.05 s, and a game with
-# 576 types below tau* in 1.8 s. Larger games are rejected as bad input
-# before any type is built.
+# bound 5, cost 0.1; every type at tau*) solves in 0.05 s. The slowest
+# game known fills the strategy-size cap too: 5 real flows and honey
+# bound 4,095 on every type, one type (values 10 / -10, cost 10^6) that sets
+# tau* = 10, and 1,023 types (real values in (1, 9), honey value 0, cost
+# 0.1) whose u_k(0) all lie below tau*. It solves in 6.3 to 7.5 s. Larger
+# games are rejected as bad input before any type is built.
 MAX_TYPES = 1024
 
 # Largest total of honey_flow_bound + 1 over a game's types, the number of
-# probabilities a strategy holds. The two caps above bound one type and
-# the type count, but together they allow 10^9 entries; this bounds them
-# together (2^22 float64 entries are 32 MiB) and still admits a single
-# type at MAX_HONEY_FLOW_BOUND.
+# probabilities a strategy holds, and of the floats in each of a spec's two
+# tables (hit probabilities and attack values). The two caps above bound
+# one type and the type count, but together they allow 10^9 entries; this
+# bounds them together (2^22 float64 entries are 32 MiB, so a spec at the
+# cap holds 64 MiB of tables) and still admits a single type at
+# MAX_HONEY_FLOW_BOUND.
 MAX_STRATEGY_SIZE = 2**22
 
 
@@ -91,10 +97,17 @@ class GameSpec:
 
     Building one checks every type and spec invariant and raises
     ValidationError naming the first violated invariant and the offending
-    type id, so a GameSpec that exists is valid.
+    type id, so a GameSpec that exists is valid. Then it tabulates, per
+    type and for j = 0..H, ``hit_probabilities`` P(hit a real flow | j
+    honey flows up) = R/(j+R), all zeros for a type with no real flows
+    (the limit of R/(j+R)), and ``attack_values`` u(j) = p_j*v_real +
+    (1-p_j)*v_honey. Both are read-only and take no part in equality,
+    hashing or repr.
     """
 
     types: tuple[VulnerabilityType, ...]
+    hit_probabilities: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    attack_values: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "types", tuple(self.types))
@@ -140,6 +153,17 @@ class GameSpec:
                 f"the types' honey_flow_bound + 1 add up to {size}, "
                 f"more than the cap of {MAX_STRATEGY_SIZE}"
             )
+        hit, value = [], []
+        for t in self.types:
+            j, r = np.arange(t.honey_flow_bound + 1, dtype=float), t.real_flow_count
+            p = r / (j + r) if r else np.zeros(j.size)
+            u = p * t.attacker_real_value + (1.0 - p) * t.attacker_honey_value
+            p.setflags(write=False)
+            u.setflags(write=False)
+            hit.append(p)
+            value.append(u)
+        object.__setattr__(self, "hit_probabilities", tuple(hit))
+        object.__setattr__(self, "attack_values", tuple(value))
 
     @property
     def attackable_ids(self) -> tuple[int, ...]:
@@ -227,25 +251,6 @@ def _check_strategy_shape(spec: GameSpec, strategy: DefenderStrategy) -> None:
             )
 
 
-def real_hit_probabilities(vt: VulnerabilityType) -> np.ndarray:
-    """P(hit a real flow | j honey flows) for j = 0..H, i.e. R/(j+R).
-
-    A type with no real flows has probability 0 for every j (all its flows
-    are fake), which is the natural limit of R/(j+R).
-    """
-    j = np.arange(vt.honey_flow_bound + 1, dtype=float)
-    if vt.real_flow_count == 0:
-        return np.zeros(vt.honey_flow_bound + 1)
-    return vt.real_flow_count / (j + vt.real_flow_count)
-
-
-def attack_values(vt: VulnerabilityType) -> np.ndarray:
-    """Attacker's expected value u(j) = p_j*v_real + (1-p_j)*v_honey of
-    attacking ``vt`` when j = 0..H honey flows are up."""
-    p = real_hit_probabilities(vt)
-    return p * vt.attacker_real_value + (1.0 - p) * vt.attacker_honey_value
-
-
 # (hit, cost): per-type real-hit probabilities and the expected honey cost.
 Summary = tuple[tuple[float, ...], float]
 
@@ -260,8 +265,8 @@ def summarize(spec: GameSpec, strategy: DefenderStrategy) -> Summary:
     _check_strategy_shape(spec, strategy)
     hit = []
     cost = 0.0
-    for t, m in zip(spec.types, strategy.marginals):
-        hit.append(float(m @ real_hit_probabilities(t)))
+    for t, m, p in zip(spec.types, strategy.marginals, spec.hit_probabilities):
+        hit.append(float(m @ p))
         counts = np.arange(t.honey_flow_bound + 1, dtype=float)
         cost += float(m @ counts) * t.honey_flow_cost
     return tuple(hit), cost

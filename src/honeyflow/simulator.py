@@ -69,7 +69,6 @@ class PairIndex:
 class NetworkModel:
     endpoints: dict[str, Endpoint]
     switches: frozenset[str]
-    adjacency: dict[str, tuple[str, ...]]
     compromised: frozenset[str]
     index: PairIndex = field(compare=False, repr=False)
 
@@ -279,7 +278,6 @@ def build_network(
     return NetworkModel(
         endpoints=dict(endpoints),
         switches=switches,
-        adjacency=adj,
         compromised=compromised,
         index=index,
     )

@@ -20,7 +20,6 @@ from .game import (
     AttackerAction,
     DefenderStrategy,
     GameSpec,
-    attack_values,
     summarize,
     utilities,
     utility_vs_mixed_attacker,
@@ -64,7 +63,7 @@ def greedy_attacker(spec: GameSpec) -> AttackerAction:
     """
     best: tuple[float, int] | None = None
     for i in spec.attackable_ids:
-        u = float(attack_values(spec.types[i])[-1])
+        u = float(spec.attack_values[i][-1])
         if best is None or u > best[0]:
             best = (u, i)
     if best is None or best[0] < 0.0:

@@ -7,6 +7,7 @@ import pytest
 
 from honeyflow import cli, simulator
 from honeyflow.cli import run
+from honeyflow.experiments import MAX_TRIALS
 from honeyflow.game import MAX_TYPES, load_spec
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -233,6 +234,9 @@ class TestExitCodes:
             (["matchup", "--cost", "-1"], "cost must be nonnegative"),
             (["matchup", "--trials", "0"], "trials"),
             (["bench", "--trials", "0"], "trials"),
+            (["sweep", "--trials", str(MAX_TRIALS + 1)], f"at most {MAX_TRIALS}, got"),
+            (["matchup", "--trials", str(MAX_TRIALS + 1)], f"at most {MAX_TRIALS}, got"),
+            (["bench", "--trials", str(MAX_TRIALS + 1)], f"at most {MAX_TRIALS}, got"),
             (["bench", "--sizes", "1", "--trials", "1", "--with-timing"], "--with-timing"),
             (["matchup", "--trials", "1", "--with-timing"], "--with-timing"),
             (["ratio", "--real-flows", "10", "--with-timing"], "--with-timing"),
@@ -261,6 +265,9 @@ class TestExitCodes:
             "matchup-negative-cost",
             "matchup-zero-trials",
             "bench-zero-trials",
+            "sweep-too-many-trials",
+            "matchup-too-many-trials",
+            "bench-too-many-trials",
             "bench-with-timing",
             "matchup-with-timing",
             "ratio-with-timing",

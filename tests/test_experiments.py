@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from honeyflow.equilibrium import solve_stackelberg
 from honeyflow.errors import ConfigError
 from honeyflow.experiments import (
     DEFAULT_COST_SWEEP,
+    MAX_TRIALS,
     MODE_FAKE_EQUALS_REAL,
     GeneratorParams,
+    _game_seeds,
     cost_sweep,
     matchup_grid,
     random_game,
@@ -256,6 +259,28 @@ class TestScalabilityBench:
     def test_empty_sizes_rejected(self):
         with pytest.raises(ConfigError, match="at least one size"):
             scalability_bench("types", sizes=[], trials=1, seed=0)
+
+    def test_memory_does_not_grow_with_trials(self):
+        """Each game is drawn just before its solve, so a run holds no more
+        games at 8 trials than at 2. One game here (5 types, honey bound
+        200,000) holds 16 MB of tables."""
+
+        def peak(trials: int) -> int:
+            tracemalloc.start()
+            try:
+                scalability_bench("honey_bounds", [200_000], trials=trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) - peak(2) < 16 * 10**6
+
+
+class TestGameSeeds:
+    @pytest.mark.parametrize("trials", [0, MAX_TRIALS + 1])
+    def test_trials_outside_the_range_rejected(self, trials):
+        with pytest.raises(ConfigError, match=f"at most {MAX_TRIALS}, got {trials}"):
+            _game_seeds(0, trials)
 
 
 class TestReportFiles:

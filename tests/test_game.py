@@ -163,6 +163,45 @@ class TestRealAttackProbability:
             summarize(worked_example, bad)
 
 
+class TestTables:
+    """Each type's p(j) and u(j), tabulated once when the spec is built."""
+
+    @pytest.mark.parametrize(
+        "vt, hit",
+        [
+            (VulnerabilityType(0, 3.0, -2.0, 0, 3, 0.1), [0.0, 0.0, 0.0, 0.0]),
+            (VulnerabilityType(0, 3.0, -2.0, 7, 0, 0.1), [1.0]),
+            (VulnerabilityType(0, 3.0, -2.0, 4, 2, 0.1), [1.0, 4 / 5, 4 / 6]),
+            (VulnerabilityType(0, 3.0, -2.0, 10**300, 2, 0.1), [1.0, 1.0, 1.0]),
+        ],
+        ids=["no-real-flows", "no-honey-bound", "small", "huge-real-count"],
+    )
+    def test_tables_equal_the_closed_forms(self, vt, hit):
+        spec = GameSpec((vt,))
+        p = np.array(hit)
+        assert spec.hit_probabilities[0].tolist() == hit
+        assert spec.attack_values[0].tolist() == (p * 3.0 + (1.0 - p) * -2.0).tolist()
+
+    def test_tables_are_read_only(self, worked_example):
+        for table in (*worked_example.hit_probabilities, *worked_example.attack_values):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.5
+
+    def test_equal_specs_compare_and_hash_equal(self, worked_example):
+        twin = GameSpec(tuple(worked_example.types))
+        assert twin == worked_example
+        assert hash(twin) == hash(worked_example)
+        assert repr(twin) == f"GameSpec(types={worked_example.types!r})"
+
+    def test_replace_rebuilds_the_tables(self, worked_example):
+        dearer = dataclasses.replace(worked_example.types[0], attacker_real_value=20.0)
+        spec = dataclasses.replace(worked_example, types=(dearer,) + worked_example.types[1:])
+        p = spec.hit_probabilities[0]
+        assert spec.attack_values[0].tolist() == (p * 20.0 + (1.0 - p) * -5.0).tolist()
+        assert spec.attack_values[0].tolist() != worked_example.attack_values[0].tolist()
+        assert spec.attack_values[1] is not worked_example.attack_values[1]
+
+
 class TestHoneyCost:
     def test_hand_built_strategy_costs_three(self, worked_example, worked_example_strategy):
         # 0.5*1 + 0.5*2 for type 0 at cost 1, plus 3 flows at cost 0.5
