@@ -143,9 +143,8 @@ def type_curves(spec: GameSpec) -> list[Curve]:
     keeps every curve nonincreasing, which the lookups below rely on.
     """
     return [
-        (t.id, np.minimum.accumulate(u), t.honey_flow_cost)
-        for t, u in zip(spec.types, spec.attack_values)
-        if t.real_flow_count + t.honey_flow_bound > 0
+        (i, np.minimum.accumulate(spec.attack_values[i]), spec.types[i].honey_flow_cost)
+        for i in spec.attackable_ids
     ]
 
 

@@ -157,11 +157,10 @@ class GameSpec:
         for t in self.types:
             j, r = np.arange(t.honey_flow_bound + 1, dtype=float), t.real_flow_count
             p = r / (j + r) if r else np.zeros(j.size)
-            u = p * t.attacker_real_value + (1.0 - p) * t.attacker_honey_value
-            p.setflags(write=False)
-            u.setflags(write=False)
             hit.append(p)
-            value.append(u)
+            value.append(p * t.attacker_real_value + (1.0 - p) * t.attacker_honey_value)
+        for table in (*hit, *value):
+            table.setflags(write=False)
         object.__setattr__(self, "hit_probabilities", tuple(hit))
         object.__setattr__(self, "attack_values", tuple(value))
 

@@ -69,6 +69,7 @@ class PairIndex:
 class NetworkModel:
     endpoints: dict[str, Endpoint]
     switches: frozenset[str]
+    adjacency: dict[str, tuple[str, ...]]  # the links, for equality
     compromised: frozenset[str]
     index: PairIndex = field(compare=False, repr=False)
 
@@ -278,6 +279,7 @@ def build_network(
     return NetworkModel(
         endpoints=dict(endpoints),
         switches=switches,
+        adjacency=adj,
         compromised=compromised,
         index=index,
     )
@@ -411,7 +413,7 @@ def _draw_pairs(
 
 def _check_network(net: NetworkModel, flows: FlowTable) -> None:
     """Raise TopologyError unless the flows were generated on ``net`` or on
-    an equal network, whose endpoint positions and routing are the same."""
+    an equal network (same endpoints, switches, links and compromised set)."""
     if flows.net is not net and flows.net != net:
         raise TopologyError("the flows were generated on a different network")
 

@@ -55,7 +55,7 @@ def _no_flows(net):
     return generate_flows(net, {}, {}, seed=0)
 
 
-def _chain_net(compromised=("s2",)):
+def _chain_net(compromised=("s2",), extra_links=()):
     """Two real clients, two real servers, two fakes around a 3-switch chain."""
     endpoints = {
         "client1": _endpoint("client1", 1.0, (0,)),
@@ -74,6 +74,7 @@ def _chain_net(compromised=("s2",)):
         ("server1", "s3"),
         ("server2", "s3"),
         ("fake2", "s3"),
+        *extra_links,
     ]
     return build_network(endpoints, ["s1", "s2", "s3"], links, compromised)
 
@@ -521,13 +522,18 @@ class TestFlowTable:
             )
 
     def test_flows_of_another_network_rejected(self):
-        """A different compromised set makes a different network."""
+        """A different compromised set or link set makes a different network.
+        The s1-s3 shortcut keeps the nodes and the compromised set but routes
+        client-server flows around s2."""
         flows = generate_flows(_chain_net(), {0: 30, 1: 30}, {0: 10}, seed=8)
-        elsewhere = _chain_net(compromised=("s1",))
-        with pytest.raises(TopologyError, match="different network"):
-            observe(elsewhere, flows)
-        with pytest.raises(TopologyError, match="different network"):
-            honey_traffic_rate(elsewhere, flows, "s2")
+        for elsewhere in (
+            _chain_net(compromised=("s1",)),
+            _chain_net(extra_links=[("s1", "s3")]),
+        ):
+            with pytest.raises(TopologyError, match="different network"):
+                observe(elsewhere, flows)
+            with pytest.raises(TopologyError, match="different network"):
+                honey_traffic_rate(elsewhere, flows, "s2")
 
     def test_take_and_lookup(self):
         net = _chain_net()
