@@ -155,8 +155,10 @@ def _hold(u: np.ndarray, tau: float) -> tuple[int, float]:
     j is the first count with u(j) <= tau + TIE_TOL, which lets a curve
     that is constant up to rounding count as held at its own value. Callers
     keep tau >= u(H) - TIE_TOL, so j exists, and u(j-1) - u(j) > 0 if j > 0.
+    j counts the u(j) above tau + TIE_TOL, found in the reversed view, so
+    no copy of u is made.
     """
-    j = int(np.searchsorted(-u, -(tau + TIE_TOL)))
+    j = u.size - int(u[::-1].searchsorted(tau + TIE_TOL, side="right"))
     if j == 0:
         return 0, 1.0
     return j, min(float((u[j - 1] - tau) / (u[j - 1] - u[j])), 1.0)

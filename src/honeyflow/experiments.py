@@ -83,8 +83,8 @@ class GeneratorParams:
                 raise ConfigError(f"empty real flow range [{lo}, {hi}]")
         if self.value_mode not in (MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL):
             raise ConfigError(f"unknown value mode {self.value_mode!r}")
-        if self.cost < 0:
-            raise ConfigError("cost must be nonnegative")
+        if not 0 <= self.cost < math.inf:  # NaN fails too
+            raise ConfigError(f"cost must be nonnegative and finite, got {self.cost}")
 
 
 def random_game(params: GeneratorParams, seed) -> GameSpec:
@@ -201,17 +201,18 @@ def cost_sweep(
 ) -> ExperimentReport:
     """Mean defender/attacker values per cost for the three defenders,
     each facing a rational attacker. The same seeded games recur across
-    costs so rows differ only in the cost."""
+    costs so rows differ only in the cost. Every cost is checked before
+    any game is drawn."""
     if not costs:
         raise ConfigError("cost sweep needs at least one cost")
+    swept = [dataclasses.replace(params, cost=float(cost)) for cost in costs]
     game_seeds = _game_seeds(seed, trials)
     rational = AttackerModel.RATIONAL
     rows = []
-    for cost in costs:
-        swept = dataclasses.replace(params, cost=float(cost))
-        means, solve_time = _mean_values(swept, game_seeds, (rational,))
+    for cost_params in swept:
+        means, solve_time = _mean_values(cost_params, game_seeds, (rational,))
         rows.append(
-            (float(cost), *(v for d in _DEFENDERS for v in means[(d, rational)]), solve_time)
+            (cost_params.cost, *(v for d in _DEFENDERS for v in means[(d, rational)]), solve_time)
         )
     columns = (
         "cost",

@@ -51,17 +51,17 @@ MAX_HONEY_FLOW_BOUND = 10**6
 # game known fills the strategy-size cap too: 5 real flows and honey
 # bound 4,095 on every type, one type (values 10 / -10, cost 10^6) that sets
 # tau* = 10, and 1,023 types (real values in (1, 9), honey value 0, cost
-# 0.1) whose u_k(0) all lie below tau*. It solves in 6.3 to 7.5 s. Larger
+# 0.1) whose u_k(0) all lie below tau*. It solves in 1.5 to 2.3 s. Larger
 # games are rejected as bad input before any type is built.
 MAX_TYPES = 1024
 
 # Largest total of honey_flow_bound + 1 over a game's types, the number of
 # probabilities a strategy holds, and of the floats in each of a spec's two
-# tables (hit probabilities and attack values). The two caps above bound
-# one type and the type count, but together they allow 10^9 entries; this
-# bounds them together (2^22 float64 entries are 32 MiB, so a spec at the
-# cap holds 64 MiB of tables) and still admits a single type at
-# MAX_HONEY_FLOW_BOUND.
+# per-type tables (hit probabilities and attack values). The two caps above
+# bound one type and the type count, but together they allow 10^9 entries;
+# this bounds them together (2^22 float64 entries are 32 MiB, so a spec at
+# the cap holds 64 MiB of per-type tables, plus at most 8 MB of shared
+# counts 0..max H) and still admits a single type at MAX_HONEY_FLOW_BOUND.
 MAX_STRATEGY_SIZE = 2**22
 
 
@@ -101,13 +101,15 @@ class GameSpec:
     type and for j = 0..H, ``hit_probabilities`` P(hit a real flow | j
     honey flows up) = R/(j+R), all zeros for a type with no real flows
     (the limit of R/(j+R)), and ``attack_values`` u(j) = p_j*v_real +
-    (1-p_j)*v_honey. Both are read-only and take no part in equality,
-    hashing or repr.
+    (1-p_j)*v_honey. ``honey_counts`` holds the counts 0..max H as floats;
+    a type's counts are its first H + 1. All three are read-only and take
+    no part in equality, hashing or repr.
     """
 
     types: tuple[VulnerabilityType, ...]
     hit_probabilities: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     attack_values: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    honey_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "types", tuple(self.types))
@@ -153,16 +155,18 @@ class GameSpec:
                 f"the types' honey_flow_bound + 1 add up to {size}, "
                 f"more than the cap of {MAX_STRATEGY_SIZE}"
             )
+        counts = np.arange(max(t.honey_flow_bound for t in self.types) + 1, dtype=float)
         hit, value = [], []
         for t in self.types:
-            j, r = np.arange(t.honey_flow_bound + 1, dtype=float), t.real_flow_count
+            j, r = counts[: t.honey_flow_bound + 1], t.real_flow_count
             p = r / (j + r) if r else np.zeros(j.size)
             hit.append(p)
             value.append(p * t.attacker_real_value + (1.0 - p) * t.attacker_honey_value)
-        for table in (*hit, *value):
+        for table in (counts, *hit, *value):
             table.setflags(write=False)
         object.__setattr__(self, "hit_probabilities", tuple(hit))
         object.__setattr__(self, "attack_values", tuple(value))
+        object.__setattr__(self, "honey_counts", counts)
 
     @property
     def attackable_ids(self) -> tuple[int, ...]:
@@ -266,8 +270,7 @@ def summarize(spec: GameSpec, strategy: DefenderStrategy) -> Summary:
     cost = 0.0
     for t, m, p in zip(spec.types, strategy.marginals, spec.hit_probabilities):
         hit.append(float(m @ p))
-        counts = np.arange(t.honey_flow_bound + 1, dtype=float)
-        cost += float(m @ counts) * t.honey_flow_cost
+        cost += float(m @ spec.honey_counts[: m.size]) * t.honey_flow_cost
     return tuple(hit), cost
 
 

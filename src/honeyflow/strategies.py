@@ -20,6 +20,7 @@ from .game import (
     AttackerAction,
     DefenderStrategy,
     GameSpec,
+    Summary,
     summarize,
     utilities,
     utility_vs_mixed_attacker,
@@ -90,7 +91,11 @@ def rational_attacker(spec: GameSpec, strategy: DefenderStrategy) -> AttackerAct
     cost, which is sunk before the attacker moves, so every tied action
     leaves the defender within ``TIE_TOL`` of its best.
     """
-    summary = summarize(spec, strategy)
+    return _best_response(spec, summarize(spec, strategy))
+
+
+def _best_response(spec: GameSpec, summary: Summary) -> AttackerAction:
+    """``rational_attacker``'s choice, from the strategy's summary."""
     actions = [AttackerAction.attack(i) for i in spec.attackable_ids] + [NO_ATTACK]
     values = [utilities(spec, summary, a)[1] for a in actions]
     best = max(values)
@@ -107,11 +112,12 @@ def evaluate_matchup(
         behavior = uniform_attacker(spec)
         d_val, a_val = utility_vs_mixed_attacker(spec, strategy, behavior)
     else:
+        summary = summarize(spec, strategy)
         if attacker is AttackerModel.RATIONAL:
-            behavior = rational_attacker(spec, strategy)
+            behavior = _best_response(spec, summary)
         else:
             behavior = greedy_attacker(spec)
-        d_val, a_val = utilities(spec, summarize(spec, strategy), behavior)
+        d_val, a_val = utilities(spec, summary, behavior)
     return MatchupResult(
         defender_value=d_val,
         attacker_value=a_val,

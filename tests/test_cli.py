@@ -232,6 +232,10 @@ class TestExitCodes:
             (["sweep", "--trials", "-1"], "trials"),
             (["sweep", "--cost", "0.5"], "unrecognized arguments: --cost"),
             (["matchup", "--cost", "-1"], "cost must be nonnegative"),
+            (["matchup", "--cost", "nan"], "cost must be nonnegative and finite, got nan"),
+            (["sweep", "--costs", "1e-3,nan"], "cost must be nonnegative and finite, got nan"),
+            (["sweep", "--costs", "1e-3,inf"], "cost must be nonnegative and finite, got inf"),
+            (["sweep", "--costs", "1e-3,-1"], "cost must be nonnegative and finite, got -1.0"),
             (["matchup", "--trials", "0"], "trials"),
             (["bench", "--trials", "0"], "trials"),
             (["sweep", "--trials", str(MAX_TRIALS + 1)], f"at most {MAX_TRIALS}, got"),
@@ -263,6 +267,10 @@ class TestExitCodes:
             "sweep-negative-trials",
             "sweep-has-no-cost",
             "matchup-negative-cost",
+            "matchup-nan-cost",
+            "sweep-nan-cost",
+            "sweep-infinite-cost",
+            "sweep-negative-cost",
             "matchup-zero-trials",
             "bench-zero-trials",
             "sweep-too-many-trials",

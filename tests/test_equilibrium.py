@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from honeyflow import equilibrium
 from honeyflow.equilibrium import (
@@ -20,6 +23,7 @@ from honeyflow.experiments import (
 from honeyflow.game import (
     MAX_TYPES,
     NO_ATTACK,
+    TIE_TOL,
     AttackerAction,
     DefenderStrategy,
     GameSpec,
@@ -177,6 +181,44 @@ class TestSolveStackelberg:
         assert 1 <= len(calls) <= 2
         feasible = [v for status, v in eq.per_action_values.values() if status == "optimal"]
         assert len(feasible) == MAX_TYPES and len(set(feasible)) == 1
+
+
+@st.composite
+def _curves(draw):
+    """A nonincreasing curve of finite values within 1e300 of zero: flat
+    runs, one-ulp steps, steps just under TIE_TOL, and jumps of any size."""
+    u = [draw(st.one_of(st.floats(-1e300, 1e300), st.floats(-10.0, 10.0)))]
+    moves = draw(st.lists(st.sampled_from(["flat", "ulp", "tol", "jump"]), max_size=12))
+    for move in moves:
+        last = u[-1]
+        if move == "flat":
+            step = 0.0
+        elif move == "ulp":
+            step = last - math.nextafter(last, -math.inf)
+        elif move == "tol":
+            step = math.nextafter(TIE_TOL, 0.0)
+        else:
+            step = draw(st.floats(0.0, 1e300))
+        u.append(max(last - step, -1e300))
+    return np.array(u)
+
+
+class TestHold:
+    @settings(max_examples=300, deadline=None)
+    @given(u=_curves(), extra=st.lists(st.floats(-1e300, 1e300), max_size=3))
+    def test_search_matches_the_negated_curve_search(self, u, extra):
+        """The reversed-view search finds the same count j as a search of
+        -u, at every kink and one ulp and one TIE_TOL either side,
+        wherever the caller's condition holds (some u(j) <= tau + TIE_TOL)."""
+        taus = list(extra)
+        for kink in set(u.tolist()):
+            taus += [kink, math.nextafter(kink, -math.inf), math.nextafter(kink, math.inf)]
+            taus += [kink - TIE_TOL, kink + TIE_TOL]
+        for tau in taus:
+            parent_j = int(np.searchsorted(-u, -(tau + TIE_TOL)))
+            if parent_j < u.size:
+                with np.errstate(over="ignore"):  # a weight may overflow; it caps at 1
+                    assert equilibrium._hold(u, tau)[0] == parent_j, tau
 
 
 def _ladder_games():

@@ -2,11 +2,13 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from honeyflow import experiments
 from honeyflow.equilibrium import solve_stackelberg
 from honeyflow.errors import ConfigError
 from honeyflow.experiments import (
@@ -131,6 +133,14 @@ class TestCostSweep:
     def test_empty_cost_list_rejected(self):
         with pytest.raises(ConfigError):
             cost_sweep(SMALL, costs=[], trials=1, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_cost_rejected_before_any_game_is_drawn(self, monkeypatch, bad):
+        drawn = []
+        monkeypatch.setattr(experiments, "random_game", lambda *a: drawn.append(a))
+        with pytest.raises(ConfigError, match=f"nonnegative and finite, got {bad}"):
+            cost_sweep(SMALL, costs=[1e-3, bad], trials=2, seed=0)
+        assert drawn == []
 
     @pytest.mark.parametrize(
         "cost, trials, seed", [(0.01, 3, 4), (1e-5, 2, 9), (0.5, 4, 20200207)]

@@ -164,7 +164,8 @@ class TestRealAttackProbability:
 
 
 class TestTables:
-    """Each type's p(j) and u(j), tabulated once when the spec is built."""
+    """Each type's p(j) and u(j), and the counts 0..max H, tabulated once
+    when the spec is built."""
 
     @pytest.mark.parametrize(
         "vt, hit",
@@ -181,9 +182,15 @@ class TestTables:
         p = np.array(hit)
         assert spec.hit_probabilities[0].tolist() == hit
         assert spec.attack_values[0].tolist() == (p * 3.0 + (1.0 - p) * -2.0).tolist()
+        assert spec.honey_counts.tolist() == list(range(vt.honey_flow_bound + 1))
+
+    def test_counts_reach_the_largest_bound(self, worked_example):
+        assert worked_example.honey_counts.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert worked_example.honey_counts.dtype == np.float64
 
     def test_tables_are_read_only(self, worked_example):
-        for table in (*worked_example.hit_probabilities, *worked_example.attack_values):
+        tables = (*worked_example.hit_probabilities, *worked_example.attack_values)
+        for table in (*tables, worked_example.honey_counts):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.5
 
@@ -200,6 +207,29 @@ class TestTables:
         assert spec.attack_values[0].tolist() == (p * 20.0 + (1.0 - p) * -5.0).tolist()
         assert spec.attack_values[0].tolist() != worked_example.attack_values[0].tolist()
         assert spec.attack_values[1] is not worked_example.attack_values[1]
+
+    def test_replace_rebuilds_the_counts(self, worked_example):
+        wider = dataclasses.replace(worked_example.types[0], honey_flow_bound=5)
+        spec = dataclasses.replace(worked_example, types=(wider,) + worked_example.types[1:])
+        assert spec.honey_counts.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert spec == GameSpec((wider,) + worked_example.types[1:])
+        assert spec != worked_example
+
+    def test_summarize_builds_no_count_array(
+        self, monkeypatch, worked_example, worked_example_strategy
+    ):
+        """The expected honey count reads the spec's counts; summarize
+        builds no np.arange of its own."""
+        calls = []
+        arange = np.arange
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", counted)
+        assert summarize(worked_example, worked_example_strategy)[1] == 3.0
+        assert calls == []
 
 
 class TestHoneyCost:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from honeyflow import strategies
 from honeyflow.errors import EmptyActionSet
 from honeyflow.game import (
     NO_ATTACK,
@@ -231,3 +232,19 @@ class TestEvaluateMatchup:
             worked_example, worked_example_strategy, AttackerModel.UNIFORM_RANDOM
         )
         assert first == second
+
+    @pytest.mark.parametrize("model", [AttackerModel.RATIONAL, AttackerModel.GREEDY])
+    def test_strategy_is_summarized_once(
+        self, monkeypatch, worked_example, worked_example_strategy, model
+    ):
+        """The attacker's choice and the score come from one summary."""
+        calls = []
+
+        def counted(spec, strategy):
+            calls.append(strategy)
+            return summarize(spec, strategy)
+
+        monkeypatch.setattr(strategies, "summarize", counted)
+        result = evaluate_matchup(worked_example, worked_example_strategy, model)
+        assert calls == [worked_example_strategy]
+        assert result.attacker_behavior == ATTACK_1
