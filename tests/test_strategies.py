@@ -241,10 +241,10 @@ class TestEvaluateMatchup:
         calls = []
 
         def counted(spec, strategy):
-            calls.append(strategy)
+            calls.append(1)
             return summarize(spec, strategy)
 
         monkeypatch.setattr(strategies, "summarize", counted)
         result = evaluate_matchup(worked_example, worked_example_strategy, model)
-        assert calls == [worked_example_strategy]
+        assert len(calls) == 1
         assert result.attacker_behavior == ATTACK_1
