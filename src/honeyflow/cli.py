@@ -127,7 +127,7 @@ def _evaluate_args(p: argparse.ArgumentParser) -> None:
         "--defender", choices=["stackelberg", "uniform", "none"], default="stackelberg"
     )
     p.add_argument(
-        "--attacker", choices=["rational", "uniform", "greedy"], default="rational"
+        "--attacker", choices=[m.value for m in AttackerModel], default="rational"
     )
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output", default=None)
@@ -238,12 +238,7 @@ def _cmd_evaluate(args) -> int:
         strategy = uniform_random_strategy(spec)
     else:
         strategy = no_deception_strategy(spec)
-    model = {
-        "rational": AttackerModel.RATIONAL,
-        "uniform": AttackerModel.UNIFORM_RANDOM,
-        "greedy": AttackerModel.GREEDY,
-    }[args.attacker]
-    result = evaluate_matchup(spec, strategy, model)
+    result = evaluate_matchup(spec, strategy, AttackerModel(args.attacker))
     behavior = (
         str(result.attacker_behavior)
         if not isinstance(result.attacker_behavior, dict)

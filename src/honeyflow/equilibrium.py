@@ -35,6 +35,7 @@ from .game import (
     AttackerAction,
     DefenderStrategy,
     GameSpec,
+    first_best,
     summarize,
     utilities,
 )
@@ -91,8 +92,7 @@ def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgr
     The solver does not use it: it is the reference the tests check
     ``solve_stackelberg``'s per-action statuses and values against.
     """
-    attackable = spec.attackable_ids
-    if fixed.is_attack and fixed.target not in attackable:
+    if fixed.is_attack and fixed.target not in spec.attackable_ids:
         raise ValidationError(f"{fixed} targets an unattackable type")
 
     offsets, width = _layout(spec)
@@ -110,9 +110,7 @@ def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgr
         eq_rows[t.id, offsets[t.id] : offsets[t.id] + t.honey_flow_bound + 1] = 1.0
     eq_rhs = np.ones(len(spec.types))
 
-    rivals = [AttackerAction.attack(i) for i in attackable if AttackerAction.attack(i) != fixed]
-    if fixed != NO_ATTACK:
-        rivals.append(NO_ATTACK)
+    rivals = [a for a in spec.actions if a != fixed]
     ineq_rows = np.zeros((len(rivals), width))
     for row, rival in enumerate(rivals):
         if rival.is_attack:
@@ -161,7 +159,9 @@ def _hold(u: np.ndarray, tau: float) -> tuple[int, float]:
     j = u.size - int(u[::-1].searchsorted(tau + TIE_TOL, side="right"))
     if j == 0:
         return 0, 1.0
-    return j, min(float((u[j - 1] - tau) / (u[j - 1] - u[j])), 1.0)
+    # Python floats: an overflowing weight gives inf (capped at 1), not a warning.
+    above, below = u[j - 1 : j + 1].tolist()
+    return j, min((above - tau) / (above - below), 1.0)
 
 
 def _value(curves: list[Curve], tau: float) -> float:
@@ -228,10 +228,8 @@ def solve_stackelberg(spec: GameSpec) -> Equilibrium:
     Finds tau* with ``water_level``, then values every attacker action:
     attacking k is infeasible when u_k(0) < L (no strategy makes it a best
     response), and declining is infeasible when L > 0, both up to
-    ``TIE_TOL``. Values within ``TIE_TOL`` of the best tie; ties go to the
-    lowest type id, with no-attack considered last. The strategy is taken
-    at the chosen action's own level, and the reported values are scored
-    from it.
+    ``TIE_TOL``. ``first_best`` picks the action. The strategy is taken at
+    the chosen action's own level, and the reported values are scored from it.
     """
     start = time.perf_counter()
     curves = type_curves(spec)
@@ -251,13 +249,12 @@ def solve_stackelberg(spec: GameSpec) -> Equilibrium:
         a: at_top if a.is_attack and tau == top else _value(curves, tau)
         for a, tau in levels.items()
     }
-    actions = [AttackerAction.attack(type_id) for type_id, _, _ in curves] + [NO_ATTACK]
     per_action = {
         a: ("optimal", values[a]) if a in values else ("infeasible", None)
-        for a in actions
+        for a in spec.actions
     }
-    best = max(values.values())
-    action = next(a for a in actions if a in values and values[a] >= best - TIE_TOL)
+    # values is in action order: attacks by type id, then no-attack.
+    action = first_best(list(values), list(values.values()))
     strategy = strategy_at(spec, curves, levels[action])
     elapsed = time.perf_counter() - start
     defender_value, attacker_value = utilities(spec, summarize(spec, strategy), action)
@@ -298,8 +295,7 @@ def verify_equilibrium(spec: GameSpec, eq: Equilibrium) -> VerificationReport:
 
     summary = summarize(spec, eq.strategy)
     chosen_def, chosen_value = utilities(spec, summary, eq.attacker_action)
-    rivals = [AttackerAction.attack(i) for i in spec.attackable_ids] + [NO_ATTACK]
-    best_value = max(utilities(spec, summary, a)[1] for a in rivals)
+    best_value = max(utilities(spec, summary, a)[1] for a in spec.actions)
     compare("attacker-best-response", best_value - chosen_value, best_value, chosen_value)
     compare("defender-value-consistency", abs(chosen_def - eq.defender_value), chosen_def,
             eq.defender_value)

@@ -26,8 +26,8 @@ from .errors import DistributionError, ShapeError, ValidationError
 # its sum PROB_TOL from 1, before it is rejected.
 PROB_TOL = 1e-9
 
-# Utilities within TIE_TOL of the best count as tied. Solvers and attacker
-# models then break the tie by label: lowest type id first, no-attack last.
+# Utilities within TIE_TOL of the best count as tied. first_best breaks the
+# tie by GameSpec.actions order: lowest type id first, no-attack last.
 TIE_TOL = 1e-9
 
 # Slack of the checks in equilibrium.verify_equilibrium. The marginal sums
@@ -103,7 +103,8 @@ class GameSpec:
     (the limit of R/(j+R)), and ``attack_values`` u(j) = p_j*v_real +
     (1-p_j)*v_honey. ``honey_counts`` holds the counts 0..max H as floats;
     a type's counts are its first H + 1. All three are read-only and take
-    no part in equality, hashing or repr.
+    no part in equality, hashing or repr. ``actions`` orders the attacker's
+    choices.
     """
 
     types: tuple[VulnerabilityType, ...]
@@ -175,6 +176,11 @@ class GameSpec:
             t.id for t in self.types if t.real_flow_count + t.honey_flow_bound > 0
         )
 
+    @property
+    def actions(self) -> tuple[AttackerAction, ...]:
+        """The attacker's choices: the attackable types by id, then no-attack."""
+        return tuple(AttackerAction.attack(i) for i in self.attackable_ids) + (NO_ATTACK,)
+
 
 @dataclass(frozen=True)
 class DefenderStrategy:
@@ -238,6 +244,13 @@ class AttackerAction:
 
 
 NO_ATTACK = AttackerAction.no_attack()
+
+
+def first_best(actions: Sequence[AttackerAction], values: Sequence[float]) -> AttackerAction:
+    """The first of ``actions`` whose value is within TIE_TOL of the best;
+    ``actions`` come in ``GameSpec.actions`` order."""
+    best = max(values)
+    return next(a for a, v in zip(actions, values) if v >= best - TIE_TOL)
 
 
 def _check_strategy_shape(spec: GameSpec, strategy: DefenderStrategy) -> None:

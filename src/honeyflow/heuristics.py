@@ -74,20 +74,14 @@ def recommend_honey_flows(inp: HeuristicInput) -> np.ndarray:
     at 85% of real takes the 1.30 branch, at 50% the 1.50 branch, and at
     exactly 30% the bottom (2x) branch.
     """
-    out = np.zeros(inp.real_values.size, dtype=int)
-    for i, (rv, fv, nr) in enumerate(
-        zip(inp.real_values, inp.fake_values, inp.real_flow_counts)
-    ):
-        if 0.85 * rv <= fv <= rv:
-            mult = 1.30
-        elif 0.5 * rv <= fv < 0.85 * rv:
-            mult = 1.50
-        elif 0.3 * rv < fv < 0.5 * rv:
-            mult = 1.65
-        else:
-            mult = 2.0
-        out[i] = round_half_up(mult * int(nr))
-    return out
+    rv, fv = inp.real_values, inp.fake_values
+    bands = [
+        (0.85 * rv <= fv) & (fv <= rv),
+        (0.5 * rv <= fv) & (fv < 0.85 * rv),
+        (0.3 * rv < fv) & (fv < 0.5 * rv),
+    ]
+    mult = np.select(bands, [1.30, 1.50, 1.65], default=2.0)
+    return np.floor(mult * inp.real_flow_counts + 0.5).astype(int)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,11 @@ import numpy as np
 from .errors import EmptyActionSet
 from .game import (
     NO_ATTACK,
-    TIE_TOL,
     AttackerAction,
     DefenderStrategy,
     GameSpec,
     Summary,
+    first_best,
     summarize,
     utilities,
     utility_vs_mixed_attacker,
@@ -74,32 +74,29 @@ def greedy_attacker(spec: GameSpec) -> AttackerAction:
 
 def uniform_attacker(spec: GameSpec) -> dict[AttackerAction, float]:
     """Uniform distribution over the attackable types (never declines)."""
-    attackable = spec.attackable_ids
-    if not attackable:
+    attacks = [a for a in spec.actions if a.is_attack]
+    if not attacks:
         raise EmptyActionSet("no attackable vulnerability types")
-    share = 1.0 / len(attackable)
-    return {AttackerAction.attack(i): share for i in attackable}
+    share = 1.0 / len(attacks)
+    return {a: share for a in attacks}
 
 
 def rational_attacker(spec: GameSpec, strategy: DefenderStrategy) -> AttackerAction:
     """Best response to a known defender strategy.
 
-    Maximizes the attacker's expected utility. Actions within ``TIE_TOL``
-    of the best tie, and the tie goes to the lowest type id, with no-attack
-    last. This is also the strong (defender-favoring) tie-break: the
-    defender's utility is the negated attacker utility minus the honey
-    cost, which is sunk before the attacker moves, so every tied action
-    leaves the defender within ``TIE_TOL`` of its best.
+    Maximizes the attacker's expected utility; ``first_best`` breaks ties.
+    This is also the strong (defender-favoring) tie-break: the defender's
+    utility is the negated attacker utility minus the honey cost, which is
+    sunk before the attacker moves, so every tied action leaves the
+    defender within ``TIE_TOL`` of its best.
     """
     return _best_response(spec, summarize(spec, strategy))
 
 
 def _best_response(spec: GameSpec, summary: Summary) -> AttackerAction:
     """``rational_attacker``'s choice, from the strategy's summary."""
-    actions = [AttackerAction.attack(i) for i in spec.attackable_ids] + [NO_ATTACK]
-    values = [utilities(spec, summary, a)[1] for a in actions]
-    best = max(values)
-    return next(a for a, v in zip(actions, values) if v >= best - TIE_TOL)
+    actions = spec.actions
+    return first_best(actions, [utilities(spec, summary, a)[1] for a in actions])
 
 
 def evaluate_matchup(

@@ -89,6 +89,31 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["verified"] is True
 
+    def test_subnormal_curve_step_prints_no_warning(self, capsys, tmp_path):
+        """Type 1's curve [5e-324, 0] holds tau* = -1e-9 with weight
+        1e-9 / 5e-324, which overflows to inf and is capped at 1."""
+        game = tmp_path / "subnormal.json"
+        game.write_text(json.dumps({"types": [
+            {"attacker_real_value": -1e-9, "attacker_honey_value": -2e-9, "real_flows": 1,
+             "honey_flow_bound": 1, "cost_per_flow": 1.0},
+            {"attacker_real_value": 5e-324, "attacker_honey_value": 0.0, "real_flows": 1,
+             "honey_flow_bound": 1, "cost_per_flow": 1.0},
+        ]}))
+        code, out, err = _run(capsys, "solve", "--game", str(game))
+        assert (code, err) == (0, "")
+        assert out == json.dumps({
+            "attacker_action": "attack(1)",
+            "attacker_value": 5e-324,
+            "defender_value": -5e-324,
+            "per_action": {
+                "attack(0)": {"status": "optimal", "value": -0.999999999},
+                "attack(1)": {"status": "optimal", "value": -0.0},
+                "no-attack": {"status": "optimal", "value": -0.0},
+            },
+            "strategy": [[1.0, 0.0], [1.0, 0.0]],
+            "verified": True,
+        }, indent=2, sort_keys=True) + "\n"
+
 
 class TestEvaluate:
     def test_uniform_vs_greedy_row(self, capsys, worked_example_path):

@@ -134,6 +134,13 @@ LARGE_COUNT = json.dumps(  # a count well beyond int64 that still solves
     {"types": [dict(WORKED_EXAMPLE["types"][0], real_flows=10**20)]}
 )
 TOO_MANY_TYPES = json.dumps({"types": WORKED_EXAMPLE["types"][:1] * (MAX_TYPES + 1)})
+# A subnormal step in type 1's curve: the hold weight at tau* overflows.
+SUBNORMAL_STEP = json.dumps({"types": [
+    {"attacker_real_value": -1e-9, "attacker_honey_value": -2e-9, "real_flows": 1,
+     "honey_flow_bound": 1, "cost_per_flow": 1.0},
+    {"attacker_real_value": 5e-324, "attacker_honey_value": 0.0, "real_flows": 1,
+     "honey_flow_bound": 1, "cost_per_flow": 1.0},
+]})
 # A defender value whose episode payoffs sum past the largest float.
 FLOAT_MAX_VALUE = json.dumps(
     dict(
@@ -167,6 +174,7 @@ def _check_contract(tmp_path, text: str, argv: list[str]) -> int:
 @example(text=HUGE_COUNT)
 @example(text=LARGE_COUNT)
 @example(text=TOO_MANY_TYPES)
+@example(text=SUBNORMAL_STEP)
 def test_solve_contract(tmp_path, text):
     _check_contract(tmp_path, text, ["solve", "--game", "{input}"])
 

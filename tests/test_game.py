@@ -13,12 +13,14 @@ from honeyflow.game import (
     MAX_STRATEGY_SIZE,
     MAX_TYPES,
     NO_ATTACK,
+    TIE_TOL,
     AttackerAction,
     DefenderStrategy,
     GameSpec,
     VulnerabilityType,
     attacker_utility,
     defender_utility,
+    first_best,
     spec_from_dict,
     spec_to_dict,
     summarize,
@@ -130,6 +132,56 @@ class TestValidation:
             )
         )
         assert spec.attackable_ids == (1,)
+
+
+# Gaps below a best value: just under, at and just over TIE_TOL, and wider.
+_GAPS = st.sampled_from(
+    [0.0, -0.0, math.nextafter(TIE_TOL, 0.0), TIE_TOL, math.nextafter(TIE_TOL, 1.0),
+     TIE_TOL / 2, 2 * TIE_TOL, 1.0]
+)
+_TIE_VALUES = st.lists(
+    st.one_of(
+        st.tuples(st.floats(-1e300, 1e300, allow_nan=False), _GAPS).map(lambda bg: bg[0] - bg[1]),
+        st.builds(lambda g: 1.0 - g, _GAPS),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, TIE_TOL, -TIE_TOL]),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+class TestAttackerChoices:
+    """GameSpec.actions orders the attacker's choices and first_best breaks
+    ties in that order."""
+
+    def test_actions_skip_unattackable_types_and_end_with_no_attack(self):
+        spec = GameSpec(
+            (
+                VulnerabilityType(0, 1.0, 0.0, 2, 1, 0.1),
+                VulnerabilityType(1, 1.0, 0.0, 0, 0, 0.1),
+                VulnerabilityType(2, 1.0, 0.0, 0, 3, 0.1),
+            )
+        )
+        assert spec.actions == (AttackerAction.attack(0), AttackerAction.attack(2), NO_ATTACK)
+
+    @given(values=_TIE_VALUES, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_first_best_matches_the_former_tie_rules(self, values, data):
+        """Equal to the zip form the rational attacker used and to the
+        filtered form the solver used over its feasible actions."""
+        actions = [AttackerAction.attack(i) for i in range(len(values) - 1)] + [NO_ATTACK]
+        best = max(values)
+        zipped = next(a for a, v in zip(actions, values) if v >= best - TIE_TOL)
+        assert first_best(actions, values) == zipped
+
+        keep = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+        feasible = {a: v for a, v, k in zip(actions, values, keep) if k}
+        if feasible:
+            best = max(feasible.values())
+            filtered = next(
+                a for a in actions if a in feasible and feasible[a] >= best - TIE_TOL
+            )
+            assert first_best(list(feasible), list(feasible.values())) == filtered
 
 
 class TestRealAttackProbability:

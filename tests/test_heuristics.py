@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,38 @@ class TestBranchTable:
     def test_vector_input(self):
         counts = recommend_honey_flows(_inp([10, 10, 10], [9, 5, 3], [10, 10, 10]))
         assert counts.tolist() == [13, 15, 20]
+
+
+def _branch_chain(rv: float, fv: float, nr: int) -> int:
+    """The ratio rule as an if/elif chain over one type."""
+    if 0.85 * rv <= fv <= rv:
+        mult = 1.30
+    elif 0.5 * rv <= fv < 0.85 * rv:
+        mult = 1.50
+    elif 0.3 * rv < fv < 0.5 * rv:
+        mult = 1.65
+    else:
+        mult = 2.0
+    return math.floor(mult * nr + 0.5)
+
+
+# (real, fake) at, one ulp below and one ulp above every band edge, and
+# fake values above the real value.
+_EDGES = [
+    (rv, fv)
+    for rv in (10.0, 100.0, 7.3)
+    for at in (0.3 * rv, 0.5 * rv, 0.85 * rv, rv)
+    for fv in (at, math.nextafter(at, 0.0), math.nextafter(at, math.inf), 1.5 * rv)
+]
+
+
+class TestBandEdges:
+    @pytest.mark.parametrize("nr", [0, 1, 3, 10, 500_000])
+    def test_edges_match_the_branch_chain(self, nr):
+        real, fake = zip(*_EDGES)
+        counts = recommend_honey_flows(_inp(real, fake, [nr] * len(_EDGES)))
+        assert counts.dtype == np.dtype(int)
+        assert counts.tolist() == [_branch_chain(rv, fv, nr) for rv, fv in _EDGES]
 
 
 class TestValidation:
