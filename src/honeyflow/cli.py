@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 from . import experiments, simulator
 from .equilibrium import solve_stackelberg, verify_equilibrium
 from .errors import HoneyflowError
-from .game import DefenderStrategy, load_spec, spec_to_dict, to_json
+from .game import load_spec, spec_to_dict, to_json
 from .heuristics import HeuristicInput, recommend_honey_flows
 from .strategies import (
     AttackerModel,
@@ -71,10 +71,6 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {seed}")
     return seed
-
-
-def _strategy_payload(strategy: DefenderStrategy) -> list[list[float]]:
-    return [m.tolist() for m in strategy.marginals]
 
 
 def _params_from_args(args, **extra) -> experiments.GeneratorParams:
@@ -215,7 +211,7 @@ def _cmd_solve(args) -> int:
         "attacker_action": str(eq.attacker_action),
         "defender_value": eq.defender_value,
         "attacker_value": eq.attacker_value,
-        "strategy": _strategy_payload(eq.strategy),
+        "strategy": eq.strategy.marginals,
         "per_action": {
             str(a): {"status": s, "value": v}
             for a, (s, v) in eq.per_action_values.items()

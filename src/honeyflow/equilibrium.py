@@ -279,11 +279,13 @@ def verify_equilibrium(spec: GameSpec, eq: Equilibrium) -> VerificationReport:
         CheckResult("strategy-normalization", norm_residual <= BEST_RESPONSE_TOL, norm_residual)
     )
 
-    bound_residual = 0.0
-    for m in eq.strategy.marginals:
-        bound_residual = max(
-            bound_residual, float(np.max(-m, initial=0.0)), float(np.max(m - 1.0, initial=0.0))
-        )
+    # One pass over every row. Negation and "- 1.0" are exact, so this is
+    # the largest per-row residual. fmin/fmax skip a NaN entry, where
+    # min/max would return NaN and the max() below would drop every bound.
+    flat = np.concatenate(eq.strategy.marginals)
+    lowest = float(np.fmin.reduce(flat, initial=np.inf))
+    highest = float(np.fmax.reduce(flat, initial=-np.inf))
+    bound_residual = max(0.0, -lowest, highest - 1.0)
     checks.append(
         CheckResult("strategy-bounds", bound_residual <= BEST_RESPONSE_TOL, bound_residual)
     )

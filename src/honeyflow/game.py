@@ -459,7 +459,11 @@ def to_json(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for
     byte, but mostly through the C encoder (``json.dumps`` falls back to
     pure Python whenever ``indent`` is set). Dict keys must be str. NaN
-    and infinities raise ValueError instead of printing as ``NaN``."""
+    and infinities raise ValueError instead of printing as ``NaN``.
+
+    A 1-D float64 array is written byte for byte as its ``tolist()``, in
+    time that grows with its nonzero entries; any other array raises
+    TypeError, as ``json.dumps`` does for every array."""
     return _indented(payload, "\n") + "\n"
 
 
@@ -467,6 +471,8 @@ def _indented(value, newline: str) -> str:
     """``value`` as indented JSON; ``newline`` is a line break followed by
     the indent of the line that ``value`` starts on."""
     inner = newline + "  "
+    if isinstance(value, np.ndarray):
+        return _indented_array(value, newline)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -477,12 +483,41 @@ def _indented(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if not isinstance(value[0], (str, dict, list, tuple)):
+        if not isinstance(value[0], (str, dict, list, tuple, np.ndarray)):
             # Numbers, bools and nulls encode without a quote, bracket or
             # ", ", so one flat C encode splits cleanly into the items.
-            flat = _ENCODE(value)[1:-1]
-            if not any(c in flat for c in '"[{'):
-                return "[" + inner + flat.replace(", ", "," + inner) + newline + "]"
+            try:
+                flat = _ENCODE(value)[1:-1]
+            except TypeError:  # an array further on takes the item path
+                pass
+            else:
+                if not any(c in flat for c in '"[{'):
+                    return "[" + inner + flat.replace(", ", "," + inner) + newline + "]"
         items = (_indented(v, inner) for v in value)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return _ENCODE(value)
+
+
+def _indented_array(row: np.ndarray, newline: str) -> str:
+    """``_indented(row.tolist(), newline)`` for a 1-D float64 ``row``.
+    Only the entries other than +0.0 go through the encoder, in one call;
+    the +0.0 runs between them print as repeated ``"0.0"`` items."""
+    if row.ndim != 1 or row.dtype != np.float64:
+        raise TypeError(f"only 1-D float64 arrays are JSON serializable, got "
+                        f"{row.ndim}-D {row.dtype}")
+    if not row.size:
+        return "[]"
+    inner = newline + "  "
+    sep = "," + inner
+    zero = "0.0" + sep
+    # -0.0 prints as "-0.0", and NaN and infinities must reach the encoder
+    # to raise, so the encoder gets every entry whose bits are not +0.0's.
+    at = np.flatnonzero((row != 0.0) | np.signbit(row))
+    texts = _ENCODE(row[at].tolist())[1:-1].split(", ")
+    parts = []
+    start = 0
+    for i, text in zip(at.tolist(), texts):
+        parts += (zero * (i - start), text, sep)
+        start = i + 1
+    parts.append(zero * (row.size - start))
+    return "[" + inner + "".join(parts)[: -len(sep)] + newline + "]"

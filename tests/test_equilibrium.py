@@ -21,6 +21,7 @@ from honeyflow.experiments import (
     random_game,
 )
 from honeyflow.game import (
+    BEST_RESPONSE_TOL,
     MAX_TYPES,
     NO_ATTACK,
     TIE_TOL,
@@ -295,6 +296,60 @@ class TestVerification:
         assert "strategy-normalization" in failed
         norm = next(c for c in report.checks if c.name == "strategy-normalization")
         assert norm.residual == pytest.approx(0.1, abs=1e-9)
+
+    @staticmethod
+    def _bounds(spec, marginals):
+        """The strategy-bounds check of ``marginals`` put in for the solved
+        strategy of ``spec``."""
+        eq = solve_stackelberg(spec)
+        broken = dataclasses.replace(eq, strategy=DefenderStrategy(tuple(marginals)))
+        report = verify_equilibrium(spec, broken)
+        return next(c for c in report.checks if c.name == "strategy-bounds")
+
+    @staticmethod
+    def _per_row_bound_residual(marginals) -> float:
+        """The reference: the bound residual taken row by row."""
+        residual = 0.0
+        for m in marginals:
+            residual = max(
+                residual, float(np.max(-m, initial=0.0)), float(np.max(m - 1.0, initial=0.0))
+            )
+        return residual
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ([0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 1.0]),
+            ([-0.25, 1.25, 0.0], [0.0, 0.0, 0.0, 1.0]),
+            ([0.0, 0.5, 0.5], [0.0, 0.0, -1e-3, 1.001]),
+            ([0.0, 1.5, -0.5], [0.0, 0.0, 0.0, 1.0]),
+            ([-0.0, 1.0, 0.0], [0.0, -0.0, 0.0, 1.0]),
+            ([math.nan, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]),
+            ([math.nan, 1.0, 0.0], [-0.5, 0.0, 0.0, 1.5]),
+            ([0.0, 1.0, 1e-7], [-1e-7, 0.0, 0.0, 1.0]),
+        ],
+    )
+    def test_bounds_check_matches_per_row_loop(self, worked_example, rows):
+        marginals = [np.array(r) for r in rows]
+        check = self._bounds(worked_example, marginals)
+        expected = self._per_row_bound_residual(marginals)
+        assert check.residual.hex() == expected.hex()
+        assert check.passed == (expected <= BEST_RESPONSE_TOL)
+
+    def test_bounds_check_fails_just_past_tolerance(self, worked_example):
+        rows = (np.array([-2 * BEST_RESPONSE_TOL, 1.0, 2 * BEST_RESPONSE_TOL]),
+                np.array([0.0, 0.0, 0.0, 1.0]))
+        check = self._bounds(worked_example, rows)
+        assert not check.passed
+        assert check.residual == 2 * BEST_RESPONSE_TOL
+
+    def test_nan_does_not_hide_a_bound_in_its_row(self, worked_example):
+        """The per-row loop drops a row that holds a NaN, bad entries and
+        all; the one-pass check skips only the NaN entry."""
+        rows = (np.array([math.nan, -0.5, 1.5]), np.array([0.0, 0.0, 0.0, 1.0]))
+        check = self._bounds(worked_example, rows)
+        assert self._per_row_bound_residual(rows) == 0.0
+        assert (check.passed, check.residual) == (False, 0.5)
 
     def test_dominated_action_fails_best_response(
         self, worked_example, worked_example_strategy

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from honeyflow.errors import DistributionError, ShapeError, ValidationError
 from honeyflow.game import (
@@ -527,6 +528,30 @@ PAYLOADS = st.recursive(
     max_leaves=20,
 )
 
+# 1-D float64 rows shaped like a strategy's marginals: mostly +0.0 (the
+# fill), with a few entries drawn from FLOATS, including -0.0.
+ARRAYS = hnp.arrays(np.float64, st.integers(0, 40), elements=FLOATS, fill=st.just(0.0))
+ARRAY_PAYLOADS = st.recursive(
+    SCALARS | ARRAYS,
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=3).map(tuple)
+        | st.dictionaries(TEXT, kids, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _as_lists(payload):
+    """``payload`` with every array replaced by its ``tolist()``."""
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {k: _as_lists(v) for k, v in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_as_lists(v) for v in payload]
+    return payload
+
 
 class TestToJson:
     @settings(max_examples=200, deadline=None)
@@ -541,8 +566,36 @@ class TestToJson:
     def test_bytes_match_json_dumps(self, payload):
         assert to_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
+    @settings(max_examples=300, deadline=None)
+    @given(payload=ARRAY_PAYLOADS)
+    @example(payload=np.zeros(0))
+    @example(payload=np.zeros(1))
+    @example(payload=np.zeros(7))
+    @example(payload=np.array([-0.0]))
+    @example(payload=np.array([0.0, 5e-324, 0.0, 0.0, 1e308, -0.0]))
+    @example(payload=[1.0, np.array([0.0, 0.5, 0.5])])
+    @example(payload={"strategy": (np.array([0.25, 0.75, 0.0]), np.array([0.0, 0.0, 1.0]))})
+    def test_arrays_match_their_lists(self, payload):
+        expected = json.dumps(_as_lists(payload), indent=2, sort_keys=True) + "\n"
+        assert to_json(payload) == expected
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("wrap", [lambda x: x, lambda x: [1.0, x], lambda x: {"a": {"b": x}}])
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda x: x,
+            lambda x: [1.0, x],
+            lambda x: {"a": {"b": x}},
+            lambda x: np.array([0.0, x, 0.0]),
+            lambda x: {"strategy": (np.zeros(2), np.array([0.5, x]))},
+        ],
+    )
     def test_non_finite_floats_raise(self, bad, wrap):
         with pytest.raises(ValueError, match="not JSON compliant"):
             to_json(wrap(bad))
+
+    @pytest.mark.parametrize("array", [np.zeros(3, dtype=np.int64), np.zeros((2, 2))])
+    @pytest.mark.parametrize("wrap", [lambda x: x, lambda x: [x], lambda x: [0.0, x]])
+    def test_other_arrays_raise(self, array, wrap):
+        with pytest.raises(TypeError, match="only 1-D float64 arrays"):
+            to_json(wrap(array))
