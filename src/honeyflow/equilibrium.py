@@ -22,6 +22,7 @@ longer on the solve path; the tests keep them as a reference.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -272,9 +273,9 @@ def verify_equilibrium(spec: GameSpec, eq: Equilibrium) -> VerificationReport:
     """Recompute everything the equilibrium claims and report residuals."""
     checks: list[CheckResult] = []
 
-    norm_residual = max(
-        abs(float(m.sum()) - 1.0) for m in eq.strategy.marginals
-    )
+    residuals = [abs(float(m.sum()) - 1.0) for m in eq.strategy.marginals]
+    # max() keeps a NaN only when it comes first; the sum keeps any NaN.
+    norm_residual = math.nan if math.isnan(sum(residuals)) else max(residuals)
     checks.append(
         CheckResult("strategy-normalization", norm_residual <= BEST_RESPONSE_TOL, norm_residual)
     )

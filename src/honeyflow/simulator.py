@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -32,6 +32,15 @@ MAX_FLOWS_PER_TYPE = 10**6
 # episode (16 bytes), so this bounds its memory to about 16 MB; mostly it
 # bounds its run time.
 MAX_EPISODES = 10**6
+# Largest endpoint count, and node (endpoint and switch) count, that
+# build_network accepts. Routing keeps a switches × endpoints² boolean
+# incidence array, and a flow table's per-pair counts are 2 × endpoints²
+# int64 (4 MiB at the cap). At the cap the largest incidence (426
+# endpoints, 214 switches) is 37 MiB, and routing peaks at 46 MiB
+# (tracemalloc). On a 2-vCPU host a two-level tree of switches routes in
+# 0.1-0.2 s; a chain of switches, the deepest search, in 1.2-1.3 s.
+MAX_ENDPOINTS = 512
+MAX_NODES = 640
 # Episodes whose draws episode_draws computes together. About 150 bytes
 # of numpy temporaries per episode are alive while a block is drawn.
 EPISODE_BLOCK = 1024
@@ -79,11 +88,12 @@ class FlowTable:
 
     ``origin`` and ``destination`` are positions in ``net.index.ids``,
     ``info`` is the advertised vulnerability type and ``is_honey`` the
-    honey flag. ``observe`` and ``honey_traffic_rate`` read a table only on
-    ``net`` or on a network equal to it.
+    honey flag. The columns are read-only. ``observe`` and
+    ``honey_traffic_rate`` read a table only on ``net`` or on a network
+    equal to it.
     """
 
-    __slots__ = ("net", "origin", "destination", "info", "is_honey")
+    __slots__ = ("net", "origin", "destination", "info", "is_honey", "_pairs")
 
     def __init__(self, net, origin, destination, info, is_honey):
         self.net = net
@@ -91,12 +101,17 @@ class FlowTable:
         self.destination = destination
         self.info = info
         self.is_honey = is_honey
+        for column in (origin, destination, info, is_honey):
+            column.setflags(write=False)
+        self._pairs = None
 
     def __len__(self) -> int:
         return len(self.info)
 
     def take(self, rows) -> FlowTable:
         """The table restricted to ``rows`` (a slice, mask or index array)."""
+        if isinstance(rows, np.ndarray) and rows.dtype == bool:
+            rows = np.flatnonzero(rows)
         return FlowTable(
             self.net,
             self.origin[rows],
@@ -108,6 +123,22 @@ class FlowTable:
     def lookup(self, table: np.ndarray) -> np.ndarray:
         """Each row's entry in an [origin, destination] array of the index."""
         return table[self.origin, self.destination]
+
+    def pair_counts(self) -> np.ndarray:
+        """The flows (row 0) and honey flows (row 1) of each (origin,
+        destination) pair, at origin * n + destination for n endpoints.
+        Counted on the first call; the columns are read-only, so the
+        counts cannot go stale."""
+        if self._pairs is None:
+            n = len(self.net.index.ids)
+            key = self.origin.astype(np.intp) * n + self.destination
+            self._pairs = np.stack(
+                [
+                    np.bincount(key, minlength=n * n),
+                    np.bincount(key[self.is_honey], minlength=n * n),
+                ]
+            )
+        return self._pairs
 
 
 class OutcomeKind(enum.Enum):
@@ -228,7 +259,8 @@ def build_network(
     links: Iterable[tuple[str, str]],
     compromised: Iterable[str] = (),
 ) -> NetworkModel:
-    """Validate node counts and route every endpoint pair into a PairIndex.
+    """Validate node counts, at most MAX_ENDPOINTS endpoints and MAX_NODES
+    nodes, and route every endpoint pair into a PairIndex.
 
     Paths are shortest by hop count with ties broken toward lower node
     ids, and never route through an intermediate endpoint. Pairs with no
@@ -240,6 +272,15 @@ def build_network(
         raise TopologyError("a network needs at least two endpoints")
     if not switches:
         raise TopologyError("a network needs at least one switch")
+    if len(endpoints) > MAX_ENDPOINTS:
+        raise TopologyError(
+            f"a network may have at most {MAX_ENDPOINTS} endpoints, got {len(endpoints)}"
+        )
+    if len(endpoints) + len(switches) > MAX_NODES:
+        raise TopologyError(
+            f"a network may have at most {MAX_NODES} nodes (endpoints and switches), "
+            f"got {len(endpoints) + len(switches)}"
+        )
 
     adjacency: dict[str, list[str]] = {n: [] for n in (*endpoints, *switches)}
     for a, b in links:
@@ -253,11 +294,11 @@ def build_network(
     switch_ids = tuple(sorted(switches))
     position = {node: k for k, node in enumerate(ids + switch_ids)}
     n = len(ids)
-    # pred[o, x]: position of x's predecessor on the path from origin o
-    pred = np.full((n, len(position)), -1)
-    for o, origin in enumerate(ids):
-        for node, prev in _predecessors(adj, origin, endpoints).items():
-            pred[o, position[node]] = position[prev]
+    linked = np.zeros((len(position), len(position)), dtype=bool)
+    rows = [position[a] for a, ns in adj.items() for _ in ns]
+    cols = [position[b] for ns in adj.values() for b in ns]
+    linked[rows, cols] = True
+    pred = _route(n, linked)
 
     reachable = pred[:, :n] >= 0
     incidence = np.zeros((len(switch_ids), n, n), dtype=bool)
@@ -285,26 +326,40 @@ def build_network(
     )
 
 
-def _predecessors(
-    adj: Mapping[str, tuple[str, ...]], origin: str, endpoints: Mapping[str, Endpoint]
-) -> dict[str, str]:
-    """Breadth-first search from origin that never expands through another
-    endpoint. Maps every node it reaches to its smallest-id neighbour one
-    hop closer to the origin, so following the map walks a shortest path."""
-    dist = {origin: 0}
-    pred: dict[str, str] = {}
-    queue = deque([origin])
-    while queue:
-        node = queue.popleft()
-        if node != origin and node in endpoints:
-            continue
-        for nxt in adj[node]:
-            if nxt not in dist:
-                dist[nxt] = dist[node] + 1
-                pred[nxt] = node
-                queue.append(nxt)
-            elif dist[nxt] == dist[node] + 1 and node < pred[nxt]:
-                pred[nxt] = node
+def _route(n: int, linked: np.ndarray) -> np.ndarray:
+    """pred[o, x]: the position of x's predecessor on the path from origin
+    o, or -1 where x is o or unreachable from it.
+
+    Positions are the sorted endpoints (the first ``n``), then the sorted
+    switches; ``linked`` is their adjacency matrix. One breadth-first
+    search runs from every origin at once, its frontier an origins × nodes
+    matrix, and only switches expand. A node's predecessor is the origin
+    at hop 1 and, after that, the lowest-position (smallest-id) frontier
+    switch linked to it. One float64 product per block of up to 52
+    switches finds that switch: the block's switch at position p weighs
+    2**(hi - 1 - p), where hi is one past the block's last position, so
+    a sum of distinct weights is exact and its highest bit, e - 1 for
+    frexp exponent e, names the lowest linked switch, p = hi - e.
+    """
+    size = len(linked)
+    pred = np.full((n, size), -1, dtype=np.int32)
+    new = linked[:n].copy()  # hop 1: an origin links only to switches
+    pred[new] = np.nonzero(new)[0]
+    reached = new | np.eye(n, size, dtype=bool)
+    blocks = []
+    for lo in range(n, size, 52):
+        hi = min(lo + 52, size)
+        weight = np.exp2(np.arange(hi - lo - 1, -1, -1.0))
+        blocks.append((lo, hi, linked[lo:hi] * weight[:, None]))
+    while new[:, n:].any():
+        frontier = new.astype(float)
+        new = np.zeros_like(reached)
+        for lo, hi, weighted in blocks:  # a lower block's switch wins
+            top = frontier[:, lo:hi] @ weighted
+            found = (top > 0) & ~reached
+            pred[found] = hi - np.frexp(top[found])[1]
+            reached |= found
+            new |= found
     return pred
 
 
@@ -633,8 +688,8 @@ def honey_traffic_rate(net: NetworkModel, flows: FlowTable, switch: str) -> floa
         raise TopologyError(f"unknown switch {switch}")
     _check_network(net, flows)
     index = net.index
-    through = flows.lookup(index.incidence[index.switch_ids.index(switch)])
-    passing = int(np.count_nonzero(through))
+    through = index.incidence[index.switch_ids.index(switch)].reshape(-1)
+    passing, honey = (int(c) for c in flows.pair_counts() @ through)
     if not passing:
         return 0.0
-    return int(np.count_nonzero(through & flows.is_honey)) / passing
+    return honey / passing

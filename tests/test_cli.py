@@ -746,6 +746,38 @@ class TestSimulate:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "endpoints, switches, message",
+        [
+            (simulator.MAX_ENDPOINTS + 1, 1,
+             f"at most {simulator.MAX_ENDPOINTS} endpoints, got {simulator.MAX_ENDPOINTS + 1}"),
+            (2, simulator.MAX_NODES - 1,
+             f"at most {simulator.MAX_NODES} nodes (endpoints and switches), "
+             f"got {simulator.MAX_NODES + 1}"),
+        ],
+        ids=["endpoints", "nodes"],
+    )
+    def test_topology_over_the_cap_exits_1_before_routing(
+        self, capsys, monkeypatch, tmp_path, endpoints, switches, message
+    ):
+        ids = [f"e{k}" for k in range(endpoints)]
+        switch_ids = [f"s{k}" for k in range(switches)]
+        topology = {
+            "endpoints": [{"id": e, "weaknesses": [0]} for e in ids],
+            "switches": switch_ids,
+            "links": [[e, "s0"] for e in ids] + [["s0", s] for s in switch_ids[1:]],
+            "compromised": ["s0"],
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(topology))
+        routed = []
+        monkeypatch.setattr(simulator, "_route", lambda *a: routed.append(a))
+        code, out, err = _run(
+            capsys, "simulate", "--topology", str(path), "--real", "5", "--honey", "0"
+        )
+        assert (code, out, routed) == (1, "", [])
+        assert err == f"error: a network may have {message}\n"
+
+    @pytest.mark.parametrize(
         "golden, argv",
         [
             (

@@ -351,6 +351,19 @@ class TestVerification:
         assert self._per_row_bound_residual(rows) == 0.0
         assert (check.passed, check.residual) == (False, 0.5)
 
+    @pytest.mark.parametrize("nan_type", [0, 1])
+    def test_nan_entry_fails_normalization(self, worked_example, nan_type):
+        """A NaN in any type's row makes the normalization residual NaN,
+        not only in the first row."""
+        eq = solve_stackelberg(worked_example)
+        rows = list(eq.strategy.marginals)
+        rows[nan_type] = np.array([math.nan, *([0.0] * (len(rows[nan_type]) - 2)), 1.0])
+        broken = dataclasses.replace(eq, strategy=DefenderStrategy(tuple(rows)))
+        report = verify_equilibrium(worked_example, broken)
+        norm = next(c for c in report.checks if c.name == "strategy-normalization")
+        assert not norm.passed and math.isnan(norm.residual)
+        assert not report.all_passed
+
     def test_dominated_action_fails_best_response(
         self, worked_example, worked_example_strategy
     ):

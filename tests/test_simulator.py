@@ -14,6 +14,8 @@ from honeyflow.simulator import (
     FlowTable,
     OutcomeKind,
     EPISODE_BLOCK,
+    MAX_ENDPOINTS,
+    MAX_NODES,
     attacker_episode,
     build_network,
     episode_draws,
@@ -24,7 +26,13 @@ from honeyflow.simulator import (
     run_trials,
 )
 from honeyflow.pcg import bounded, first_outputs
-from oracles import scalar_episodes, scalar_flows, scalar_observation, scalar_switch_rate
+from oracles import (
+    _scalar_paths,
+    scalar_episodes,
+    scalar_flows,
+    scalar_observation,
+    scalar_switch_rate,
+)
 
 
 def _endpoint(eid, value=1.0, weaknesses=(0,), fake=False, attacker_value=None):
@@ -90,6 +98,23 @@ class TestBuildNetwork:
     def test_single_endpoint_rejected(self):
         with pytest.raises(TopologyError, match="two endpoints"):
             build_network({"a": _endpoint("a")}, ["s1"], [("a", "s1")])
+
+    def test_topology_at_the_cap_is_routed(self):
+        """MAX_ENDPOINTS endpoints, and MAX_NODES nodes, are accepted; one
+        more of either is not."""
+        eps = {f"e{k}": _endpoint(f"e{k}") for k in range(MAX_ENDPOINTS)}
+        net = build_network(eps, ["s0"], [(e, "s0") for e in eps])
+        assert net.index.reachable.sum() == MAX_ENDPOINTS * (MAX_ENDPOINTS - 1)
+        more = {**eps, "z": _endpoint("z")}
+        with pytest.raises(TopologyError, match="at most"):
+            build_network(more, ["s0"], [(e, "s0") for e in more])
+
+        two = {e: eps[e] for e in ("e0", "e1")}
+        switches = [f"s{k}" for k in range(MAX_NODES - 2)]
+        links = [("e0", "s0"), ("e1", "s0")] + [("s0", s) for s in switches[1:]]
+        assert build_network(two, switches, links).index.reachable[0, 1]
+        with pytest.raises(TopologyError, match="at most"):
+            build_network(two, [*switches, "t"], links)
 
     def test_no_switch_rejected(self):
         eps = {"a": _endpoint("a"), "b": _endpoint("b")}
@@ -544,6 +569,49 @@ class TestFlowTable:
         crosses = flows.lookup(net.index.crosses).tolist()
         assert crosses == [net.index.crosses[o, d] for o, d in zip(flows.origin, flows.destination)]
 
+    def test_mask_take_equals_index_take(self):
+        net = _chain_net()
+        flows = generate_flows(net, {0: 40, 1: 30}, {0: 9, 1: 7}, seed=12)
+        for mask in (flows.is_honey, ~flows.is_honey, flows.info == 1, flows.info > 5):
+            by_mask, by_index = flows.take(mask), flows.take(np.flatnonzero(mask))
+            for name in ("origin", "destination", "info", "is_honey"):
+                got, want = getattr(by_mask, name), getattr(by_index, name)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_columns_are_read_only(self):
+        """The per-pair counts are kept with the table, so its columns
+        must not change under them."""
+        net = _chain_net()
+        flows = generate_flows(net, {0: 10}, {0: 4}, seed=3)
+        for table in (flows, flows.take(flows.is_honey), flows.take(slice(1, 4))):
+            for name in ("origin", "destination", "info", "is_honey"):
+                column = getattr(table, name)
+                assert not column.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[0]
+
+    def test_rates_of_taken_tables_match_the_scalar_loop(self, chain_topology_path):
+        """A table made by take counts its own pairs: the rates of each
+        observed type's rows, read after the whole population's, are the
+        scalar loop's rates over those rows."""
+        with open(chain_topology_path, encoding="utf-8") as fh:
+            topology = json.load(fh)
+        net = network_from_dict(topology)
+        real, honey = {0: 60, 1: 45}, {0: 20, 1: 30}
+        expected = scalar_flows(topology, real, honey, 21)
+        flows = generate_flows(net, real, honey, 21)
+        whole = {s: honey_traffic_rate(net, flows, s) for s in topology["switches"]}
+        assert whole == {s: scalar_switch_rate(expected, s) for s in topology["switches"]}
+        crossing = set(topology["compromised"])
+        differs = False
+        for vuln, table in observe(net, flows).observed.items():
+            rows = [f for f in expected if f[2] == vuln and crossing & set(f[3])]
+            for switch in topology["switches"]:
+                rate = honey_traffic_rate(net, table, switch)
+                assert rate == scalar_switch_rate(rows, switch)
+                differs |= rate != whole[switch]
+        assert differs  # shared counts would have given the whole table's rates
+
 
 def test_block_draw_matches_scalar_draws():
     """generate_flows draws a type block with one integers(0, highs) call.
@@ -649,6 +717,84 @@ class TestScalarOracle:
             with pytest.raises(TopologyError) as got:
                 generate_flows(network_from_dict(topology), {0: 5, 1: 5}, {}, seed)
             assert str(got.value) == str(expected.value)
+
+
+def _routing_topology(rng: np.random.Generator) -> dict:
+    """2-8 endpoints on 1-12 switches whose ids sort apart from their
+    draw order (s10 before s2). Switch pairs link at a drawn density, so
+    graphs have cycles and equal-hop ties, or fall apart; an endpoint links
+    to zero to three switches, which also makes paths that would be
+    shorter through another endpoint."""
+    switches = [f"s{k}" for k in rng.permutation(int(rng.integers(1, 13)))]
+    density = float(rng.uniform(0.1, 0.6))
+    links = [[a, b] for a, b in itertools.combinations(switches, 2) if rng.random() < density]
+    endpoints = []
+    for k in range(int(rng.integers(2, 9))):
+        endpoints.append({"id": f"e{k}", "fake": bool(rng.random() < 0.3)})
+        size = min(len(switches), int(rng.choice([0, 1, 1, 2, 2, 3])))
+        links += [[f"e{k}", str(s)] for s in rng.choice(switches, size=size, replace=False)]
+    compromised = [s for s in switches if rng.random() < 0.3]
+    return {"endpoints": endpoints, "switches": switches, "links": links, "compromised": compromised}
+
+
+def _hops(topology: dict, origin: str, through_endpoints: bool) -> tuple[dict, dict]:
+    """Hop distances from ``origin``, and each node's count of neighbours
+    one hop closer that may forward to it (the origin or a switch, or any
+    node when ``through_endpoints``)."""
+    endpoints = {e["id"] for e in topology["endpoints"]}
+    adj: dict[str, set[str]] = {}
+    for a, b in topology["links"]:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    dist, frontier = {origin: 0}, [origin]
+    while frontier:
+        step = []
+        for node in frontier:
+            if node == origin or through_endpoints or node not in endpoints:
+                for nxt in adj.get(node, ()):
+                    if nxt not in dist:
+                        dist[nxt] = dist[node] + 1
+                        step.append(nxt)
+        frontier = step
+    ties = {
+        node: sum(
+            dist.get(m) == d - 1 and (m == origin or through_endpoints or m not in endpoints)
+            for m in adj.get(node, ())
+        )
+        for node, d in dist.items()
+    }
+    return dist, ties
+
+
+class TestRoutingOracle:
+    def test_pair_index_matches_the_scalar_paths(self):
+        """On 300 seeded graphs, every endpoint pair's reachability,
+        compromised crossing and switch incidence is the scalar router's."""
+        seen = Counter()
+        for case in range(300):
+            topology = _routing_topology(np.random.default_rng([2026, case]))
+            net = network_from_dict(topology)
+            paths = _scalar_paths(topology)
+            index = net.index
+            compromised = set(topology["compromised"])
+            for o, origin in enumerate(index.ids):
+                dist, ties = _hops(topology, origin, through_endpoints=False)
+                shortcut, _ = _hops(topology, origin, through_endpoints=True)
+                for d, dest in enumerate(index.ids):
+                    path = paths.get((origin, dest))
+                    assert index.reachable[o, d] == (path is not None)
+                    on = set(path or ())
+                    assert index.incidence[:, o, d].tolist() == [
+                        s in on for s in index.switch_ids
+                    ]
+                    assert index.crosses[o, d] == bool(on & compromised)
+                    if path is None:
+                        seen["unreachable"] += o != d
+                        continue
+                    seen["tie"] += any(ties[x] > 1 for x in (*path, dest))
+                    seen["endpoint shortcut"] += shortcut[dest] < dist[dest]
+            seen["many switches"] += len(index.switch_ids) >= 10
+        assert all(seen[k] for k in ("unreachable", "tie", "endpoint shortcut", "many switches")), seen
 
 
 # client3 advertises both types but hangs off an unlinked switch.
