@@ -16,7 +16,6 @@ from .equilibrium import (
 )
 from .errors import (
     ConfigError,
-    DistributionError,
     EmptyActionSet,
     EmptyObservation,
     HoneyflowError,
@@ -38,7 +37,6 @@ from .game import (
     spec_to_dict,
     summarize,
     utilities,
-    utility_vs_mixed_attacker,
 )
 from .heuristics import HeuristicInput, exactness_gap, recommend_honey_flows
 from .strategies import (
@@ -59,7 +57,6 @@ __all__ = [
     "AttackerModel",
     "ConfigError",
     "DefenderStrategy",
-    "DistributionError",
     "EmptyActionSet",
     "EmptyObservation",
     "Equilibrium",
@@ -90,6 +87,5 @@ __all__ = [
     "uniform_attacker",
     "uniform_random_strategy",
     "utilities",
-    "utility_vs_mixed_attacker",
     "verify_equilibrium",
 ]

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 from . import experiments, simulator
 from .equilibrium import solve_stackelberg, verify_equilibrium
 from .errors import HoneyflowError
-from .game import load_spec, spec_to_dict, to_json
+from .game import load_spec, spec_to_dict, summarize, to_json
 from .heuristics import HeuristicInput, recommend_honey_flows
 from .strategies import (
     AttackerModel,
@@ -234,7 +234,7 @@ def _cmd_evaluate(args) -> int:
         strategy = uniform_random_strategy(spec)
     else:
         strategy = no_deception_strategy(spec)
-    result = evaluate_matchup(spec, strategy, AttackerModel(args.attacker))
+    result = evaluate_matchup(spec, summarize(spec, strategy), AttackerModel(args.attacker))
     behavior = (
         str(result.attacker_behavior)
         if not isinstance(result.attacker_behavior, dict)

@@ -281,12 +281,12 @@ def verify_equilibrium(spec: GameSpec, eq: Equilibrium) -> VerificationReport:
     )
 
     # One pass over every row. Negation and "- 1.0" are exact, so this is
-    # the largest per-row residual. fmin/fmax skip a NaN entry, where
-    # min/max would return NaN and the max() below would drop every bound.
+    # the largest per-row residual. np.min carries a NaN entry through, and
+    # a NaN anywhere makes the residual NaN, which fails the check.
     flat = np.concatenate(eq.strategy.marginals)
-    lowest = float(np.fmin.reduce(flat, initial=np.inf))
-    highest = float(np.fmax.reduce(flat, initial=-np.inf))
-    bound_residual = max(0.0, -lowest, highest - 1.0)
+    lowest = float(np.min(flat, initial=np.inf))
+    highest = float(np.max(flat, initial=-np.inf))
+    bound_residual = math.nan if math.isnan(lowest) else max(0.0, -lowest, highest - 1.0)
     checks.append(
         CheckResult("strategy-bounds", bound_residual <= BEST_RESPONSE_TOL, bound_residual)
     )

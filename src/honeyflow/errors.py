@@ -13,10 +13,6 @@ class ShapeError(HoneyflowError):
     """A strategy vector does not match the game's honey-flow bounds."""
 
 
-class DistributionError(HoneyflowError):
-    """A probability vector is negative or does not sum to one."""
-
-
 class SolverError(HoneyflowError):
     """A solver failed in a way that indicates a bug, not a game property."""
 

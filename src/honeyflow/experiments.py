@@ -30,6 +30,7 @@ from .game import (
     DefenderStrategy,
     GameSpec,
     VulnerabilityType,
+    summarize,
 )
 from .heuristics import ratio_game, round_half_up
 from .strategies import (
@@ -175,7 +176,9 @@ _DEFENDERS = ("stackelberg", "uniform", "no-deception")
 def _mean_values(params: GeneratorParams, game_seeds, attackers) -> tuple[dict, float]:
     """Mean (defender value, attacker value) of each defender in
     ``_DEFENDERS`` against each attacker model, keyed (defender, model),
-    over one game drawn per seed; and the mean Stackelberg solve time."""
+    over one game drawn per seed; and the mean Stackelberg solve time.
+    Each defender's strategy is summarized once per game, and every
+    attacker model is scored from that one summary."""
     sums = {(d, a): [0.0, 0.0] for d in _DEFENDERS for a in attackers}
     total_time = 0.0
     for game_seed in game_seeds:
@@ -184,8 +187,9 @@ def _mean_values(params: GeneratorParams, game_seeds, attackers) -> tuple[dict, 
         total_time += eq.solve_time
         strategies = (eq.strategy, uniform_random_strategy(spec), no_deception_strategy(spec))
         for name, strategy in zip(_DEFENDERS, strategies):
+            summary = summarize(spec, strategy)
             for attacker in attackers:
-                result = evaluate_matchup(spec, strategy, attacker)
+                result = evaluate_matchup(spec, summary, attacker)
                 sums[(name, attacker)][0] += result.defender_value
                 sums[(name, attacker)][1] += result.attacker_value
     trials = len(game_seeds)
@@ -277,8 +281,8 @@ def ratio_analysis(
         best: tuple[float, float] | None = None
         for ratio in ratios:
             j = min(round_half_up(ratio * rf), bound)
-            strategy = DefenderStrategy.from_counts(spec, [j] * n)
-            result = evaluate_matchup(spec, strategy, AttackerModel.RATIONAL)
+            summary = summarize(spec, DefenderStrategy.from_counts(spec, [j] * n))
+            result = evaluate_matchup(spec, summary, AttackerModel.RATIONAL)
             rows.append((int(rf), float(ratio), result.defender_value, result.attacker_value))
             if best is None or result.defender_value > best[1]:
                 best = (float(ratio), result.defender_value)

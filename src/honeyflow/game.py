@@ -19,13 +19,9 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DistributionError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 
 # The package's tolerances (the test oracles keep their own, on purpose).
-# An attacker distribution's probabilities may stray PROB_TOL below 0, and
-# its sum PROB_TOL from 1, before it is rejected.
-PROB_TOL = 1e-9
-
 # Utilities within TIE_TOL of the best count as tied. first_best breaks the
 # tie by GameSpec.actions order: lowest type id first, no-attack last.
 TIE_TOL = 1e-9
@@ -318,47 +314,6 @@ def defender_utility(
 ) -> float:
     """Defender's expected utility: negated attack value minus honey cost."""
     return utilities(spec, summarize(spec, strategy), action)[0]
-
-
-def validate_attacker_dist(
-    spec: GameSpec, attacker_dist: Mapping[AttackerAction, float]
-) -> None:
-    """Check that ``attacker_dist`` is a probability distribution over
-    no-attack and attackable types."""
-    attackable = set(spec.attackable_ids)
-    total = 0.0
-    for action, prob in attacker_dist.items():
-        if prob < -PROB_TOL:
-            raise DistributionError(f"negative probability {prob} for {action}")
-        if action.is_attack and action.target not in attackable:
-            raise DistributionError(f"{action} targets an unattackable type")
-        total += prob
-    if abs(total - 1.0) > PROB_TOL:
-        raise DistributionError(f"attacker distribution sums to {total}, not 1")
-
-
-def utility_vs_mixed_attacker(
-    spec: GameSpec,
-    strategy: DefenderStrategy,
-    attacker_dist: Mapping[AttackerAction, float],
-) -> tuple[float, float]:
-    """Expected (defender, attacker) utilities against a mixed attacker.
-
-    ``attacker_dist`` maps actions (no-attack and/or attackable types) to
-    probabilities summing to 1. The honey-cost term is counted exactly once
-    because each pure defender utility carries it and the weights sum to 1.
-    """
-    validate_attacker_dist(spec, attacker_dist)
-    summary = summarize(spec, strategy)
-    d_total = 0.0
-    a_total = 0.0
-    for action, prob in attacker_dist.items():
-        if prob == 0.0:
-            continue
-        d_val, a_val = utilities(spec, summary, action)
-        d_total += prob * d_val
-        a_total += prob * a_val
-    return d_total, a_total
 
 
 # --- JSON wire format -------------------------------------------------------

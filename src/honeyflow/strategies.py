@@ -23,7 +23,6 @@ from .game import (
     first_best,
     summarize,
     utilities,
-    utility_vs_mixed_attacker,
 )
 
 
@@ -101,15 +100,21 @@ def _best_response(spec: GameSpec, summary: Summary) -> AttackerAction:
 
 def evaluate_matchup(
     spec: GameSpec,
-    strategy: DefenderStrategy,
+    summary: Summary,
     attacker: AttackerModel,
 ) -> MatchupResult:
-    """Resolve an attacker model against a defender strategy and score it."""
+    """Resolve an attacker model against a defender strategy's ``summary``
+    (from ``summarize``) and score it. The uniform attacker's values are the
+    share-weighted mean of its attacks' pure values, summed in
+    ``GameSpec.actions`` order."""
     if attacker is AttackerModel.UNIFORM_RANDOM:
         behavior = uniform_attacker(spec)
-        d_val, a_val = utility_vs_mixed_attacker(spec, strategy, behavior)
+        d_val = a_val = 0.0
+        for action, share in behavior.items():
+            d, a = utilities(spec, summary, action)
+            d_val += share * d
+            a_val += share * a
     else:
-        summary = summarize(spec, strategy)
         if attacker is AttackerModel.RATIONAL:
             behavior = _best_response(spec, summary)
         else:

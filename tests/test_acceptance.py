@@ -27,6 +27,7 @@ from honeyflow.game import (
     VulnerabilityType,
     attacker_utility,
     defender_utility,
+    summarize,
 )
 from honeyflow.heuristics import HeuristicInput, exactness_gap, recommend_honey_flows
 from honeyflow.simulator import Endpoint, build_network, run_trials
@@ -119,7 +120,7 @@ def test_criterion_3_dominance_over_baselines():
                 uniform_random_strategy(spec),
                 no_deception_strategy(spec),
             ):
-                result = evaluate_matchup(spec, baseline, AttackerModel.RATIONAL)
+                result = evaluate_matchup(spec, summarize(spec, baseline), AttackerModel.RATIONAL)
                 if stackelberg_value < result.defender_value - 1e-6:
                     violations += 1
     elapsed = time.perf_counter() - start
@@ -144,7 +145,7 @@ def test_criterion_4_cost_regimes():
             spec = random_game(params, seed=3_000 + game_index)
             stackelberg_value = solve_stackelberg(spec).defender_value
             none_value = evaluate_matchup(
-                spec, no_deception_strategy(spec), AttackerModel.RATIONAL
+                spec, summarize(spec, no_deception_strategy(spec)), AttackerModel.RATIONAL
             ).defender_value
             if abs(stackelberg_value - none_value) > 1e-6:
                 high_ok = False
@@ -162,10 +163,10 @@ def test_criterion_4_cost_regimes():
             spec = random_game(params, seed=4_000 + game_index)
             stackelberg_value = solve_stackelberg(spec).defender_value
             uniform_value = evaluate_matchup(
-                spec, uniform_random_strategy(spec), AttackerModel.RATIONAL
+                spec, summarize(spec, uniform_random_strategy(spec)), AttackerModel.RATIONAL
             ).defender_value
             none_value = evaluate_matchup(
-                spec, no_deception_strategy(spec), AttackerModel.RATIONAL
+                spec, summarize(spec, no_deception_strategy(spec)), AttackerModel.RATIONAL
             ).defender_value
             if not (
                 stackelberg_value >= uniform_value - 1e-9

@@ -898,6 +898,26 @@ class TestReportCommands:
         assert out.splitlines()[0] == "defender,attacker,mean_def,mean_att"
         assert len(out.strip().splitlines()) == 10
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("matchup_trials3_seed1.csv", ["matchup", "--trials", "3", "--seed", "1"]),
+            (
+                "evaluate_uniform_uniform.json",
+                ["evaluate", "--game", os.path.join(DATA_DIR, "worked_example.json"),
+                 "--defender", "uniform", "--attacker", "uniform"],
+            ),
+        ],
+    )
+    def test_stdout_bytes_match_the_recorded_output(self, capsys, golden, argv):
+        """The golden files were written when the uniform attacker was scored
+        through a validated attacker distribution; the share-weighted sum over
+        one summary must keep every bit of its mean values."""
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        with open(os.path.join(DATA_DIR, golden), "rb") as fh:
+            assert out.encode("utf-8") == fh.read()
+
 
 class TestCsvDialect:
     @pytest.mark.parametrize(

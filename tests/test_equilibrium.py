@@ -30,6 +30,7 @@ from honeyflow.game import (
     GameSpec,
     VulnerabilityType,
     defender_utility,
+    summarize,
 )
 from honeyflow.strategies import (
     AttackerModel,
@@ -308,9 +309,12 @@ class TestVerification:
 
     @staticmethod
     def _per_row_bound_residual(marginals) -> float:
-        """The reference: the bound residual taken row by row."""
+        """The reference: the bound residual taken row by row, NaN if any
+        row holds a NaN."""
         residual = 0.0
         for m in marginals:
+            if np.isnan(m).any():
+                return math.nan
             residual = max(
                 residual, float(np.max(-m, initial=0.0)), float(np.max(m - 1.0, initial=0.0))
             )
@@ -344,12 +348,12 @@ class TestVerification:
         assert check.residual == 2 * BEST_RESPONSE_TOL
 
     def test_nan_does_not_hide_a_bound_in_its_row(self, worked_example):
-        """The per-row loop drops a row that holds a NaN, bad entries and
-        all; the one-pass check skips only the NaN entry."""
+        """A NaN entry fails the check with a NaN residual, whatever the
+        rest of its row holds."""
         rows = (np.array([math.nan, -0.5, 1.5]), np.array([0.0, 0.0, 0.0, 1.0]))
         check = self._bounds(worked_example, rows)
-        assert self._per_row_bound_residual(rows) == 0.0
-        assert (check.passed, check.residual) == (False, 0.5)
+        assert check.passed is False
+        assert math.isnan(check.residual)
 
     @pytest.mark.parametrize("nan_type", [0, 1])
     def test_nan_entry_fails_normalization(self, worked_example, nan_type):
@@ -390,7 +394,7 @@ class TestEquilibriumProperties:
             spec = _random_spec(rng)
             eq = solve_stackelberg(spec)
             for baseline in (no_deception_strategy(spec), uniform_random_strategy(spec)):
-                result = evaluate_matchup(spec, baseline, AttackerModel.RATIONAL)
+                result = evaluate_matchup(spec, summarize(spec, baseline), AttackerModel.RATIONAL)
                 assert eq.defender_value >= result.defender_value - 1e-6
 
     def test_scaling_covariance(self):
@@ -411,7 +415,7 @@ class TestEquilibriumProperties:
                 )
             )
             carried = evaluate_matchup(
-                scaled, eq.strategy, AttackerModel.RATIONAL
+                scaled, summarize(scaled, eq.strategy), AttackerModel.RATIONAL
             )
             assert carried.defender_value == pytest.approx(
                 lam * eq.defender_value, abs=1e-6

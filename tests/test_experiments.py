@@ -30,14 +30,13 @@ from honeyflow.game import (
     DefenderStrategy,
     GameSpec,
     VulnerabilityType,
+    summarize,
     to_json,
-    utility_vs_mixed_attacker,
 )
 from honeyflow.strategies import (
     AttackerModel,
     evaluate_matchup,
     no_deception_strategy,
-    uniform_attacker,
 )
 
 SMALL = GeneratorParams(
@@ -178,16 +177,32 @@ class TestMatchupGrid:
         t0 = VulnerabilityType(0, 1.0, -1.0, 5, 3, 0.01)
         t1 = VulnerabilityType(1, 1.0, -1.0, 5, 3, 0.01)
         spec = GameSpec((t0, t1))
-        dist = uniform_attacker(spec)
         m_a = np.array([0.2, 0.3, 0.5, 0.0])
         m_b = np.array([1.0, 0.0, 0.0, 0.0])
-        forward = utility_vs_mixed_attacker(
-            spec, DefenderStrategy((m_a, m_b)), dist
+        uniform = AttackerModel.UNIFORM_RANDOM
+        forward = evaluate_matchup(spec, summarize(spec, DefenderStrategy((m_a, m_b))), uniform)
+        swapped = evaluate_matchup(spec, summarize(spec, DefenderStrategy((m_b, m_a))), uniform)
+        assert (forward.defender_value, forward.attacker_value) == pytest.approx(
+            (swapped.defender_value, swapped.attacker_value), abs=1e-12
         )
-        swapped = utility_vs_mixed_attacker(
-            spec, DefenderStrategy((m_b, m_a)), dist
+
+    def test_each_defender_is_summarized_once(self, monkeypatch):
+        """Every attacker model scores a defender from one summary per game:
+        six summaries (2 games x 3 defenders) for 18 matchups."""
+        summaries, matchups = [], []
+
+        def counted(log, fn):
+            def wrapper(*args):
+                log.append(1)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(experiments, "summarize", counted(summaries, summarize))
+        monkeypatch.setattr(
+            experiments, "evaluate_matchup", counted(matchups, evaluate_matchup)
         )
-        assert forward == pytest.approx(swapped, abs=1e-12)
+        matchup_grid(SMALL, trials=2)
+        assert (len(summaries), len(matchups)) == (6, 18)
 
 
 class TestRatioAnalysis:
@@ -207,7 +222,7 @@ class TestRatioAnalysis:
         )
         spec = GameSpec(types)
         base = evaluate_matchup(
-            spec, no_deception_strategy(spec), AttackerModel.RATIONAL
+            spec, summarize(spec, no_deception_strategy(spec)), AttackerModel.RATIONAL
         )
         assert first["defender_value"] == pytest.approx(base.defender_value, abs=1e-9)
 

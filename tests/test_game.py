@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from honeyflow.errors import DistributionError, ShapeError, ValidationError
+from honeyflow.errors import ShapeError, ValidationError
 from honeyflow.game import (
     MAX_HONEY_FLOW_BOUND,
     MAX_STRATEGY_SIZE,
@@ -26,8 +26,9 @@ from honeyflow.game import (
     spec_to_dict,
     summarize,
     to_json,
-    utility_vs_mixed_attacker,
+    utilities,
 )
+from honeyflow.strategies import AttackerModel, evaluate_matchup
 
 ATTACK_0 = AttackerAction.attack(0)
 ATTACK_1 = AttackerAction.attack(1)
@@ -335,50 +336,36 @@ class TestUtilities:
 
 
 class TestMixedAttacker:
-    def test_point_mass_reduces_to_pure(self, worked_example, worked_example_strategy):
-        d, a = utility_vs_mixed_attacker(
-            worked_example, worked_example_strategy, {ATTACK_1: 1.0}
+    """The uniform attacker of ``evaluate_matchup``: a mix of pure attacks."""
+
+    def test_point_mass_reduces_to_pure(self):
+        """With one attackable type the uniform attacker plays it for sure."""
+        spec = GameSpec(
+            (
+                VulnerabilityType(0, 10.0, -5.0, 0, 0, 1.0),
+                VulnerabilityType(1, 20.0, -10.0, 5, 3, 0.5),
+            )
         )
-        assert d == pytest.approx(-11.75, abs=1e-9)
-        assert a == pytest.approx(8.75, abs=1e-9)
+        summary = summarize(spec, DefenderStrategy.from_counts(spec, [0, 3]))
+        result = evaluate_matchup(spec, summary, AttackerModel.UNIFORM_RANDOM)
+        assert result.attacker_behavior == {ATTACK_1: 1.0}
+        assert (result.defender_value, result.attacker_value) == utilities(
+            spec, summary, ATTACK_1
+        )
+        assert result.defender_value == pytest.approx(-10.25, abs=1e-9)
+        assert result.attacker_value == pytest.approx(8.75, abs=1e-9)
 
     def test_uniform_matches_mean_of_pure_values(
         self, worked_example, worked_example_strategy
     ):
-        d, a = utility_vs_mixed_attacker(
-            worked_example, worked_example_strategy, {ATTACK_0: 0.5, ATTACK_1: 0.5}
-        )
+        summary = summarize(worked_example, worked_example_strategy)
+        result = evaluate_matchup(worked_example, summary, AttackerModel.UNIFORM_RANDOM)
         d0 = defender_utility(worked_example, worked_example_strategy, ATTACK_0)
         d1 = defender_utility(worked_example, worked_example_strategy, ATTACK_1)
         a0 = attacker_utility(worked_example, worked_example_strategy, ATTACK_0)
         a1 = attacker_utility(worked_example, worked_example_strategy, ATTACK_1)
-        assert d == pytest.approx((d0 + d1) / 2, abs=1e-9)
-        assert a == pytest.approx((a0 + a1) / 2, abs=1e-9)
-
-    def test_negative_probability_rejected(self, worked_example, worked_example_strategy):
-        with pytest.raises(DistributionError, match="negative"):
-            utility_vs_mixed_attacker(
-                worked_example,
-                worked_example_strategy,
-                {ATTACK_0: -0.5, ATTACK_1: 1.5},
-            )
-
-    def test_bad_total_rejected(self, worked_example, worked_example_strategy):
-        with pytest.raises(DistributionError, match="sums to"):
-            utility_vs_mixed_attacker(
-                worked_example, worked_example_strategy, {ATTACK_0: 0.7}
-            )
-
-    def test_unattackable_target_rejected(self):
-        spec = GameSpec(
-            (
-                VulnerabilityType(0, 1.0, 0.0, 0, 0, 0.1),
-                VulnerabilityType(1, 1.0, 0.0, 3, 1, 0.1),
-            )
-        )
-        strategy = DefenderStrategy((np.array([1.0]), np.array([1.0, 0.0])))
-        with pytest.raises(DistributionError, match="unattackable"):
-            utility_vs_mixed_attacker(spec, strategy, {ATTACK_0: 1.0})
+        assert result.defender_value == pytest.approx((d0 + d1) / 2, abs=1e-9)
+        assert result.attacker_value == pytest.approx((a0 + a1) / 2, abs=1e-9)
 
 
 class TestInvariants:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from honeyflow import strategies
 from honeyflow.errors import EmptyActionSet
 from honeyflow.game import (
     NO_ATTACK,
@@ -36,7 +35,9 @@ class TestBaselines:
         response = rational_attacker(worked_example, strategy)
         assert response == ATTACK_1
         assert attacker_utility(worked_example, strategy, response) == pytest.approx(20.0)
-        result = evaluate_matchup(worked_example, strategy, AttackerModel.RATIONAL)
+        result = evaluate_matchup(
+            worked_example, summarize(worked_example, strategy), AttackerModel.RATIONAL
+        )
         assert result.defender_value == pytest.approx(-20.0)
 
     def test_uniform_marginals(self):
@@ -201,7 +202,9 @@ class TestRationalAttacker:
 class TestEvaluateMatchup:
     def test_hand_built_strategy_vs_rational(self, worked_example, worked_example_strategy):
         result = evaluate_matchup(
-            worked_example, worked_example_strategy, AttackerModel.RATIONAL
+            worked_example,
+            summarize(worked_example, worked_example_strategy),
+            AttackerModel.RATIONAL,
         )
         assert result.defender_value == pytest.approx(-11.75, abs=1e-9)
         assert result.attacker_value == pytest.approx(8.75, abs=1e-9)
@@ -210,41 +213,18 @@ class TestEvaluateMatchup:
     def test_greedy_and_rational_both_recorded_for_optimum(self, worked_example):
         from honeyflow.equilibrium import solve_stackelberg
 
-        eq = solve_stackelberg(worked_example)
-        vs_rational = evaluate_matchup(
-            worked_example, eq.strategy, AttackerModel.RATIONAL
-        )
-        vs_greedy = evaluate_matchup(
-            worked_example, eq.strategy, AttackerModel.GREEDY
-        )
+        summary = summarize(worked_example, solve_stackelberg(worked_example).strategy)
+        vs_rational = evaluate_matchup(worked_example, summary, AttackerModel.RATIONAL)
+        vs_greedy = evaluate_matchup(worked_example, summary, AttackerModel.GREEDY)
         # No ordering is promised between the two; both must simply be
         # finite, reproducible numbers.
-        again = evaluate_matchup(worked_example, eq.strategy, AttackerModel.GREEDY)
+        again = evaluate_matchup(worked_example, summary, AttackerModel.GREEDY)
         assert vs_greedy == again
         assert np.isfinite(vs_rational.defender_value)
         assert np.isfinite(vs_greedy.defender_value)
 
     def test_pure_function_identical_outputs(self, worked_example, worked_example_strategy):
-        first = evaluate_matchup(
-            worked_example, worked_example_strategy, AttackerModel.UNIFORM_RANDOM
-        )
-        second = evaluate_matchup(
-            worked_example, worked_example_strategy, AttackerModel.UNIFORM_RANDOM
-        )
+        summary = summarize(worked_example, worked_example_strategy)
+        first = evaluate_matchup(worked_example, summary, AttackerModel.UNIFORM_RANDOM)
+        second = evaluate_matchup(worked_example, summary, AttackerModel.UNIFORM_RANDOM)
         assert first == second
-
-    @pytest.mark.parametrize("model", [AttackerModel.RATIONAL, AttackerModel.GREEDY])
-    def test_strategy_is_summarized_once(
-        self, monkeypatch, worked_example, worked_example_strategy, model
-    ):
-        """The attacker's choice and the score come from one summary."""
-        calls = []
-
-        def counted(spec, strategy):
-            calls.append(1)
-            return summarize(spec, strategy)
-
-        monkeypatch.setattr(strategies, "summarize", counted)
-        result = evaluate_matchup(worked_example, worked_example_strategy, model)
-        assert len(calls) == 1
-        assert result.attacker_behavior == ATTACK_1
