@@ -103,8 +103,8 @@ def _add_generator_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trials", type=int, default=100)
 
 
-def _report_out(report: experiments.ExperimentReport, args) -> int:
-    _emit(report.csv(with_timing=args.with_timing), args.output)
+def _report_out(report: experiments.ExperimentReport, args, with_timing=False) -> int:
+    _emit(report.csv(with_timing=with_timing), args.output)
     if args.output:
         _emit(to_json(report.metadata), args.output + ".meta.json")
     return EXIT_OK
@@ -143,7 +143,6 @@ def _matchup_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cost", type=float, default=1e-4)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
-    p.set_defaults(with_timing=False)  # the grid has no timing column
 
 
 def _ratio_args(p: argparse.ArgumentParser) -> None:
@@ -157,7 +156,6 @@ def _ratio_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--real-flows", type=_ints, default=[10, 15, 30])
     p.add_argument("--cost", type=float, default=0.1)
     p.add_argument("--output", default=None)
-    p.set_defaults(with_timing=False)  # the ratio table has no timing column
 
 
 def _bench_args(p: argparse.ArgumentParser) -> None:
@@ -166,7 +164,6 @@ def _bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
-    p.set_defaults(with_timing=True)  # timing is what bench reports
 
 
 def _simulate_args(p: argparse.ArgumentParser) -> None:
@@ -364,7 +361,7 @@ def _cmd_heuristic(args) -> int:
 
 def _cmd_sweep(args) -> int:
     report = experiments.cost_sweep(_params_from_args(args), args.costs, args.trials, args.seed)
-    return _report_out(report, args)
+    return _report_out(report, args, with_timing=args.with_timing)
 
 
 def _cmd_matchup(args) -> int:
@@ -383,7 +380,7 @@ def _cmd_ratio(args) -> int:
 
 def _cmd_bench(args) -> int:
     report = experiments.scalability_bench(args.dimension, args.sizes, args.trials, args.seed)
-    return _report_out(report, args)
+    return _report_out(report, args, with_timing=True)  # timing is what bench reports
 
 
 # name: (help, adds the subcommand's arguments, runs it)
@@ -440,10 +437,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
         return _SUBCOMMANDS[args.command][2](args)
-    except HoneyflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, RecursionError, ValueError) as exc:  # RecursionError: deep JSON
+    except (HoneyflowError, OSError, RecursionError, ValueError) as exc:
+        # RecursionError: a JSON input nested too deep
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -228,9 +228,9 @@ def cost_sweep(
         "no_deception_att",
         "solve_time",
     )
-    return ExperimentReport(
-        columns, tuple(rows), _metadata(seed, params, trials=trials, costs=list(map(float, costs)))
-    )
+    meta = _metadata(seed, params, trials=trials, costs=list(map(float, costs)))
+    del meta["params"]["cost"]  # each row's cost is in "costs"
+    return ExperimentReport(columns, tuple(rows), meta)
 
 
 def matchup_grid(

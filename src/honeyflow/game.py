@@ -67,8 +67,9 @@ class VulnerabilityType:
 
     The attacker gains ``attacker_real_value`` for hitting a real flow of
     this type and ``attacker_honey_value`` (possibly negative) for hitting a
-    honey flow. The defender's values are the negations; only the honey-flow
-    creation cost breaks the zero-sum structure.
+    honey flow. The defender's values are the negated attacker values, which
+    ``utilities`` negates where it needs them; the type has no defender
+    fields. Only the honey-flow creation cost breaks the zero-sum structure.
     """
 
     id: int
@@ -77,14 +78,6 @@ class VulnerabilityType:
     real_flow_count: int
     honey_flow_bound: int
     honey_flow_cost: float
-
-    @property
-    def defender_real_value(self) -> float:
-        return -self.attacker_real_value
-
-    @property
-    def defender_honey_value(self) -> float:
-        return -self.attacker_honey_value
 
 
 @dataclass(frozen=True)
@@ -227,10 +220,6 @@ class AttackerAction:
     def attack(type_id: int) -> "AttackerAction":
         return AttackerAction(target=type_id)
 
-    @staticmethod
-    def no_attack() -> "AttackerAction":
-        return AttackerAction(target=None)
-
     @property
     def is_attack(self) -> bool:
         return self.target is not None
@@ -239,7 +228,7 @@ class AttackerAction:
         return "no-attack" if self.target is None else f"attack({self.target})"
 
 
-NO_ATTACK = AttackerAction.no_attack()
+NO_ATTACK = AttackerAction()
 
 
 def first_best(actions: Sequence[AttackerAction], values: Sequence[float]) -> AttackerAction:
@@ -297,7 +286,7 @@ def utilities(
     p = hit[action.target]
     # Not -attacker - cost: that can flip the sign of a zero defender value.
     return (
-        p * vt.defender_real_value + (1.0 - p) * vt.defender_honey_value - cost,
+        p * -vt.attacker_real_value + (1.0 - p) * -vt.attacker_honey_value - cost,
         p * vt.attacker_real_value + (1.0 - p) * vt.attacker_honey_value,
     )
 
@@ -438,16 +427,6 @@ def _indented(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if not isinstance(value[0], (str, dict, list, tuple, np.ndarray)):
-            # Numbers, bools and nulls encode without a quote, bracket or
-            # ", ", so one flat C encode splits cleanly into the items.
-            try:
-                flat = _ENCODE(value)[1:-1]
-            except TypeError:  # an array further on takes the item path
-                pass
-            else:
-                if not any(c in flat for c in '"[{'):
-                    return "[" + inner + flat.replace(", ", "," + inner) + newline + "]"
         items = (_indented(v, inner) for v in value)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return _ENCODE(value)

@@ -78,7 +78,7 @@ class PairIndex:
 class NetworkModel:
     endpoints: dict[str, Endpoint]
     switches: frozenset[str]
-    adjacency: dict[str, tuple[str, ...]]  # the links, for equality
+    links: frozenset[tuple[str, str]]  # sorted pairs: order, direction, repeats don't count
     compromised: frozenset[str]
     index: PairIndex = field(compare=False, repr=False)
 
@@ -282,22 +282,14 @@ def build_network(
             f"got {len(endpoints) + len(switches)}"
         )
 
-    adjacency: dict[str, list[str]] = {n: [] for n in (*endpoints, *switches)}
-    for a, b in links:
-        if b not in adjacency[a]:
-            adjacency[a].append(b)
-        if a not in adjacency[b]:
-            adjacency[b].append(a)
-    adj = {n: tuple(sorted(ns)) for n, ns in adjacency.items()}
-
+    links = frozenset((a, b) if a <= b else (b, a) for a, b in links)
     ids = tuple(sorted(endpoints))
     switch_ids = tuple(sorted(switches))
     position = {node: k for k, node in enumerate(ids + switch_ids)}
     n = len(ids)
     linked = np.zeros((len(position), len(position)), dtype=bool)
-    rows = [position[a] for a, ns in adj.items() for _ in ns]
-    cols = [position[b] for ns in adj.values() for b in ns]
-    linked[rows, cols] = True
+    for a, b in links:
+        linked[position[a], position[b]] = linked[position[b], position[a]] = True
     pred = _route(n, linked)
 
     reachable = pred[:, :n] >= 0
@@ -320,7 +312,7 @@ def build_network(
     return NetworkModel(
         endpoints=dict(endpoints),
         switches=switches,
-        adjacency=adj,
+        links=links,
         compromised=compromised,
         index=index,
     )
@@ -331,7 +323,7 @@ def _route(n: int, linked: np.ndarray) -> np.ndarray:
     o, or -1 where x is o or unreachable from it.
 
     Positions are the sorted endpoints (the first ``n``), then the sorted
-    switches; ``linked`` is their adjacency matrix. One breadth-first
+    switches; ``linked[x, y]`` says x and y are linked. One breadth-first
     search runs from every origin at once, its frontier an origins × nodes
     matrix, and only switches expand. A node's predecessor is the origin
     at hop 1 and, after that, the lowest-position (smallest-id) frontier

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from honeyflow import experiments
+from honeyflow import cli, experiments
 from honeyflow.equilibrium import solve_stackelberg
 from honeyflow.errors import ConfigError
 from honeyflow.experiments import (
@@ -324,6 +324,19 @@ class TestReportFiles:
         assert meta["seed"] == 4
         assert meta["params"]["type_count"] == 3
         assert "build" in meta
+
+    def test_sweep_sidecar_records_no_cost(self, tmp_path):
+        """A sweep's rows each have their own cost, listed under "costs";
+        matchup's one --cost stays in its parameters."""
+        sweep, matchup = tmp_path / "sweep.csv", tmp_path / "matchup.csv"
+        args = ("--trials", "1", "--types", "2", "--real-flows", "5", "--honey-bounds", "3", "6")
+        assert cli.run(["sweep", *args, "--output", str(sweep)]) == 0
+        assert cli.run(["matchup", *args, "--cost", "0.25", "--output", str(matchup)]) == 0
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert "cost" not in meta["params"]
+        assert meta["costs"] == list(DEFAULT_COST_SWEEP)
+        meta = json.loads((tmp_path / "matchup.csv.meta.json").read_text())
+        assert meta["params"]["cost"] == 0.25
 
     def test_csv_floats_round_trip(self):
         report = cost_sweep(SMALL, costs=[0.01], trials=2, seed=4)

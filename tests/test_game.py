@@ -334,6 +334,17 @@ class TestUtilities:
             -20.0, abs=1e-12
         )
 
+    def test_zero_defender_value_is_positive_zero(self):
+        """The defender's value negates each attack value before the cost
+        is taken off. Negating the attacker's sum would give -0.0 here:
+        one honey flow beside one real flow makes p = 1/2, and 1/2 * 1 +
+        1/2 * -1 is +0.0."""
+        spec = GameSpec((VulnerabilityType(0, 1.0, -1.0, 1, 1, 0.0),))
+        summary = summarize(spec, DefenderStrategy.from_counts(spec, [1]))
+        assert summary == ((0.5,), 0.0)
+        defender, attacker = utilities(spec, summary, ATTACK_0)
+        assert (repr(defender), repr(attacker)) == ("0.0", "0.0")
+
 
 class TestMixedAttacker:
     """The uniform attacker of ``evaluate_matchup``: a mix of pure attacks."""

@@ -63,7 +63,19 @@ def _no_flows(net):
     return generate_flows(net, {}, {}, seed=0)
 
 
-def _chain_net(compromised=("s2",), extra_links=()):
+CHAIN_LINKS = [
+    ("client1", "s1"),
+    ("client2", "s1"),
+    ("fake1", "s1"),
+    ("s1", "s2"),
+    ("s2", "s3"),
+    ("server1", "s3"),
+    ("server2", "s3"),
+    ("fake2", "s3"),
+]
+
+
+def _chain_net(compromised=("s2",), extra_links=(), links=CHAIN_LINKS):
     """Two real clients, two real servers, two fakes around a 3-switch chain."""
     endpoints = {
         "client1": _endpoint("client1", 1.0, (0,)),
@@ -73,18 +85,7 @@ def _chain_net(compromised=("s2",), extra_links=()):
         "fake1": _endpoint("fake1", 0.0, (0,), fake=True),
         "fake2": _endpoint("fake2", 0.0, (1,), fake=True),
     }
-    links = [
-        ("client1", "s1"),
-        ("client2", "s1"),
-        ("fake1", "s1"),
-        ("s1", "s2"),
-        ("s2", "s3"),
-        ("server1", "s3"),
-        ("server2", "s3"),
-        ("fake2", "s3"),
-        *extra_links,
-    ]
-    return build_network(endpoints, ["s1", "s2", "s3"], links, compromised)
+    return build_network(endpoints, ["s1", "s2", "s3"], [*links, *extra_links], compromised)
 
 
 class TestBuildNetwork:
@@ -531,30 +532,42 @@ class TestHoneyTrafficRate:
 class TestFlowTable:
     def test_flows_of_an_equal_network_are_converted(self):
         """A table generated on one network object reads the same on an
-        equal, separately built one as on its own."""
+        equal, separately built one as on its own, and the other way round.
+        Links compare as a set: reordered, reversed end for end or listed
+        twice, they make an equal network."""
         own = _chain_net()
         flows = generate_flows(own, {0: 30, 1: 30}, {0: 10}, seed=8)
-        other = _chain_net()
-        assert other is not own and other == own
-        mine, theirs = observe(own, flows), observe(other, flows)
-        assert {t: _rows(f) for t, f in theirs.observed.items()} == {
-            t: _rows(f) for t, f in mine.observed.items()
-        }
-        assert theirs.real_honey_split() == mine.real_honey_split()
-        for switch in sorted(own.switches):
-            assert honey_traffic_rate(other, flows, switch) == honey_traffic_rate(
-                own, flows, switch
-            )
+        mine = observe(own, flows)
+        for other in (
+            _chain_net(),
+            _chain_net(links=CHAIN_LINKS[::-1]),
+            _chain_net(links=[(b, a) for a, b in CHAIN_LINKS]),
+            _chain_net(extra_links=CHAIN_LINKS[::2]),
+        ):
+            assert other is not own and other == own
+            theirs = observe(other, flows)
+            assert {t: _rows(f) for t, f in theirs.observed.items()} == {
+                t: _rows(f) for t, f in mine.observed.items()
+            }
+            assert theirs.real_honey_split() == mine.real_honey_split()
+            for switch in sorted(own.switches):
+                assert honey_traffic_rate(other, flows, switch) == honey_traffic_rate(
+                    own, flows, switch
+                )
+            observe(own, generate_flows(other, {0: 5}, {}, seed=1))
 
     def test_flows_of_another_network_rejected(self):
         """A different compromised set or link set makes a different network.
         The s1-s3 shortcut keeps the nodes and the compromised set but routes
-        client-server flows around s2."""
+        client-server flows around s2; a switch's self-link changes no path
+        but is a link all the same."""
         flows = generate_flows(_chain_net(), {0: 30, 1: 30}, {0: 10}, seed=8)
         for elsewhere in (
             _chain_net(compromised=("s1",)),
             _chain_net(extra_links=[("s1", "s3")]),
+            _chain_net(extra_links=[("s2", "s2")]),
         ):
+            assert elsewhere != _chain_net()
             with pytest.raises(TopologyError, match="different network"):
                 observe(elsewhere, flows)
             with pytest.raises(TopologyError, match="different network"):
