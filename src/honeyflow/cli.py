@@ -262,10 +262,11 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _honey_configs(text: str, n_types: int) -> Iterable[dict[int, int]]:
+def _honey_configs(text: str, n_types: int, episodes: int) -> Iterable[dict[int, int]]:
     """Either fixed per-type counts ("100,50") or a sweep "lo:hi:step"
     applied to every type, yielding one config per sweep point. Every
-    count is checked here, before any simulation runs."""
+    count, and a sweep's points times ``episodes`` (at most
+    MAX_EPISODES in all), is checked here, before any simulation runs."""
     if ":" in text:
         try:
             lo, hi, step = (int(x) for x in text.split(":"))
@@ -276,6 +277,11 @@ def _honey_configs(text: str, n_types: int) -> Iterable[dict[int, int]]:
         if step <= 0 or hi < lo:
             raise HoneyflowError(f"bad honey sweep {text!r}")
         points = range(lo, hi + 1, step)
+        if len(points) * episodes > simulator.MAX_EPISODES:
+            raise HoneyflowError(
+                f"honey sweep {text!r} has {len(points)} points of {episodes} episodes, "
+                f"more than the cap of {simulator.MAX_EPISODES} episodes in all"
+            )
         for point in (points[0], points[-1]):
             simulator.check_flow_counts("honey", dict.fromkeys(range(n_types), point))
         return (dict.fromkeys(range(n_types), point) for point in points)
@@ -308,7 +314,7 @@ def _cmd_simulate(args) -> int:
         net = simulator.network_from_dict(json.load(fh))
     real = dict(enumerate(args.real))
     simulator.check_flow_counts("real", real)
-    honey_configs = _honey_configs(args.honey, len(args.real))
+    honey_configs = _honey_configs(args.honey, len(args.real), args.episodes)
     policy = _policy(args.policy, len(args.real))
     runs = [
         (honey, simulator.run_trials(net, real, honey, policy, args.episodes, args.seed + k))

@@ -91,15 +91,18 @@ class GameSpec:
     honey flows up) = R/(j+R), all zeros for a type with no real flows
     (the limit of R/(j+R)), and ``attack_values`` u(j) = p_j*v_real +
     (1-p_j)*v_honey. ``honey_counts`` holds the counts 0..max H as floats;
-    a type's counts are its first H + 1. All three are read-only and take
-    no part in equality, hashing or repr. ``actions`` orders the attacker's
-    choices.
+    a type's counts are its first H + 1. ``attackable_ids`` are the types
+    that can carry at least one flow, real or honey, and ``actions`` the
+    attacker's choices: the attackable types by id, then no-attack. All
+    five are read-only and take no part in equality, hashing or repr.
     """
 
     types: tuple[VulnerabilityType, ...]
     hit_probabilities: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     attack_values: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     honey_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    attackable_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    actions: tuple[AttackerAction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "types", tuple(self.types))
@@ -157,18 +160,10 @@ class GameSpec:
         object.__setattr__(self, "hit_probabilities", tuple(hit))
         object.__setattr__(self, "attack_values", tuple(value))
         object.__setattr__(self, "honey_counts", counts)
-
-    @property
-    def attackable_ids(self) -> tuple[int, ...]:
-        """Types that can carry at least one flow, real or honey."""
-        return tuple(
-            t.id for t in self.types if t.real_flow_count + t.honey_flow_bound > 0
-        )
-
-    @property
-    def actions(self) -> tuple[AttackerAction, ...]:
-        """The attacker's choices: the attackable types by id, then no-attack."""
-        return tuple(AttackerAction.attack(i) for i in self.attackable_ids) + (NO_ATTACK,)
+        ids = tuple(t.id for t in self.types if t.real_flow_count + t.honey_flow_bound > 0)
+        object.__setattr__(self, "attackable_ids", ids)
+        actions = tuple(AttackerAction.attack(i) for i in ids) + (NO_ATTACK,)
+        object.__setattr__(self, "actions", actions)
 
 
 @dataclass(frozen=True)

@@ -74,13 +74,16 @@ class PairIndex:
     incidence: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkModel:
+    """Endpoints, switches and the compromised set, routed once into
+    ``index``. A network equals only itself: a flow table is read on
+    ``flows.net``, the network it was drawn on."""
+
     endpoints: dict[str, Endpoint]
     switches: frozenset[str]
-    links: frozenset[tuple[str, str]]  # sorted pairs: order, direction, repeats don't count
     compromised: frozenset[str]
-    index: PairIndex = field(compare=False, repr=False)
+    index: PairIndex = field(repr=False)
 
 
 class FlowTable:
@@ -88,9 +91,8 @@ class FlowTable:
 
     ``origin`` and ``destination`` are positions in ``net.index.ids``,
     ``info`` is the advertised vulnerability type and ``is_honey`` the
-    honey flag. The columns are read-only. ``observe`` and
-    ``honey_traffic_rate`` read a table only on ``net`` or on a network
-    equal to it.
+    honey flag. The columns are read-only. A table is read on ``net``,
+    the network it was drawn on.
     """
 
     __slots__ = ("net", "origin", "destination", "info", "is_honey", "_pairs")
@@ -282,7 +284,6 @@ def build_network(
             f"got {len(endpoints) + len(switches)}"
         )
 
-    links = frozenset((a, b) if a <= b else (b, a) for a, b in links)
     ids = tuple(sorted(endpoints))
     switch_ids = tuple(sorted(switches))
     position = {node: k for k, node in enumerate(ids + switch_ids)}
@@ -312,7 +313,6 @@ def build_network(
     return NetworkModel(
         endpoints=dict(endpoints),
         switches=switches,
-        links=links,
         compromised=compromised,
         index=index,
     )
@@ -458,13 +458,6 @@ def _draw_pairs(
     return origin, dest
 
 
-def _check_network(net: NetworkModel, flows: FlowTable) -> None:
-    """Raise TopologyError unless the flows were generated on ``net`` or on
-    an equal network (same endpoints, switches, links and compromised set)."""
-    if flows.net is not net and flows.net != net:
-        raise TopologyError("the flows were generated on a different network")
-
-
 @dataclass(frozen=True)
 class Observation:
     """Flows visible from the compromised switches, grouped by type.
@@ -488,26 +481,20 @@ class Observation:
         return split
 
 
-def observe(net: NetworkModel, flows: FlowTable) -> Observation:
+def observe(flows: FlowTable) -> Observation:
     """Flows whose path crosses at least one compromised switch."""
-    _check_network(net, flows)
-    seen = flows.take(flows.lookup(net.index.crosses))
+    seen = flows.take(flows.lookup(flows.net.index.crosses))
     types = np.unique(seen.info).tolist()
     return Observation({t: seen.take(seen.info == t) for t in types})
 
 
-def attacker_episode(
-    net: NetworkModel,
-    observation: Observation,
-    chosen: int,
-    row: int,
-) -> EpisodeOutcome:
+def attacker_episode(observation: Observation, chosen: int, row: int) -> EpisodeOutcome:
     """One attack on type ``chosen`` that hits its observed flow ``row`` (a
     position in ``observation.observed[chosen]``): resolve the outcome."""
     flows = observation.observed.get(chosen, ())
     if not flows:
         raise EmptyObservation(f"no observed flows of type {chosen}")
-    target = net.endpoints[flows.net.index.ids[flows.destination[row]]]
+    target = flows.net.endpoints[flows.net.index.ids[flows.destination[row]]]
     if flows.is_honey[row]:
         return EpisodeOutcome(
             OutcomeKind.DEFEAT, target.id, target.attacker_value, -target.attacker_value
@@ -634,7 +621,7 @@ def run_trials(
         )
     ss = np.random.SeedSequence(seed)
     flows = generate_flows(net, real_counts, honey_counts, ss.spawn(1)[0])
-    observation = observe(net, flows)
+    observation = observe(flows)
 
     # per attacked type: its episodes' payoffs and its defeat count
     attacker: dict[int, array] = {}
@@ -642,7 +629,7 @@ def run_trials(
     defeats: Counter[int] = Counter()
     for chosen, rows in episode_draws(observation.totals(), policy, episodes, seed):
         for vuln, row in zip(chosen.tolist(), rows.tolist()):
-            outcome = attacker_episode(net, observation, vuln, row)
+            outcome = attacker_episode(observation, vuln, row)
             attacker.setdefault(vuln, array("d")).append(outcome.attacker_payoff)
             defender.setdefault(vuln, array("d")).append(outcome.defender_payoff)
             if outcome.kind is OutcomeKind.DEFEAT:
@@ -665,21 +652,18 @@ def run_trials(
                 defeat_rate=defeats[vuln] / n,
             )
         )
-    switch_rates = {
-        s: honey_traffic_rate(net, flows, s) for s in sorted(net.switches)
-    }
+    switch_rates = {s: honey_traffic_rate(flows, s) for s in sorted(net.switches)}
     return SimulationReport(tuple(rows), switch_rates, episodes, seed)
 
 
-def honey_traffic_rate(net: NetworkModel, flows: FlowTable, switch: str) -> float:
+def honey_traffic_rate(flows: FlowTable, switch: str) -> float:
     """Fraction of the traffic through one switch that is honey traffic.
 
     0 when no honey flows pass, and by convention 0 when nothing passes.
     """
-    if switch not in net.switches:
+    if switch not in flows.net.switches:
         raise TopologyError(f"unknown switch {switch}")
-    _check_network(net, flows)
-    index = net.index
+    index = flows.net.index
     through = index.incidence[index.switch_ids.index(switch)].reshape(-1)
     passing, honey = (int(c) for c in flows.pair_counts() @ through)
     if not passing:

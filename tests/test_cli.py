@@ -378,6 +378,7 @@ class TestExitCodes:
             ("0:1000001:1000001", "honey flow count for type 0"),
             ("-1:5:1", "honey flow count for type 0"),
             ("5,1000001", "honey flow count for type 1"),
+            ("0:100000:1", "has 100001 points of 10 episodes, more than the cap of 1000000"),
         ],
         ids=[
             "two-part-sweep",
@@ -385,6 +386,7 @@ class TestExitCodes:
             "oversize-last-point",
             "negative-first-point",
             "oversize-fixed",
+            "sweep-over-episode-cap",
         ],
     )
     def test_simulate_input_checked_before_any_run(
@@ -822,7 +824,7 @@ class TestSimulate:
             child = np.random.SeedSequence(11 + k).spawn(1)[0]
             flows = simulator.generate_flows(net, {0: 30, 1: 20}, {0: point, 1: point}, child)
             for switch in sorted(net.switches):
-                rate = simulator.honey_traffic_rate(net, flows, switch)
+                rate = simulator.honey_traffic_rate(flows, switch)
                 expected.append([str(2 * point), switch, repr(rate)])
         assert rows == expected
         assert any(float(r[2]) > 0 for r in rows[1:])

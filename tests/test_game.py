@@ -156,15 +156,25 @@ class TestAttackerChoices:
     """GameSpec.actions orders the attacker's choices and first_best breaks
     ties in that order."""
 
-    def test_actions_skip_unattackable_types_and_end_with_no_attack(self):
-        spec = GameSpec(
-            (
-                VulnerabilityType(0, 1.0, 0.0, 2, 1, 0.1),
-                VulnerabilityType(1, 1.0, 0.0, 0, 0, 0.1),
-                VulnerabilityType(2, 1.0, 0.0, 0, 3, 0.1),
-            )
+    SPEC = GameSpec(
+        (
+            VulnerabilityType(0, 1.0, 0.0, 2, 1, 0.1),
+            VulnerabilityType(1, 1.0, 0.0, 0, 0, 0.1),
+            VulnerabilityType(2, 1.0, 0.0, 0, 3, 0.1),
         )
+    )
+
+    def test_actions_skip_unattackable_types_and_end_with_no_attack(self):
+        spec = self.SPEC
         assert spec.actions == (AttackerAction.attack(0), AttackerAction.attack(2), NO_ATTACK)
+
+    def test_actions_are_built_once_with_the_spec(self):
+        """The solver and the attackers read them many times per game."""
+        spec = self.SPEC
+        assert spec.attackable_ids is spec.attackable_ids and spec.attackable_ids == (0, 2)
+        assert spec.actions is spec.actions
+        assert "actions" not in repr(spec)
+        assert spec == GameSpec(spec.types) and hash(spec) == hash(GameSpec(spec.types))
 
     @given(values=_TIE_VALUES, data=st.data())
     @settings(max_examples=300, deadline=None)

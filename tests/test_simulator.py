@@ -96,6 +96,26 @@ class TestBuildNetwork:
         assert net.switches == {"s1", "s2", "s3"}
         assert _switches_on(net, "client1", "server1") == {"s1", "s2", "s3"}
 
+    def test_routing_reads_the_links_as_a_set(self):
+        """Links reordered, reversed end for end or listed twice route every
+        pair the same way. Compromising s1 instead of s2 changes which paths
+        cross a compromised switch, and the s1-s3 shortcut keeps the nodes
+        but routes client-server flows around s2."""
+        index = _chain_net().index
+        for other in (
+            _chain_net(links=CHAIN_LINKS[::-1]),
+            _chain_net(links=[(b, a) for a, b in CHAIN_LINKS]),
+            _chain_net(extra_links=CHAIN_LINKS[::2]),
+        ):
+            for name in ("reachable", "crosses", "incidence"):
+                assert np.array_equal(getattr(other.index, name), getattr(index, name))
+        moved = _chain_net(compromised=("s1",)).index
+        assert not np.array_equal(moved.crosses, index.crosses)
+        assert np.array_equal(moved.incidence, index.incidence)
+        shortcut = _chain_net(extra_links=[("s1", "s3")]).index
+        assert not np.array_equal(shortcut.incidence, index.incidence)
+        assert np.array_equal(shortcut.reachable, index.reachable)
+
     def test_single_endpoint_rejected(self):
         with pytest.raises(TopologyError, match="two endpoints"):
             build_network({"a": _endpoint("a")}, ["s1"], [("a", "s1")])
@@ -244,12 +264,12 @@ class TestObserve:
     def test_no_compromised_switches_sees_nothing(self):
         net = _chain_net(compromised=())
         flows = generate_flows(net, {0: 50}, {0: 10}, seed=3)
-        assert observe(net, flows).totals() == {}
+        assert observe(flows).totals() == {}
 
     def test_all_switches_see_everything(self):
         net = _chain_net(compromised=("s1", "s2", "s3"))
         flows = generate_flows(net, {0: 50, 1: 20}, {0: 10}, seed=3)
-        totals = observe(net, flows).totals()
+        totals = observe(flows).totals()
         assert totals[0] == 60
         assert totals[1] == 20
 
@@ -257,7 +277,7 @@ class TestObserve:
         net = _chain_net(compromised=("s2",))
         flows = generate_flows(net, {0: 80}, {0: 20}, seed=5)
         crossing = [f for f in _rows(flows) if "s2" in _switches_on(net, f[0], f[1])]
-        observed = observe(net, flows)
+        observed = observe(flows)
         assert observed.totals().get(0, 0) == len(crossing)
         real, honey = observed.real_honey_split()[0]
         assert honey == 20  # fakes sit on opposite ends, always crossing
@@ -267,16 +287,16 @@ class TestAttackerEpisode:
     def test_only_honey_means_defeat(self):
         net = _chain_net(compromised=("s2",))
         flows = generate_flows(net, {}, {0: 10}, seed=2)
-        obs = observe(net, flows)
+        obs = observe(flows)
         for row in range(10):
-            assert attacker_episode(net, obs, 0, row).kind is OutcomeKind.DEFEAT
+            assert attacker_episode(obs, 0, row).kind is OutcomeKind.DEFEAT
 
     def test_only_real_means_success(self):
         net = _chain_net(compromised=("s1", "s2", "s3"))
         flows = generate_flows(net, {0: 10}, {}, seed=2)
-        obs = observe(net, flows)
+        obs = observe(flows)
         for row in range(10):
-            assert attacker_episode(net, obs, 0, row).kind is OutcomeKind.SUCCESS
+            assert attacker_episode(obs, 0, row).kind is OutcomeKind.SUCCESS
 
     def test_mismatched_weakness_is_noop(self):
         net = _chain_net(compromised=("s2",))
@@ -285,17 +305,17 @@ class TestAttackerEpisode:
         ids = net.index.ids
         row = [np.array([ids.index(e)], dtype=np.int32) for e in ("client1", "server2")]
         flow = FlowTable(net, *row, np.array([0]), np.array([False]))
-        obs = observe(net, flow)
-        outcome = attacker_episode(net, obs, 0, 0)
+        obs = observe(flow)
+        outcome = attacker_episode(obs, 0, 0)
         assert outcome.kind is OutcomeKind.NOOP
         assert outcome.attacker_payoff == 0.0
         assert outcome.defender_payoff == 0.0
 
     def test_empty_observation_raises(self):
         net = _chain_net()
-        obs = observe(net, _no_flows(net))
+        obs = observe(_no_flows(net))
         with pytest.raises(EmptyObservation):
-            attacker_episode(net, obs, 0, 0)
+            attacker_episode(obs, 0, 0)
 
     def test_half_honey_defeat_frequency(self):
         """5 real + 5 honey of one type: defeat frequency over 10k seeded
@@ -316,10 +336,10 @@ class TestAttackerEpisode:
         nets to zero across the two players."""
         net = _chain_net(compromised=("s1", "s2", "s3"))
         flows = generate_flows(net, {0: 7, 1: 3}, {0: 4, 1: 2}, seed=13)
-        obs = observe(net, flows)
+        obs = observe(flows)
         for vuln, count in obs.totals().items():
             for row in range(count):
-                outcome = attacker_episode(net, obs, vuln, row)
+                outcome = attacker_episode(obs, vuln, row)
                 assert outcome.attacker_payoff + outcome.defender_payoff == pytest.approx(
                     0.0, abs=1e-12
                 )
@@ -490,17 +510,17 @@ class TestHoneyTrafficRate:
         flows = generate_flows(net, {0: 500, 1: 500}, {0: 500, 1: 500}, seed=1)
         through = [f for f in _rows(flows) if "s2" in _switches_on(net, f[0], f[1])]
         expected = sum(f[3] for f in through) / len(through)
-        assert honey_traffic_rate(net, flows, "s2") == pytest.approx(expected)
-        assert honey_traffic_rate(net, flows, "s2") > 0.4  # honey always crosses
+        assert honey_traffic_rate(flows, "s2") == pytest.approx(expected)
+        assert honey_traffic_rate(flows, "s2") > 0.4  # honey always crosses
 
     def test_no_honey_rate_zero(self):
         net = _chain_net()
         flows = generate_flows(net, {0: 100}, {}, seed=1)
-        assert honey_traffic_rate(net, flows, "s2") == 0.0
+        assert honey_traffic_rate(flows, "s2") == 0.0
 
     def test_no_traffic_rate_zero_by_convention(self):
         net = _chain_net()
-        assert honey_traffic_rate(net, _no_flows(net), "s2") == 0.0
+        assert honey_traffic_rate(_no_flows(net), "s2") == 0.0
 
     def test_honey_routed_around_a_switch(self):
         eps = {
@@ -520,59 +540,16 @@ class TestHoneyTrafficRate:
         ]
         net = build_network(eps, ["s1", "s2", "s3"], links)
         flows = generate_flows(net, {0: 40}, {0: 40}, seed=6)
-        assert honey_traffic_rate(net, flows, "s2") == 0.0
-        assert honey_traffic_rate(net, flows, "s1") == pytest.approx(0.5)
+        assert honey_traffic_rate(flows, "s2") == 0.0
+        assert honey_traffic_rate(flows, "s1") == pytest.approx(0.5)
 
     def test_unknown_switch_rejected(self):
         net = _chain_net()
         with pytest.raises(TopologyError, match="unknown switch"):
-            honey_traffic_rate(net, _no_flows(net), "nope")
+            honey_traffic_rate(_no_flows(net), "nope")
 
 
 class TestFlowTable:
-    def test_flows_of_an_equal_network_are_converted(self):
-        """A table generated on one network object reads the same on an
-        equal, separately built one as on its own, and the other way round.
-        Links compare as a set: reordered, reversed end for end or listed
-        twice, they make an equal network."""
-        own = _chain_net()
-        flows = generate_flows(own, {0: 30, 1: 30}, {0: 10}, seed=8)
-        mine = observe(own, flows)
-        for other in (
-            _chain_net(),
-            _chain_net(links=CHAIN_LINKS[::-1]),
-            _chain_net(links=[(b, a) for a, b in CHAIN_LINKS]),
-            _chain_net(extra_links=CHAIN_LINKS[::2]),
-        ):
-            assert other is not own and other == own
-            theirs = observe(other, flows)
-            assert {t: _rows(f) for t, f in theirs.observed.items()} == {
-                t: _rows(f) for t, f in mine.observed.items()
-            }
-            assert theirs.real_honey_split() == mine.real_honey_split()
-            for switch in sorted(own.switches):
-                assert honey_traffic_rate(other, flows, switch) == honey_traffic_rate(
-                    own, flows, switch
-                )
-            observe(own, generate_flows(other, {0: 5}, {}, seed=1))
-
-    def test_flows_of_another_network_rejected(self):
-        """A different compromised set or link set makes a different network.
-        The s1-s3 shortcut keeps the nodes and the compromised set but routes
-        client-server flows around s2; a switch's self-link changes no path
-        but is a link all the same."""
-        flows = generate_flows(_chain_net(), {0: 30, 1: 30}, {0: 10}, seed=8)
-        for elsewhere in (
-            _chain_net(compromised=("s1",)),
-            _chain_net(extra_links=[("s1", "s3")]),
-            _chain_net(extra_links=[("s2", "s2")]),
-        ):
-            assert elsewhere != _chain_net()
-            with pytest.raises(TopologyError, match="different network"):
-                observe(elsewhere, flows)
-            with pytest.raises(TopologyError, match="different network"):
-                honey_traffic_rate(elsewhere, flows, "s2")
-
     def test_take_and_lookup(self):
         net = _chain_net()
         flows = generate_flows(net, {0: 6, 1: 4}, {1: 3}, seed=4)
@@ -613,14 +590,14 @@ class TestFlowTable:
         real, honey = {0: 60, 1: 45}, {0: 20, 1: 30}
         expected = scalar_flows(topology, real, honey, 21)
         flows = generate_flows(net, real, honey, 21)
-        whole = {s: honey_traffic_rate(net, flows, s) for s in topology["switches"]}
+        whole = {s: honey_traffic_rate(flows, s) for s in topology["switches"]}
         assert whole == {s: scalar_switch_rate(expected, s) for s in topology["switches"]}
         crossing = set(topology["compromised"])
         differs = False
-        for vuln, table in observe(net, flows).observed.items():
+        for vuln, table in observe(flows).observed.items():
             rows = [f for f in expected if f[2] == vuln and crossing & set(f[3])]
             for switch in topology["switches"]:
-                rate = honey_traffic_rate(net, table, switch)
+                rate = honey_traffic_rate(table, switch)
                 assert rate == scalar_switch_rate(rows, switch)
                 differs |= rate != whole[switch]
         assert differs  # shared counts would have given the whole table's rates
@@ -702,11 +679,11 @@ class TestScalarOracle:
                 assert _switches_on(net, o, d) == set(path)
 
             split = scalar_observation(expected, topology["compromised"])
-            observation = observe(net, flows)
+            observation = observe(flows)
             assert observation.real_honey_split() == split
             assert observation.totals() == {t: r + h for t, (r, h) in split.items()}
             for switch in topology["switches"]:
-                assert honey_traffic_rate(net, flows, switch) == scalar_switch_rate(
+                assert honey_traffic_rate(flows, switch) == scalar_switch_rate(
                     expected, switch
                 )
 
