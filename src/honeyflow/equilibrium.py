@@ -15,7 +15,11 @@ declining is worth V(0) when L = 0. This is ORIGAMI-style water filling
 (Conitzer and Sandholm, EC 2006).
 
 The solver's steps are module functions, called through the module:
-``type_curves``, ``water_level`` and ``strategy_at``.
+``type_curves``, ``water_level`` and ``strategy_at``. Only tau* depends
+on the costs, through V's right slope. ``cost_curve`` tabulates once per
+game everything that slope needs but the costs, and ``solve_on_curve``
+reads tau* for one set of costs from that table, so a game scored at many
+costs is tabulated once; both solvers share the steps after tau*.
 ``build_best_response_lp`` and the simplex behind ``solve_lp`` are no
 longer on the solve path; the tests keep them as a reference.
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +59,35 @@ class Equilibrium:
     attacker_value: float
     per_action_values: dict[AttackerAction, tuple[str, float | None]]
     solve_time: float
+
+
+@dataclass(frozen=True)
+class CostCurve:
+    """What ``water_level`` needs of a game, except the costs.
+
+    ``curves`` are ``type_curves``' (type id, u) pairs, ``low`` is L and
+    ``levels`` are ``water_level``'s candidates. ``widths[m, k]`` is the
+    width u(j-1) - u(j) of the segment of curve m that ``_hold`` finds at
+    ``levels[k]``, or inf where j = 0, so a cost over it adds +0.0 to V's
+    right slope. ``build_time`` is the seconds ``cost_curve`` took.
+    """
+
+    curves: tuple[tuple[int, np.ndarray], ...]
+    low: float
+    levels: np.ndarray
+    widths: np.ndarray
+    build_time: float
+
+    def water_level(self, costs: Sequence[float]) -> float:
+        """``water_level``'s tau* at one cost per curve: V's right slope,
+        -1 + sum_m c_m / widths[m], is summed at every level in curve
+        order, as ``water_level`` sums it at a probe, and the same binary
+        search reads tau* from it."""
+        slope = np.full(self.levels.size, -1.0)
+        with np.errstate(over="ignore"):
+            for cost, width in zip(costs, self.widths):
+                slope += cost / width
+        return float(self.levels[_first_nonpositive(slope.__getitem__, slope.size)])
 
 
 @dataclass(frozen=True)
@@ -194,17 +228,66 @@ def water_level(curves: list[Curve], low: float) -> float:
                 slope += cost / float(u[j - 1] - u[j])
         return slope
 
+    candidates = _candidates(curves, low)
+    top = _first_nonpositive(lambda k: right_slope(float(candidates[k])), len(candidates))
+    return float(candidates[top])
+
+
+def _candidates(curves: list[Curve], low: float) -> np.ndarray:
+    """``low`` and the distinct kinks at or above it, ascending."""
     candidates = np.unique(np.concatenate([[low]] + [u for _, u, _ in curves]))
-    candidates = candidates[candidates >= low]
-    # At the top kink no type needs honey, so the slope there is -1.
-    lo, hi = 0, len(candidates) - 1
+    return candidates[candidates >= low]
+
+
+def _first_nonpositive(slope_at, count: int) -> int:
+    """The binary search for the first of ``count`` ascending candidates at
+    which ``slope_at(index)`` is <= 0. At the top kink no type needs honey,
+    so the slope there is -1."""
+    lo, hi = 0, count - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if right_slope(float(candidates[mid])) <= 0.0:
+        if slope_at(mid) <= 0.0:
             hi = mid
         else:
             lo = mid + 1
-    return float(candidates[lo])
+    return lo
+
+
+def _low(curves: list[Curve]) -> float:
+    """L: the lowest level every type can be held at, and never below 0."""
+    return max([0.0] + [float(u[-1]) for _, u, _ in curves])
+
+
+# Largest widths table ``cost_curve`` builds, in floats (32 MiB). For a
+# game whose table could be larger it returns None, and each cost is
+# solved on its own.
+MAX_CURVE_SIZE = 2**22
+
+
+def cost_curve(spec: GameSpec) -> CostCurve | None:
+    """The cost-free part of ``water_level``'s search over ``spec``, for
+    ``solve_on_curve``; None when the widths table could hold more than
+    MAX_CURVE_SIZE floats, one per attackable type per kink."""
+    start = time.perf_counter()
+    curves = type_curves(spec)
+    if len(curves) * (1 + sum(u.size for _, u, _ in curves)) > MAX_CURVE_SIZE:
+        return None
+    low = _low(curves)
+    levels = _candidates(curves, low)
+    held = levels + TIE_TOL  # _hold's key, float by float
+    widths = np.empty((len(curves), levels.size))
+    with np.errstate(over="ignore"):
+        for row, (_, u, _) in zip(widths, curves):
+            j = u.size - u[::-1].searchsorted(held, side="right")
+            np.subtract(u[j - 1], u[j], out=row)
+            row[j == 0] = np.inf
+    return CostCurve(
+        curves=tuple((type_id, u) for type_id, u, _ in curves),
+        low=low,
+        levels=levels,
+        widths=widths,
+        build_time=time.perf_counter() - start,
+    )
 
 
 def strategy_at(spec: GameSpec, curves: list[Curve], tau: float) -> DefenderStrategy:
@@ -234,8 +317,25 @@ def solve_stackelberg(spec: GameSpec) -> Equilibrium:
     """
     start = time.perf_counter()
     curves = type_curves(spec)
-    low = max([0.0] + [float(u[-1]) for _, u, _ in curves])
-    top = water_level(curves, low)
+    low = _low(curves)
+    return _equilibrium(spec, curves, low, water_level(curves, low), start)
+
+
+def solve_on_curve(curve: CostCurve, spec: GameSpec) -> Equilibrium:
+    """``solve_stackelberg(spec)`` bit for bit, for a ``spec`` that differs
+    from the game ``curve`` was built on at most in its costs. Its
+    ``solve_time`` adds the curve's build time to this call's own."""
+    start = time.perf_counter() - curve.build_time
+    curves = [(type_id, u, spec.types[type_id].honey_flow_cost) for type_id, u in curve.curves]
+    top = curve.water_level([cost for _, _, cost in curves])
+    return _equilibrium(spec, curves, curve.low, top, start)
+
+
+def _equilibrium(
+    spec: GameSpec, curves: list[Curve], low: float, top: float, start: float
+) -> Equilibrium:
+    """Every attacker action's value, the chosen action and its strategy,
+    given L = ``low`` and tau* = ``top``; ``start`` is when the solve began."""
     levels = {
         AttackerAction.attack(type_id): min(top, float(u[0]))
         for type_id, u, _ in curves

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .equilibrium import solve_stackelberg
+from .equilibrium import cost_curve, solve_on_curve, solve_stackelberg
 from .errors import ConfigError
 from .game import (
     MAX_HONEY_FLOW_BOUND,
@@ -173,28 +173,40 @@ def _metadata(seed: int, params: GeneratorParams | None, **extra) -> dict:
 _DEFENDERS = ("stackelberg", "uniform", "no-deception")
 
 
-def _mean_values(params: GeneratorParams, game_seeds, attackers) -> tuple[dict, float]:
-    """Mean (defender value, attacker value) of each defender in
-    ``_DEFENDERS`` against each attacker model, keyed (defender, model),
-    over one game drawn per seed; and the mean Stackelberg solve time.
-    Each defender's strategy is summarized once per game, and every
-    attacker model is scored from that one summary."""
-    sums = {(d, a): [0.0, 0.0] for d in _DEFENDERS for a in attackers}
-    total_time = 0.0
+def _mean_values(swept: Sequence[GeneratorParams], game_seeds, attackers) -> list[tuple[dict, float]]:
+    """For each of ``swept``, which differ only in their cost: the mean
+    (defender value, attacker value) of each defender in ``_DEFENDERS``
+    against each attacker model, keyed (defender, model), and the mean
+    Stackelberg solve time, over one game drawn per seed.
+
+    Each game is drawn, and its baselines built, once, at the first cost;
+    ``GameSpec.with_cost`` gives it each other cost. With more than one
+    cost, tau* at each is read from the game's ``cost_curve``, and the
+    solve time counts the curve's build time. Each defender's strategy is
+    summarized once per game and cost, and every attacker model is scored
+    from that one summary. Sums run in seed order at each cost.
+    """
+    sums = [{(d, a): [0.0, 0.0] for d in _DEFENDERS for a in attackers} for _ in swept]
+    total_times = [0.0] * len(swept)
     for game_seed in game_seeds:
-        spec = random_game(params, game_seed)
-        eq = solve_stackelberg(spec)
-        total_time += eq.solve_time
-        strategies = (eq.strategy, uniform_random_strategy(spec), no_deception_strategy(spec))
-        for name, strategy in zip(_DEFENDERS, strategies):
-            summary = summarize(spec, strategy)
-            for attacker in attackers:
-                result = evaluate_matchup(spec, summary, attacker)
-                sums[(name, attacker)][0] += result.defender_value
-                sums[(name, attacker)][1] += result.attacker_value
+        base = random_game(swept[0], game_seed)
+        baselines = (uniform_random_strategy(base), no_deception_strategy(base))
+        curve = cost_curve(base) if len(swept) > 1 else None
+        for k, params in enumerate(swept):
+            spec = base.with_cost(params.cost) if k else base
+            eq = solve_stackelberg(spec) if curve is None else solve_on_curve(curve, spec)
+            total_times[k] += eq.solve_time
+            for name, strategy in zip(_DEFENDERS, (eq.strategy, *baselines)):
+                summary = summarize(spec, strategy)
+                for attacker in attackers:
+                    result = evaluate_matchup(spec, summary, attacker)
+                    sums[k][(name, attacker)][0] += result.defender_value
+                    sums[k][(name, attacker)][1] += result.attacker_value
     trials = len(game_seeds)
-    means = {key: (d / trials, a / trials) for key, (d, a) in sums.items()}
-    return means, total_time / trials
+    return [
+        ({key: (d / trials, a / trials) for key, (d, a) in cost_sums.items()}, total / trials)
+        for cost_sums, total in zip(sums, total_times)
+    ]
 
 
 def cost_sweep(
@@ -204,20 +216,23 @@ def cost_sweep(
     seed: int = 0,
 ) -> ExperimentReport:
     """Mean defender/attacker values per cost for the three defenders,
-    each facing a rational attacker. The same seeded games recur across
-    costs so rows differ only in the cost. Every cost is checked before
-    any game is drawn."""
+    each facing a rational attacker. Each seeded game is drawn and
+    tabulated once and scored at every cost, so rows differ only in the
+    cost; with more than one cost, tau* at each is read from the game's
+    cost curve. A row's ``solve_time`` is the mean over games of the
+    curve's build time plus that cost's own solve. Every cost is checked
+    before any game is drawn."""
     if not costs:
         raise ConfigError("cost sweep needs at least one cost")
     swept = [dataclasses.replace(params, cost=float(cost)) for cost in costs]
     game_seeds = _game_seeds(seed, trials)
     rational = AttackerModel.RATIONAL
-    rows = []
-    for cost_params in swept:
-        means, solve_time = _mean_values(cost_params, game_seeds, (rational,))
-        rows.append(
-            (cost_params.cost, *(v for d in _DEFENDERS for v in means[(d, rational)]), solve_time)
+    rows = [
+        (cost_params.cost, *(v for d in _DEFENDERS for v in means[(d, rational)]), solve_time)
+        for cost_params, (means, solve_time) in zip(
+            swept, _mean_values(swept, game_seeds, (rational,))
         )
+    ]
     columns = (
         "cost",
         "stackelberg_def",
@@ -238,7 +253,7 @@ def matchup_grid(
 ) -> ExperimentReport:
     """Mean values for every defender x attacker-model pairing."""
     attackers = tuple(AttackerModel)
-    means, _solve_time = _mean_values(params, _game_seeds(seed, trials), attackers)
+    [(means, _solve_time)] = _mean_values([params], _game_seeds(seed, trials), attackers)
     rows = tuple((d, a.value, *means[(d, a)]) for d in _DEFENDERS for a in attackers)
     columns = ("defender", "attacker", "mean_def", "mean_att")
     return ExperimentReport(columns, rows, _metadata(seed, params, trials=trials))

@@ -11,6 +11,8 @@ and then tabulates each type's real-hit probabilities and attack values.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import math
 import sys
@@ -113,35 +115,7 @@ class GameSpec:
                 raise ValidationError(
                     f"type ids must be consecutive from 0; position {pos} has id {t.id}"
                 )
-            for name in ("attacker_real_value", "attacker_honey_value", "honey_flow_cost"):
-                if not math.isfinite(getattr(t, name)):
-                    raise ValidationError(
-                        f"type {t.id}: {name} must be finite, got {getattr(t, name)}"
-                    )
-            if t.attacker_honey_value > t.attacker_real_value:
-                raise ValidationError(
-                    f"type {t.id}: honey value {t.attacker_honey_value} exceeds "
-                    f"real value {t.attacker_real_value}"
-                )
-            if t.honey_flow_cost < 0:
-                raise ValidationError(
-                    f"type {t.id}: honey_flow_cost must be nonnegative, "
-                    f"got {t.honey_flow_cost}"
-                )
-            if t.real_flow_count < 0:
-                raise ValidationError(
-                    f"type {t.id}: real_flow_count must be nonnegative, "
-                    f"got {t.real_flow_count}"
-                )
-            if t.real_flow_count > sys.float_info.max:  # exact int/float comparison
-                raise ValidationError(
-                    f"type {t.id}: real_flow_count is too large to convert to a float"
-                )
-            if not 0 <= t.honey_flow_bound <= MAX_HONEY_FLOW_BOUND:
-                raise ValidationError(
-                    f"type {t.id}: honey_flow_bound must be in [0, {MAX_HONEY_FLOW_BOUND}], "
-                    f"got {t.honey_flow_bound}"
-                )
+            _check_type(t)
         size = sum(t.honey_flow_bound + 1 for t in self.types)
         if size > MAX_STRATEGY_SIZE:
             raise ValidationError(
@@ -164,6 +138,54 @@ class GameSpec:
         object.__setattr__(self, "attackable_ids", ids)
         actions = tuple(AttackerAction.attack(i) for i in ids) + (NO_ATTACK,)
         object.__setattr__(self, "actions", actions)
+
+    def with_cost(self, cost: float) -> "GameSpec":
+        """The same types with every ``honey_flow_cost`` set to ``cost``.
+
+        No table depends on a cost, so the result shares this spec's five
+        read-only fields instead of building them again. A NaN, negative
+        or infinite ``cost`` raises the ValidationError that building the
+        spec would raise.
+        """
+        types = tuple(dataclasses.replace(t, honey_flow_cost=cost) for t in self.types)
+        _check_type(types[0])  # only the cost can fail: the rest was checked
+        spec = copy.copy(self)
+        object.__setattr__(spec, "types", types)
+        return spec
+
+
+def _check_type(t: VulnerabilityType) -> None:
+    """Raise ValidationError naming the first invariant ``t`` violates
+    (all but its id's position, which the spec checks)."""
+    for name in ("attacker_real_value", "attacker_honey_value", "honey_flow_cost"):
+        if not math.isfinite(getattr(t, name)):
+            raise ValidationError(
+                f"type {t.id}: {name} must be finite, got {getattr(t, name)}"
+            )
+    if t.attacker_honey_value > t.attacker_real_value:
+        raise ValidationError(
+            f"type {t.id}: honey value {t.attacker_honey_value} exceeds "
+            f"real value {t.attacker_real_value}"
+        )
+    if t.honey_flow_cost < 0:
+        raise ValidationError(
+            f"type {t.id}: honey_flow_cost must be nonnegative, "
+            f"got {t.honey_flow_cost}"
+        )
+    if t.real_flow_count < 0:
+        raise ValidationError(
+            f"type {t.id}: real_flow_count must be nonnegative, "
+            f"got {t.real_flow_count}"
+        )
+    if t.real_flow_count > sys.float_info.max:  # exact int/float comparison
+        raise ValidationError(
+            f"type {t.id}: real_flow_count is too large to convert to a float"
+        )
+    if not 0 <= t.honey_flow_bound <= MAX_HONEY_FLOW_BOUND:
+        raise ValidationError(
+            f"type {t.id}: honey_flow_bound must be in [0, {MAX_HONEY_FLOW_BOUND}], "
+            f"got {t.honey_flow_bound}"
+        )
 
 
 @dataclass(frozen=True)

@@ -230,28 +230,15 @@ def network_from_dict(payload: Mapping) -> NetworkModel:
             raise TopologyError(f"duplicate endpoint id {ep.id}")
         endpoints[ep.id] = ep
 
-    switches = frozenset(_node_id(s, "switch") for s in _list_field(payload, "switches"))
-    if switches & set(endpoints):
-        raise TopologyError("switch ids overlap endpoint ids")
-
+    switches = [_node_id(s, "switch") for s in _list_field(payload, "switches")]
     links = []
     for pair in _list_field(payload, "links"):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise TopologyError(f"link {pair!r} must be a pair of node ids")
-        a, b = (_node_id(node, "link node") for node in pair)
-        for node in (a, b):
-            if node not in endpoints and node not in switches:
-                raise TopologyError(f"link references unknown node {node}")
-        if a in endpoints and b in endpoints:
-            raise TopologyError(f"endpoints {a} and {b} may not link directly")
-        links.append((a, b))
-
-    compromised = frozenset(
+        links.append(tuple(_node_id(node, "link node") for node in pair))
+    compromised = [
         _node_id(s, "compromised switch") for s in _list_field(payload, "compromised")
-    )
-    if not compromised <= switches:
-        raise TopologyError("compromised ids must name switches")
-
+    ]
     return build_network(endpoints, switches, links, compromised)
 
 
@@ -261,15 +248,30 @@ def build_network(
     links: Iterable[tuple[str, str]],
     compromised: Iterable[str] = (),
 ) -> NetworkModel:
-    """Validate node counts, at most MAX_ENDPOINTS endpoints and MAX_NODES
-    nodes, and route every endpoint pair into a PairIndex.
+    """Validate the nodes and links, and route every endpoint pair into a
+    PairIndex.
 
-    Paths are shortest by hop count with ties broken toward lower node
-    ids, and never route through an intermediate endpoint. Pairs with no
-    path are marked unreachable; requesting a flow across one raises later.
+    Switch and endpoint ids must not overlap, every link must join two
+    known nodes and at least one switch, and every compromised id must
+    name a switch. A network holds at least two endpoints and one switch,
+    at most MAX_ENDPOINTS endpoints and at most MAX_NODES nodes. Paths are
+    shortest by hop count with ties broken toward lower node ids, and
+    never route through an intermediate endpoint. Pairs with no path are
+    marked unreachable; requesting a flow across one raises later.
     """
     switches = frozenset(switches)
+    links = list(links)
     compromised = frozenset(compromised)
+    if switches & set(endpoints):
+        raise TopologyError("switch ids overlap endpoint ids")
+    for a, b in links:
+        for node in (a, b):
+            if node not in endpoints and node not in switches:
+                raise TopologyError(f"link references unknown node {node}")
+        if a in endpoints and b in endpoints:
+            raise TopologyError(f"endpoints {a} and {b} may not link directly")
+    if not compromised <= switches:
+        raise TopologyError("compromised ids must name switches")
     if len(endpoints) < 2:
         raise TopologyError("a network needs at least two endpoints")
     if not switches:
@@ -302,7 +304,7 @@ def build_network(
         o_idx, d_idx, hop = o_idx[on], d_idx[on], hop[on]
         incidence[hop - n, o_idx, d_idx] = True
         hop = pred[o_idx, hop]
-    watched = [position[s] - n for s in sorted(compromised & switches)]
+    watched = [position[s] - n for s in sorted(compromised)]
     index = PairIndex(
         ids=ids,
         switch_ids=switch_ids,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from honeyflow.equilibrium import (
 )
 from honeyflow.errors import ValidationError
 from honeyflow.experiments import (
+    DEFAULT_COST_SWEEP,
     MODE_FAKE_EQUALS_REAL,
     MODE_FAKE_ZERO,
     GeneratorParams,
@@ -276,6 +278,101 @@ class TestLpReference:
         strategy = equilibrium.strategy_at(worked_example, curves, tau)
         assert strategy.marginals[0] == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
         assert strategy.marginals[1] == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-12)
+
+
+_COSTS = st.one_of(
+    st.sampled_from([0.0, 1e300]), st.floats(0.0, 10.0), st.floats(0.0, 1e300)
+)
+
+
+@st.composite
+def _priced_specs(draw):
+    """1 to 4 types with their own costs, values of either sign up to 1e300
+    (equal real and honey values too), and zero real flows or honey bounds."""
+    types = []
+    for i in range(draw(st.integers(1, 4))):
+        scale = draw(st.sampled_from([1.0, 1e6, 1e300]))
+        real = draw(st.floats(-scale, scale))
+        honey = draw(st.one_of(st.just(real), st.floats(-scale, real)))
+        types.append(
+            VulnerabilityType(
+                id=i,
+                attacker_real_value=real,
+                attacker_honey_value=honey,
+                real_flow_count=draw(st.integers(0, 40)),
+                honey_flow_bound=draw(st.integers(0, 30)),
+                honey_flow_cost=draw(_COSTS),
+            )
+        )
+    return GameSpec(tuple(types))
+
+
+def _assert_same_equilibrium(got, want):
+    """Bit for bit: the action, both values, every action's value and the
+    strategy's bytes."""
+    assert got.attacker_action == want.attacker_action
+    assert repr((got.defender_value, got.attacker_value)) == repr(
+        (want.defender_value, want.attacker_value)
+    )
+    assert repr(got.per_action_values) == repr(want.per_action_values)
+    assert [m.tobytes() for m in got.strategy.marginals] == [
+        m.tobytes() for m in want.strategy.marginals
+    ]
+
+
+class TestCostCurve:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_priced_specs(), common=_COSTS)
+    def test_curve_agrees_with_the_probe_search(self, spec, common):
+        """At the spec's own per-type costs and at one common cost, the
+        curve's tau* is water_level's and its equilibrium is
+        solve_stackelberg's, with no warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = equilibrium.cost_curve(spec)
+            for priced in (spec, spec.with_cost(common)):
+                curves = equilibrium.type_curves(priced)
+                low = max([0.0] + [float(u[-1]) for _, u, _ in curves])
+                costs = [cost for _, _, cost in curves]
+                assert curve.water_level(costs) == equilibrium.water_level(curves, low)
+                _assert_same_equilibrium(
+                    equilibrium.solve_on_curve(curve, priced), solve_stackelberg(priced)
+                )
+
+    def test_a_slope_that_rounding_makes_rise_keeps_the_binary_search(self):
+        """Rounding makes this nearly flat curve's right slope rise again
+        after its first level <= 0. tau* is where water_level's binary
+        search stops, not that first level."""
+        kind = VulnerabilityType(0, 1000000.0000000048, 1e6, 26, 19, 2.1031720729211948e-10)
+        spec = GameSpec((kind,))
+        curve = equilibrium.cost_curve(spec)
+        slope = -1.0 + kind.honey_flow_cost / curve.widths[0]
+        first = float(curve.levels[np.argmax(slope <= 0.0)])
+        curves = equilibrium.type_curves(spec)
+        tau = equilibrium.water_level(curves, float(curves[0][1][-1]))
+        assert curve.water_level([kind.honey_flow_cost]) == tau != first
+        _assert_same_equilibrium(equilibrium.solve_on_curve(curve, spec), solve_stackelberg(spec))
+
+    def test_sweep_games_agree_with_the_probe_search(self):
+        """Default-sized games in both value modes, at every default cost."""
+        for mode in (MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL):
+            for seed in range(4):
+                spec = random_game(GeneratorParams(type_count=5, value_mode=mode), seed)
+                curve = equilibrium.cost_curve(spec)
+                for cost in DEFAULT_COST_SWEEP:
+                    priced = spec.with_cost(cost)
+                    _assert_same_equilibrium(
+                        equilibrium.solve_on_curve(curve, priced), solve_stackelberg(priced)
+                    )
+
+    def test_a_table_past_the_cap_is_not_built(self, monkeypatch):
+        """The cap bounds attackable types x (kinks + 1): here 2 x 21. The
+        two curves are equal, so the table has 10 levels."""
+        spec = random_game(GeneratorParams(type_count=2, honey_bound_range=(9, 9)), 0)
+        monkeypatch.setattr(equilibrium, "MAX_CURVE_SIZE", 2 * 21 - 1)
+        assert equilibrium.cost_curve(spec) is None
+        monkeypatch.setattr(equilibrium, "MAX_CURVE_SIZE", 2 * 21)
+        assert equilibrium.cost_curve(spec).widths.shape == (2, 10)
 
 
 class TestVerification:

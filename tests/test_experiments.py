@@ -15,6 +15,7 @@ from honeyflow.experiments import (
     DEFAULT_COST_SWEEP,
     MAX_TRIALS,
     MODE_FAKE_EQUALS_REAL,
+    MODE_FAKE_ZERO,
     GeneratorParams,
     _game_seeds,
     cost_sweep,
@@ -140,6 +141,30 @@ class TestCostSweep:
         with pytest.raises(ConfigError, match=f"nonnegative and finite, got {bad}"):
             cost_sweep(SMALL, costs=[1e-3, bad], trials=2, seed=0)
         assert drawn == []
+
+    def test_each_game_is_drawn_once(self, monkeypatch):
+        """Five costs over three games draw three games, not fifteen."""
+        drawn = []
+
+        def counted(*args):
+            drawn.append(args)
+            return random_game(*args)
+
+        monkeypatch.setattr(experiments, "random_game", counted)
+        cost_sweep(SMALL, costs=DEFAULT_COST_SWEEP, trials=3)
+        assert len(drawn) == 3
+
+    @pytest.mark.parametrize("value_mode", [MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL])
+    def test_rows_read_from_the_cost_curve_equal_one_cost_sweeps(self, value_mode):
+        """Each row of a many-cost sweep, whose tau* comes from each game's
+        cost curve, is the row of a one-cost sweep, which solves each game
+        on its own, float for float."""
+        params = dataclasses.replace(SMALL, value_mode=value_mode)
+        costs = [0.0, *DEFAULT_COST_SWEEP, 0.5]
+        sweep = cost_sweep(params, costs=costs, trials=3, seed=11)
+        for cost, row in zip(costs, sweep.rows):
+            alone = cost_sweep(params, costs=[cost], trials=3, seed=11)
+            assert repr(row[:7]) == repr(alone.rows[0][:7])
 
     @pytest.mark.parametrize(
         "cost, trials, seed", [(0.01, 3, 4), (1e-5, 2, 9), (0.5, 4, 20200207)]

@@ -279,6 +279,36 @@ class TestTables:
         assert spec == GameSpec((wider,) + worked_example.types[1:])
         assert spec != worked_example
 
+    @pytest.mark.parametrize("cost", [0.0, 1e-4, 2.5, 1e300])
+    def test_with_cost_sets_every_cost_and_shares_the_tables(self, worked_example, cost):
+        spec = worked_example.with_cost(cost)
+        rebuilt = GameSpec(
+            tuple(dataclasses.replace(t, honey_flow_cost=cost) for t in worked_example.types)
+        )
+        assert spec == rebuilt and repr(spec) == repr(rebuilt)
+        for name in ("hit_probabilities", "attack_values", "honey_counts",
+                     "attackable_ids", "actions"):
+            assert getattr(spec, name) is getattr(worked_example, name), name
+        assert [a.tolist() for a in spec.attack_values] == [
+            a.tolist() for a in rebuilt.attack_values
+        ]
+
+    @pytest.mark.parametrize(
+        "cost, message",
+        [
+            (math.nan, "type 0: honey_flow_cost must be finite, got nan"),
+            (math.inf, "type 0: honey_flow_cost must be finite, got inf"),
+            (-1.0, "type 0: honey_flow_cost must be nonnegative, got -1.0"),
+        ],
+    )
+    def test_with_cost_rejects_what_building_rejects(self, worked_example, cost, message):
+        types = tuple(dataclasses.replace(t, honey_flow_cost=cost) for t in worked_example.types)
+        with pytest.raises(ValidationError) as built:
+            GameSpec(types)
+        with pytest.raises(ValidationError) as replaced:
+            worked_example.with_cost(cost)
+        assert str(replaced.value) == str(built.value) == message
+
     def test_summarize_builds_no_count_array(
         self, monkeypatch, worked_example, worked_example_strategy
     ):

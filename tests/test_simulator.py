@@ -116,6 +116,27 @@ class TestBuildNetwork:
         assert not np.array_equal(shortcut.incidence, index.incidence)
         assert np.array_equal(shortcut.reachable, index.reachable)
 
+    @pytest.mark.parametrize(
+        "links, compromised, message",
+        [
+            ([("a", "s1"), ("b", "zz")], (), "link references unknown node zz"),
+            ([("a", "s1"), ("b", "s1")], ("s9",), "compromised ids must name switches"),
+            ([("a", "s1"), ("a", "b")], (), "endpoints a and b may not link directly"),
+        ],
+    )
+    def test_bad_links_and_compromised_ids_rejected_on_a_direct_call(
+        self, links, compromised, message
+    ):
+        """build_network checks what it is given, as network_from_dict did."""
+        eps = {"a": _endpoint("a"), "b": _endpoint("b")}
+        with pytest.raises(TopologyError, match=re.escape(message)):
+            build_network(eps, ["s1"], links, compromised)
+
+    def test_switch_ids_overlapping_endpoint_ids_rejected(self):
+        eps = {"a": _endpoint("a"), "b": _endpoint("b")}
+        with pytest.raises(TopologyError, match="overlap"):
+            build_network(eps, ["s1", "b"], [("a", "s1"), ("b", "s1")])
+
     def test_single_endpoint_rejected(self):
         with pytest.raises(TopologyError, match="two endpoints"):
             build_network({"a": _endpoint("a")}, ["s1"], [("a", "s1")])
