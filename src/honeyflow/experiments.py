@@ -173,7 +173,9 @@ def _metadata(seed: int, params: GeneratorParams | None, **extra) -> dict:
 _DEFENDERS = ("stackelberg", "uniform", "no-deception")
 
 
-def _mean_values(swept: Sequence[GeneratorParams], game_seeds, attackers) -> list[tuple[dict, float]]:
+def _mean_values(
+    swept: Sequence[GeneratorParams], game_seeds, attackers
+) -> list[tuple[dict, float]]:
     """For each of ``swept``, which differ only in their cost: the mean
     (defender value, attacker value) of each defender in ``_DEFENDERS``
     against each attacker model, keyed (defender, model), and the mean
