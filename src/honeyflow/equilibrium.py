@@ -15,11 +15,12 @@ declining is worth V(0) when L = 0. This is ORIGAMI-style water filling
 (Conitzer and Sandholm, EC 2006).
 
 The solver's steps are module functions, called through the module:
-``type_curves``, ``water_level`` and ``strategy_at``. Only tau* depends
-on the costs, through V's right slope. ``cost_curve`` tabulates once per
-game everything that slope needs but the costs, and ``solve_on_curve``
-reads tau* for one set of costs from that table, so a game scored at many
-costs is tabulated once; both solvers share the steps after tau*.
+``type_curves``, ``cost_curve`` and ``strategy_at``. Only tau* depends on
+the costs, through V's right slope. ``cost_curve`` gathers what the search
+needs but the costs, and ``CostCurve.water_level`` is the one tau* search:
+a binary search over the candidate levels whose probes memoize each
+curve's segment width at the level probed. A game solved at many costs
+shares one curve, so each level's widths are looked up once per game.
 ``build_best_response_lp`` and the simplex behind ``solve_lp`` are no
 longer on the solve path; the tests keep them as a reference.
 """
@@ -41,6 +42,7 @@ from .game import (
     AttackerAction,
     DefenderStrategy,
     GameSpec,
+    Summary,
     first_best,
     summarize,
     utilities,
@@ -54,6 +56,7 @@ Curve = tuple[int, np.ndarray, float]
 @dataclass(frozen=True)
 class Equilibrium:
     strategy: DefenderStrategy
+    summary: Summary  # summarize(spec, strategy), which scored the values
     attacker_action: AttackerAction
     defender_value: float
     attacker_value: float
@@ -63,31 +66,57 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class CostCurve:
-    """What ``water_level`` needs of a game, except the costs.
+    """What the tau* search needs of a game, except the costs.
 
     ``curves`` are ``type_curves``' (type id, u) pairs, ``low`` is L and
-    ``levels`` are ``water_level``'s candidates. ``widths[m, k]`` is the
-    width u(j-1) - u(j) of the segment of curve m that ``_hold`` finds at
-    ``levels[k]``, or inf where j = 0, so a cost over it adds +0.0 to V's
-    right slope. ``build_time`` is the seconds ``cost_curve`` took.
+    ``levels`` are L and the distinct kinks above it, ascending.
+    ``widths[k]`` holds, for each curve, the width u(j-1) - u(j) of the
+    segment ``_hold`` finds at ``levels[k]``, or inf where j = 0, so a
+    cost over it adds +0.0 to V's right slope. It is filled the first time
+    a search probes level k; no width depends on a cost, so every cost
+    searched on this curve shares it. ``build_time`` is the seconds
+    ``cost_curve`` took.
     """
 
     curves: tuple[tuple[int, np.ndarray], ...]
     low: float
     levels: np.ndarray
-    widths: np.ndarray
+    widths: dict[int, list[float]]
     build_time: float
 
     def water_level(self, costs: Sequence[float]) -> float:
-        """``water_level``'s tau* at one cost per curve: V's right slope,
-        -1 + sum_m c_m / widths[m], is summed at every level in curve
-        order, as ``water_level`` sums it at a probe, and the same binary
-        search reads tau* from it."""
-        slope = np.full(self.levels.size, -1.0)
-        with np.errstate(over="ignore"):
-            for cost, width in zip(costs, self.widths):
+        """tau* at one cost per curve: the smallest level at which V's
+        right slope, -1 + sum_m c_m / (u_m(j-1) - u_m(j)) over the segments
+        holding it, is <= 0.
+
+        V is concave, so the slope falls as tau rises; a binary search
+        probes the levels. The slope is summed in curve order in Python
+        floats, which give inf on overflow, not a warning. Its sign
+        decides, never a tolerance on V.
+        """
+
+        def slope_at(k: int) -> float:
+            widths = self.widths.get(k)
+            if widths is None:
+                widths = self.widths[k] = self._widths_at(float(self.levels[k]))
+            slope = -1.0
+            for cost, width in zip(costs, widths):
                 slope += cost / width
-        return float(self.levels[_first_nonpositive(slope.__getitem__, slope.size)])
+            return slope
+
+        return float(self.levels[_first_nonpositive(slope_at, self.levels.size)])
+
+    def _widths_at(self, tau: float) -> list[float]:
+        held = tau + TIE_TOL  # _hold's key
+        widths = []
+        for _, u in self.curves:
+            j = u.size - int(u[::-1].searchsorted(held, side="right"))
+            if j == 0:
+                widths.append(math.inf)
+            else:
+                above, below = u[j - 1 : j + 1].tolist()
+                widths.append(above - below)
+        return widths
 
 
 @dataclass(frozen=True)
@@ -209,30 +238,6 @@ def _value(curves: list[Curve], tau: float) -> float:
     return total
 
 
-def water_level(curves: list[Curve], low: float) -> float:
-    """tau*: the smallest level >= ``low`` at which V's right slope,
-    -1 + sum_m c_m / (u_m(j-1) - u_m(j)) over the segments holding tau, is
-    <= 0.
-
-    V is concave, so the slope falls as tau rises; a binary search over
-    ``low`` and the kinks above it looks each type up once per probe. The
-    slope's sign decides, never a tolerance on V.
-    """
-
-    def right_slope(tau: float) -> float:
-        slope = -1.0
-        for _, u, cost in curves:
-            j, _ = _hold(u, tau)
-            if j > 0:
-                # A Python float divide: it gives inf on overflow, not a warning.
-                slope += cost / float(u[j - 1] - u[j])
-        return slope
-
-    candidates = _candidates(curves, low)
-    top = _first_nonpositive(lambda k: right_slope(float(candidates[k])), len(candidates))
-    return float(candidates[top])
-
-
 def _candidates(curves: list[Curve], low: float) -> np.ndarray:
     """``low`` and the distinct kinks at or above it, ascending."""
     candidates = np.unique(np.concatenate([[low]] + [u for _, u, _ in curves]))
@@ -258,34 +263,17 @@ def _low(curves: list[Curve]) -> float:
     return max([0.0] + [float(u[-1]) for _, u, _ in curves])
 
 
-# Largest widths table ``cost_curve`` builds, in floats (32 MiB). For a
-# game whose table could be larger it returns None, and each cost is
-# solved on its own.
-MAX_CURVE_SIZE = 2**22
-
-
-def cost_curve(spec: GameSpec) -> CostCurve | None:
-    """The cost-free part of ``water_level``'s search over ``spec``, for
-    ``solve_on_curve``; None when the widths table could hold more than
-    MAX_CURVE_SIZE floats, one per attackable type per kink."""
+def cost_curve(spec: GameSpec) -> CostCurve:
+    """The cost-free part of the tau* search over ``spec``, with an empty
+    width memo."""
     start = time.perf_counter()
     curves = type_curves(spec)
-    if len(curves) * (1 + sum(u.size for _, u, _ in curves)) > MAX_CURVE_SIZE:
-        return None
     low = _low(curves)
-    levels = _candidates(curves, low)
-    held = levels + TIE_TOL  # _hold's key, float by float
-    widths = np.empty((len(curves), levels.size))
-    with np.errstate(over="ignore"):
-        for row, (_, u, _) in zip(widths, curves):
-            j = u.size - u[::-1].searchsorted(held, side="right")
-            np.subtract(u[j - 1], u[j], out=row)
-            row[j == 0] = np.inf
     return CostCurve(
         curves=tuple((type_id, u) for type_id, u, _ in curves),
         low=low,
-        levels=levels,
-        widths=widths,
+        levels=_candidates(curves, low),
+        widths={},
         build_time=time.perf_counter() - start,
     )
 
@@ -306,36 +294,27 @@ def strategy_at(spec: GameSpec, curves: list[Curve], tau: float) -> DefenderStra
     return DefenderStrategy(tuple(marginals))
 
 
-def solve_stackelberg(spec: GameSpec) -> Equilibrium:
+def solve_stackelberg(spec: GameSpec, curve: CostCurve | None = None) -> Equilibrium:
     """Strong Stackelberg equilibrium of the honey-flow game.
 
-    Finds tau* with ``water_level``, then values every attacker action:
-    attacking k is infeasible when u_k(0) < L (no strategy makes it a best
-    response), and declining is infeasible when L > 0, both up to
-    ``TIE_TOL``. ``first_best`` picks the action. The strategy is taken at
-    the chosen action's own level, and the reported values are scored from it.
+    Finds tau* with ``curve.water_level``, then values every attacker
+    action: attacking k is infeasible when u_k(0) < L (no strategy makes
+    it a best response), and declining is infeasible when L > 0, both up
+    to ``TIE_TOL``. ``first_best`` picks the action. The strategy is taken
+    at the chosen action's own level, and the reported values are scored
+    from it.
+
+    ``curve`` is ``cost_curve`` of ``spec``, or of a game that differs
+    from it at most in its costs; one is built when it is None. A curve
+    shared across a game's costs shares its width memo. ``solve_time`` is
+    the curve's build time plus this call's own time.
     """
-    start = time.perf_counter()
-    curves = type_curves(spec)
-    low = _low(curves)
-    return _equilibrium(spec, curves, low, water_level(curves, low), start)
-
-
-def solve_on_curve(curve: CostCurve, spec: GameSpec) -> Equilibrium:
-    """``solve_stackelberg(spec)`` bit for bit, for a ``spec`` that differs
-    from the game ``curve`` was built on at most in its costs. Its
-    ``solve_time`` adds the curve's build time to this call's own."""
+    if curve is None:
+        curve = cost_curve(spec)
     start = time.perf_counter() - curve.build_time
     curves = [(type_id, u, spec.types[type_id].honey_flow_cost) for type_id, u in curve.curves]
+    low = curve.low
     top = curve.water_level([cost for _, _, cost in curves])
-    return _equilibrium(spec, curves, curve.low, top, start)
-
-
-def _equilibrium(
-    spec: GameSpec, curves: list[Curve], low: float, top: float, start: float
-) -> Equilibrium:
-    """Every attacker action's value, the chosen action and its strategy,
-    given L = ``low`` and tau* = ``top``; ``start`` is when the solve began."""
     levels = {
         AttackerAction.attack(type_id): min(top, float(u[0]))
         for type_id, u, _ in curves
@@ -358,9 +337,11 @@ def _equilibrium(
     action = first_best(list(values), list(values.values()))
     strategy = strategy_at(spec, curves, levels[action])
     elapsed = time.perf_counter() - start
-    defender_value, attacker_value = utilities(spec, summarize(spec, strategy), action)
+    summary = summarize(spec, strategy)
+    defender_value, attacker_value = utilities(spec, summary, action)
     return Equilibrium(
         strategy=strategy,
+        summary=summary,
         attacker_action=action,
         defender_value=defender_value,
         attacker_value=attacker_value,

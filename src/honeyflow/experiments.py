@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .equilibrium import cost_curve, solve_on_curve, solve_stackelberg
+from .equilibrium import cost_curve, solve_stackelberg
 from .errors import ConfigError
 from .game import (
     MAX_HONEY_FLOW_BOUND,
@@ -181,25 +181,27 @@ def _mean_values(
     against each attacker model, keyed (defender, model), and the mean
     Stackelberg solve time, over one game drawn per seed.
 
-    Each game is drawn, and its baselines built, once, at the first cost;
-    ``GameSpec.with_cost`` gives it each other cost. With more than one
-    cost, tau* at each is read from the game's ``cost_curve``, and the
-    solve time counts the curve's build time. Each defender's strategy is
-    summarized once per game and cost, and every attacker model is scored
-    from that one summary. Sums run in seed order at each cost.
+    Each game is drawn, and its baselines and ``cost_curve`` built, once,
+    at the first cost; ``GameSpec.with_cost`` gives it each other cost, and
+    ``solve_stackelberg`` solves it there on that one curve, so the tau*
+    searches at all costs share the curve's width memo. Each solve time
+    counts the curve's build time. Each defender's strategy is summarized
+    once per game and cost (the Stackelberg one by its solve), and every
+    attacker model is scored from that one summary. Sums run in seed order
+    at each cost.
     """
     sums = [{(d, a): [0.0, 0.0] for d in _DEFENDERS for a in attackers} for _ in swept]
     total_times = [0.0] * len(swept)
     for game_seed in game_seeds:
         base = random_game(swept[0], game_seed)
         baselines = (uniform_random_strategy(base), no_deception_strategy(base))
-        curve = cost_curve(base) if len(swept) > 1 else None
+        curve = cost_curve(base)
         for k, params in enumerate(swept):
             spec = base.with_cost(params.cost) if k else base
-            eq = solve_stackelberg(spec) if curve is None else solve_on_curve(curve, spec)
+            eq = solve_stackelberg(spec, curve)
             total_times[k] += eq.solve_time
-            for name, strategy in zip(_DEFENDERS, (eq.strategy, *baselines)):
-                summary = summarize(spec, strategy)
+            summaries = (eq.summary, *(summarize(spec, strategy) for strategy in baselines))
+            for name, summary in zip(_DEFENDERS, summaries):
                 for attacker in attackers:
                     result = evaluate_matchup(spec, summary, attacker)
                     sums[k][(name, attacker)][0] += result.defender_value
@@ -220,10 +222,10 @@ def cost_sweep(
     """Mean defender/attacker values per cost for the three defenders,
     each facing a rational attacker. Each seeded game is drawn and
     tabulated once and scored at every cost, so rows differ only in the
-    cost; with more than one cost, tau* at each is read from the game's
-    cost curve. A row's ``solve_time`` is the mean over games of the
-    curve's build time plus that cost's own solve. Every cost is checked
-    before any game is drawn."""
+    cost; tau* at each cost is searched on the game's one cost curve,
+    whose width memo the costs share. A row's ``solve_time`` is the mean
+    over games of the curve's build time plus that cost's own solve. Every
+    cost is checked before any game is drawn."""
     if not costs:
         raise ConfigError("cost sweep needs at least one cost")
     swept = [dataclasses.replace(params, cost=float(cost)) for cost in costs]

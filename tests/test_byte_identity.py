@@ -1,0 +1,185 @@
+"""Byte identity of the solver and the default studies.
+
+Each group of fixed work below is hashed with sha256 and compared with
+``tests/data/byte_digests.json``; a group that differs is named. Solver
+groups hash, for every solve, the attacker's action, both values, every
+action's value (by repr) and the strategy's bytes. Command groups hash the
+exit code, stdout and stderr of in-process ``honeyflow`` runs.
+
+A change that alters bytes on purpose rewrites the file with
+
+    PYTHONPATH=src python tests/test_byte_identity.py --write
+
+and says which groups changed and why. The digests depend on numpy and on
+the host's BLAS (``summarize`` takes dot products), as the golden CSVs do,
+so the file records the numpy version and platform it was written with.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+
+import numpy as np
+
+from honeyflow import cli
+from honeyflow.equilibrium import solve_stackelberg
+from honeyflow.experiments import (
+    DEFAULT_COST_SWEEP,
+    MODE_FAKE_EQUALS_REAL,
+    MODE_FAKE_ZERO,
+    GeneratorParams,
+    random_game,
+)
+from honeyflow.game import GameSpec, VulnerabilityType
+
+DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data", "byte_digests.json")
+
+LADDER_SHAPES = ((2, 100), (4, 100), (8, 100), (16, 100), (5, 50), (5, 500))
+LADDER_SEEDS = (20200207, 5, 99)
+SWEEP_COSTS = (0.0, *DEFAULT_COST_SWEEP, 0.5, 3.0)
+MIXED_SPECS = 600
+
+COMMANDS = {
+    "cli-sweep": ["sweep"],
+    "cli-matchup": ["matchup"],
+    "cli-ratio": ["ratio"],
+    "cli-sweep-fake-equals-real": ["sweep", "--value-mode", MODE_FAKE_EQUALS_REAL],
+    "cli-sweep-large-bounds": [
+        "sweep", "--trials", "2", "--types", "5", "--honey-bounds", "100000", "100000"
+    ],
+    "cli-sweep-16-types": [
+        "sweep", "--trials", "3", "--types", "16", "--honey-bounds", "100", "100"
+    ],
+}
+
+
+def _solve_record(spec: GameSpec) -> bytes:
+    eq = solve_stackelberg(spec)
+    head = repr((eq.attacker_action, eq.defender_value, eq.attacker_value))
+    head += repr(eq.per_action_values)
+    return head.encode() + b"".join(m.tobytes() for m in eq.strategy.marginals)
+
+
+def _ladder_games():
+    for mode in (MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL):
+        for seed in LADDER_SEEDS:
+            for index, (types, bound) in enumerate(LADDER_SHAPES):
+                params = GeneratorParams(
+                    type_count=types,
+                    real_flows=(50, 500),
+                    honey_bound_range=(bound, bound),
+                    value_mode=mode,
+                )
+                yield random_game(params, [seed, index])
+
+
+def _sweep_games():
+    """Default-shaped 5-type games, each at every cost of ``SWEEP_COSTS``."""
+    for mode in (MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL):
+        for seed in range(8):
+            spec = random_game(GeneratorParams(type_count=5, value_mode=mode), seed)
+            for cost in SWEEP_COSTS:
+                yield spec.with_cost(cost)
+
+
+def _mixed_spec(rng: np.random.Generator) -> GameSpec:
+    """1 to 4 types with values of either sign up to 1e300 (equal real and
+    honey values too), zero real flows or honey bounds, and costs from 0 to
+    1e300."""
+    types = []
+    for i in range(int(rng.integers(1, 5))):
+        scale = float(rng.choice([1.0, 1e6, 1e300]))
+        real = float(rng.uniform(-scale, scale))
+        honey = real if rng.random() < 0.2 else float(rng.uniform(-scale, real))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            cost = 0.0
+        elif kind == 1:
+            cost = 1e300
+        elif kind == 2:
+            cost = float(rng.uniform(0.0, 10.0))
+        else:
+            cost = float(10.0 ** rng.uniform(-300, 300))
+        types.append(
+            VulnerabilityType(
+                id=i,
+                attacker_real_value=real,
+                attacker_honey_value=honey,
+                real_flow_count=int(rng.integers(0, 41)),
+                honey_flow_bound=int(rng.integers(0, 31)),
+                honey_flow_cost=cost,
+            )
+        )
+    return GameSpec(tuple(types))
+
+
+def _mixed_games():
+    for index in range(MIXED_SPECS):
+        yield _mixed_spec(np.random.default_rng([20200207, index]))
+
+
+def _rounding_games():
+    """A nearly flat curve whose right slope rounding makes rise again
+    after its first level <= 0."""
+    yield GameSpec(
+        (VulnerabilityType(0, 1000000.0000000048, 1e6, 26, 19, 2.1031720729211948e-10),)
+    )
+
+
+SOLVER_GROUPS = {
+    "solve-ladder": _ladder_games,
+    "solve-default-sweep-costs": _sweep_games,
+    "solve-mixed-sign": _mixed_games,
+    "solve-rounding-game": _rounding_games,
+}
+
+
+def _command_record(argv: list[str]) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    return repr((code, out.getvalue(), err.getvalue())).encode()
+
+
+def group_digests() -> dict[str, str]:
+    digests = {}
+    for name, games in SOLVER_GROUPS.items():
+        h = hashlib.sha256()
+        for spec in games():
+            h.update(_solve_record(spec))
+        digests[name] = h.hexdigest()
+    for name, argv in COMMANDS.items():
+        digests[name] = hashlib.sha256(_command_record(argv)).hexdigest()
+    return digests
+
+
+def _environment() -> dict[str, str]:
+    return {"numpy": np.__version__, "platform": platform.platform()}
+
+
+def test_every_group_keeps_its_bytes():
+    with open(DIGESTS_PATH) as f:
+        recorded = json.load(f)
+    got = group_digests()
+    changed = sorted(
+        name for name in recorded["groups"].keys() | got.keys()
+        if recorded["groups"].get(name) != got.get(name)
+    )
+    assert not changed, (
+        f"groups whose bytes changed: {changed} "
+        f"(recorded with {recorded['environment']}, running with {_environment()})"
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_byte_identity.py --write")
+    with open(DIGESTS_PATH, "w") as f:
+        json.dump({"environment": _environment(), "groups": group_digests()}, f, indent=2)
+        f.write("\n")

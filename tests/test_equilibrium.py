@@ -273,7 +273,7 @@ class TestLpReference:
         assert [(k, cost) for k, _, cost in curves] == [(0, 1.0), (1, 0.5)]
         assert curves[0][1] == pytest.approx([10.0, 7.5, 40 / 7], abs=1e-12)
         assert curves[1][1] == pytest.approx([20.0, 15.0, 80 / 7, 8.75], abs=1e-12)
-        tau = equilibrium.water_level(curves, 8.75)
+        tau = equilibrium.cost_curve(worked_example).water_level([1.0, 0.5])
         assert tau == 8.75
         strategy = equilibrium.strategy_at(worked_example, curves, tau)
         assert strategy.marginals[0] == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
@@ -324,37 +324,38 @@ class TestCostCurve:
     @settings(max_examples=300, deadline=None)
     @given(spec=_priced_specs(), common=_COSTS)
     def test_curve_agrees_with_the_probe_search(self, spec, common):
-        """At the spec's own per-type costs and at one common cost, the
-        curve's tau* is water_level's and its equilibrium is
-        solve_stackelberg's, with no warning on the way."""
+        """One curve, solved first at the spec's own per-type costs and then
+        at one common cost, gives at each cost the equilibrium of a fresh
+        solve with its own curve, with no warning on the way: the width
+        memo the two searches share holds nothing that depends on a cost."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             curve = equilibrium.cost_curve(spec)
             for priced in (spec, spec.with_cost(common)):
-                curves = equilibrium.type_curves(priced)
-                low = max([0.0] + [float(u[-1]) for _, u, _ in curves])
-                costs = [cost for _, _, cost in curves]
-                assert curve.water_level(costs) == equilibrium.water_level(curves, low)
                 _assert_same_equilibrium(
-                    equilibrium.solve_on_curve(curve, priced), solve_stackelberg(priced)
+                    solve_stackelberg(priced, curve), solve_stackelberg(priced)
                 )
 
     def test_a_slope_that_rounding_makes_rise_keeps_the_binary_search(self):
         """Rounding makes this nearly flat curve's right slope rise again
-        after its first level <= 0. tau* is where water_level's binary
-        search stops, not that first level."""
+        after its first level <= 0. tau* is where the binary search stops,
+        not that first level."""
         kind = VulnerabilityType(0, 1000000.0000000048, 1e6, 26, 19, 2.1031720729211948e-10)
         spec = GameSpec((kind,))
+        [(_, u, cost)] = equilibrium.type_curves(spec)
         curve = equilibrium.cost_curve(spec)
-        slope = -1.0 + kind.honey_flow_cost / curve.widths[0]
-        first = float(curve.levels[np.argmax(slope <= 0.0)])
-        curves = equilibrium.type_curves(spec)
-        tau = equilibrium.water_level(curves, float(curves[0][1][-1]))
-        assert curve.water_level([kind.honey_flow_cost]) == tau != first
-        _assert_same_equilibrium(equilibrium.solve_on_curve(curve, spec), solve_stackelberg(spec))
+        slope = []
+        for tau in curve.levels.tolist():
+            j = int(np.argmax(u <= tau + TIE_TOL))  # the first count held at tau
+            slope.append(-1.0 + (cost / float(u[j - 1] - u[j]) if j else 0.0))
+        first = float(curve.levels[np.argmax(np.array(slope) <= 0.0)])
+        tau = curve.water_level([cost])
+        assert repr(tau) == "1000000.0000000035" and tau != first
+        _assert_same_equilibrium(solve_stackelberg(spec, curve), solve_stackelberg(spec))
 
     def test_sweep_games_agree_with_the_probe_search(self):
-        """Default-sized games in both value modes, at every default cost."""
+        """Default-sized games in both value modes, solved on one curve per
+        game at every default cost, equal fresh solves."""
         for mode in (MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL):
             for seed in range(4):
                 spec = random_game(GeneratorParams(type_count=5, value_mode=mode), seed)
@@ -362,17 +363,26 @@ class TestCostCurve:
                 for cost in DEFAULT_COST_SWEEP:
                     priced = spec.with_cost(cost)
                     _assert_same_equilibrium(
-                        equilibrium.solve_on_curve(curve, priced), solve_stackelberg(priced)
+                        solve_stackelberg(priced, curve), solve_stackelberg(priced)
                     )
 
-    def test_a_table_past_the_cap_is_not_built(self, monkeypatch):
-        """The cap bounds attackable types x (kinks + 1): here 2 x 21. The
-        two curves are equal, so the table has 10 levels."""
-        spec = random_game(GeneratorParams(type_count=2, honey_bound_range=(9, 9)), 0)
-        monkeypatch.setattr(equilibrium, "MAX_CURVE_SIZE", 2 * 21 - 1)
-        assert equilibrium.cost_curve(spec) is None
-        monkeypatch.setattr(equilibrium, "MAX_CURVE_SIZE", 2 * 21)
-        assert equilibrium.cost_curve(spec).widths.shape == (2, 10)
+    def test_a_probed_level_is_looked_up_once(self, monkeypatch):
+        """A second search on the same curve at the same costs probes the
+        same levels and reads every width from the memo."""
+        spec = random_game(GeneratorParams(type_count=5), 3)
+        curve = equilibrium.cost_curve(spec)
+        fills = []
+        widths_at = equilibrium.CostCurve._widths_at
+
+        def counted(self, tau):
+            fills.append(tau)
+            return widths_at(self, tau)
+
+        monkeypatch.setattr(equilibrium.CostCurve, "_widths_at", counted)
+        tau = curve.water_level([1e-3] * len(curve.curves))
+        assert 1 <= len(fills) == len(curve.widths) <= curve.levels.size
+        assert curve.water_level([1e-3] * len(curve.curves)) == tau
+        assert len(fills) == len(curve.widths)
 
 
 class TestVerification:

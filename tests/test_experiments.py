@@ -155,10 +155,10 @@ class TestCostSweep:
         assert len(drawn) == 3
 
     @pytest.mark.parametrize("value_mode", [MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL])
-    def test_rows_read_from_the_cost_curve_equal_one_cost_sweeps(self, value_mode):
-        """Each row of a many-cost sweep, whose tau* comes from each game's
-        cost curve, is the row of a one-cost sweep, which solves each game
-        on its own, float for float."""
+    def test_a_curve_shared_across_costs_matches_one_cost_sweeps(self, value_mode):
+        """Each row of a many-cost sweep, whose solves share each game's
+        cost curve and its width memo, is the row of a one-cost sweep, whose
+        curves serve one cost each, float for float."""
         params = dataclasses.replace(SMALL, value_mode=value_mode)
         costs = [0.0, *DEFAULT_COST_SWEEP, 0.5]
         sweep = cost_sweep(params, costs=costs, trials=3, seed=11)
@@ -212,8 +212,9 @@ class TestMatchupGrid:
         )
 
     def test_each_defender_is_summarized_once(self, monkeypatch):
-        """Every attacker model scores a defender from one summary per game:
-        six summaries (2 games x 3 defenders) for 18 matchups."""
+        """Every attacker model scores a defender from one summary per game.
+        The solve summarizes the Stackelberg strategy, so the grid makes
+        four summaries (2 games x 2 baselines) for 18 matchups."""
         summaries, matchups = [], []
 
         def counted(log, fn):
@@ -227,7 +228,7 @@ class TestMatchupGrid:
             experiments, "evaluate_matchup", counted(matchups, evaluate_matchup)
         )
         matchup_grid(SMALL, trials=2)
-        assert (len(summaries), len(matchups)) == (6, 18)
+        assert (len(summaries), len(matchups)) == (4, 18)
 
 
 class TestRatioAnalysis:
