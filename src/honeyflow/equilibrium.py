@@ -14,13 +14,13 @@ declining is worth V(0) when L = 0. This is ORIGAMI-style water filling
 (Kiekintveld et al., AAMAS 2009) in place of one LP per attacker action
 (Conitzer and Sandholm, EC 2006).
 
-The solver's steps are module functions, called through the module:
-``type_curves``, ``cost_curve`` and ``strategy_at``. Only tau* depends on
-the costs, through V's right slope. ``cost_curve`` gathers what the search
-needs but the costs, and ``CostCurve.water_level`` is the one tau* search:
-a binary search over the candidate levels whose probes memoize each
-curve's segment width at the level probed. A game solved at many costs
-shares one curve, so each level's widths are looked up once per game.
+The solver's steps are ``cost_curve``, ``CostCurve.water_level``,
+``_value`` and ``strategy_at``, called through the module. ``cost_curve``
+builds the game's curves and all the tau* search needs but the costs;
+only tau* depends on the costs, through V's right slope. ``water_level``
+is a binary search over the candidate levels whose probes memoize each
+curve's segment width, so a game solved at many costs looks each level up
+once. ``_hold`` alone finds the segment that holds a curve at a level.
 ``build_best_response_lp`` and the simplex behind ``solve_lp`` are no
 longer on the solve path; the tests keep them as a reference.
 """
@@ -49,9 +49,6 @@ from .game import (
 )
 from .lp import LinearProgram, solve_lp  # noqa: F401  (perfbench wraps equilibrium.solve_lp)
 
-# (type id, u(0..H), cost per honey flow) of one attackable type.
-Curve = tuple[int, np.ndarray, float]
-
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -66,16 +63,15 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class CostCurve:
-    """What the tau* search needs of a game, except the costs.
+    """A game's attacker-value curves, and what the tau* search needs of
+    them but the costs.
 
-    ``curves`` are ``type_curves``' (type id, u) pairs, ``low`` is L and
-    ``levels`` are L and the distinct kinks above it, ascending.
-    ``widths[k]`` holds, for each curve, the width u(j-1) - u(j) of the
-    segment ``_hold`` finds at ``levels[k]``, or inf where j = 0, so a
-    cost over it adds +0.0 to V's right slope. It is filled the first time
-    a search probes level k; no width depends on a cost, so every cost
-    searched on this curve shares it. ``build_time`` is the seconds
-    ``cost_curve`` took.
+    ``curves`` are the attackable types' (type id, u(0..H)) pairs by id,
+    ``low`` is L and ``levels`` are L and the distinct kinks above it,
+    ascending. ``widths[k]`` holds ``_hold``'s width of each curve at
+    ``levels[k]``. It is filled the first time a search probes level k,
+    and every cost searched on this curve shares it. ``build_time`` is the
+    seconds ``cost_curve`` took.
     """
 
     curves: tuple[tuple[int, np.ndarray], ...]
@@ -92,31 +88,24 @@ class CostCurve:
         V is concave, so the slope falls as tau rises; a binary search
         probes the levels. The slope is summed in curve order in Python
         floats, which give inf on overflow, not a warning. Its sign
-        decides, never a tolerance on V.
+        decides, never a tolerance on V. At the top level no type needs
+        honey, so the slope there is -1.
         """
-
-        def slope_at(k: int) -> float:
-            widths = self.widths.get(k)
+        lo, hi = 0, self.levels.size - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            widths = self.widths.get(mid)
             if widths is None:
-                widths = self.widths[k] = self._widths_at(float(self.levels[k]))
+                tau = float(self.levels[mid])
+                widths = self.widths[mid] = [_hold(u, tau)[2] for _, u in self.curves]
             slope = -1.0
             for cost, width in zip(costs, widths):
                 slope += cost / width
-            return slope
-
-        return float(self.levels[_first_nonpositive(slope_at, self.levels.size)])
-
-    def _widths_at(self, tau: float) -> list[float]:
-        held = tau + TIE_TOL  # _hold's key
-        widths = []
-        for _, u in self.curves:
-            j = u.size - int(u[::-1].searchsorted(held, side="right"))
-            if j == 0:
-                widths.append(math.inf)
+            if slope <= 0.0:
+                hi = mid
             else:
-                above, below = u[j - 1 : j + 1].tolist()
-                widths.append(above - below)
-        return widths
+                lo = mid + 1
+        return float(self.levels[lo])
 
 
 @dataclass(frozen=True)
@@ -197,95 +186,64 @@ def build_best_response_lp(spec: GameSpec, fixed: AttackerAction) -> LinearProgr
     )
 
 
-def type_curves(spec: GameSpec) -> list[Curve]:
-    """The attacker-value curve u(0..H) and cost of every attackable type.
-
-    Rounding can leave a curve that is constant in exact arithmetic (equal
-    real and honey values) a few ulps out of order; the running minimum
-    keeps every curve nonincreasing, which the lookups below rely on.
-    """
-    return [
-        (i, np.minimum.accumulate(spec.attack_values[i]), spec.types[i].honey_flow_cost)
-        for i in spec.attackable_ids
-    ]
-
-
-def _hold(u: np.ndarray, tau: float) -> tuple[int, float]:
+def _hold(u: np.ndarray, tau: float) -> tuple[int, float, float]:
     """The cheapest way to hold u at or below ``tau``: counts j-1 and j
-    with weight w on j, or (0, 1.0) when no honey is needed.
+    with weight w on j, and the segment's width u(j-1) - u(j); or
+    (0, 1.0, inf) when no honey is needed.
 
     j is the first count with u(j) <= tau + TIE_TOL, which lets a curve
     that is constant up to rounding count as held at its own value. Callers
-    keep tau >= u(H) - TIE_TOL, so j exists, and u(j-1) - u(j) > 0 if j > 0.
+    keep tau >= u(H) - TIE_TOL, so j exists, and the width is > 0 if j > 0.
     j counts the u(j) above tau + TIE_TOL, found in the reversed view, so
     no copy of u is made.
     """
     j = u.size - int(u[::-1].searchsorted(tau + TIE_TOL, side="right"))
     if j == 0:
-        return 0, 1.0
+        return 0, 1.0, math.inf
     # Python floats: an overflowing weight gives inf (capped at 1), not a warning.
     above, below = u[j - 1 : j + 1].tolist()
-    return j, min((above - tau) / (above - below), 1.0)
+    width = above - below
+    return j, min((above - tau) / width, 1.0), width
 
 
-def _value(curves: list[Curve], tau: float) -> float:
+def _value(curve: CostCurve, costs: Sequence[float], tau: float) -> float:
     """V(tau): the defender's value of holding the attacker at ``tau``."""
     total = -tau
-    for _, u, cost in curves:
-        j, w = _hold(u, tau)
+    for (_, u), cost in zip(curve.curves, costs):
+        j, w, _ = _hold(u, tau)
         if j > 0:
             total -= cost * (j - 1 + w)
     return total
 
 
-def _candidates(curves: list[Curve], low: float) -> np.ndarray:
-    """``low`` and the distinct kinks at or above it, ascending."""
-    candidates = np.unique(np.concatenate([[low]] + [u for _, u, _ in curves]))
-    return candidates[candidates >= low]
-
-
-def _first_nonpositive(slope_at, count: int) -> int:
-    """The binary search for the first of ``count`` ascending candidates at
-    which ``slope_at(index)`` is <= 0. At the top kink no type needs honey,
-    so the slope there is -1."""
-    lo, hi = 0, count - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if slope_at(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _low(curves: list[Curve]) -> float:
-    """L: the lowest level every type can be held at, and never below 0."""
-    return max([0.0] + [float(u[-1]) for _, u, _ in curves])
-
-
 def cost_curve(spec: GameSpec) -> CostCurve:
-    """The cost-free part of the tau* search over ``spec``, with an empty
-    width memo."""
+    """The curves of ``spec`` and the cost-free part of the tau* search,
+    with an empty width memo. Rounding can leave a curve that is constant
+    in exact arithmetic a few ulps out of order; the running minimum keeps
+    every curve nonincreasing, as ``_hold`` needs. L is never below 0."""
     start = time.perf_counter()
-    curves = type_curves(spec)
-    low = _low(curves)
+    curves = tuple(
+        (i, np.minimum.accumulate(spec.attack_values[i])) for i in spec.attackable_ids
+    )
+    low = max([0.0] + [float(u[-1]) for _, u in curves])
+    levels = np.unique(np.concatenate([[low]] + [u for _, u in curves]))
     return CostCurve(
-        curves=tuple((type_id, u) for type_id, u, _ in curves),
+        curves=curves,
         low=low,
-        levels=_candidates(curves, low),
+        levels=levels[levels >= low],
         widths={},
         build_time=time.perf_counter() - start,
     )
 
 
-def strategy_at(spec: GameSpec, curves: list[Curve], tau: float) -> DefenderStrategy:
+def strategy_at(spec: GameSpec, curve: CostCurve, tau: float) -> DefenderStrategy:
     """The cheapest strategy holding every type at or below ``tau``: each
     type mixes the two adjacent counts around it."""
     marginals = [np.zeros(t.honey_flow_bound + 1) for t in spec.types]
     for m in marginals:
         m[0] = 1.0  # unattackable types, and those held without honey
-    for type_id, u, _ in curves:
-        j, w = _hold(u, tau)
+    for type_id, u in curve.curves:
+        j, w, _ = _hold(u, tau)
         if j > 0:
             m = marginals[type_id]
             m[0] = 0.0
@@ -312,21 +270,21 @@ def solve_stackelberg(spec: GameSpec, curve: CostCurve | None = None) -> Equilib
     if curve is None:
         curve = cost_curve(spec)
     start = time.perf_counter() - curve.build_time
-    curves = [(type_id, u, spec.types[type_id].honey_flow_cost) for type_id, u in curve.curves]
+    costs = [spec.types[type_id].honey_flow_cost for type_id, _ in curve.curves]
     low = curve.low
-    top = curve.water_level([cost for _, _, cost in curves])
+    top = curve.water_level(costs)
     levels = {
         AttackerAction.attack(type_id): min(top, float(u[0]))
-        for type_id, u, _ in curves
+        for type_id, u in curve.curves
         if u[0] >= low - TIE_TOL
     }
     if low <= TIE_TOL:
         levels[NO_ATTACK] = 0.0
     # Attacks held at tau* share V(tau*). No-attack (level 0.0) keeps its own
     # call, since a tau* of -0.0 would give V the other sign of zero.
-    at_top = _value(curves, top)
+    at_top = _value(curve, costs, top)
     values = {
-        a: at_top if a.is_attack and tau == top else _value(curves, tau)
+        a: at_top if a.is_attack and tau == top else _value(curve, costs, tau)
         for a, tau in levels.items()
     }
     per_action = {
@@ -335,7 +293,7 @@ def solve_stackelberg(spec: GameSpec, curve: CostCurve | None = None) -> Equilib
     }
     # values is in action order: attacks by type id, then no-attack.
     action = first_best(list(values), list(values.values()))
-    strategy = strategy_at(spec, curves, levels[action])
+    strategy = strategy_at(spec, curve, levels[action])
     elapsed = time.perf_counter() - start
     summary = summarize(spec, strategy)
     defender_value, attacker_value = utilities(spec, summary, action)

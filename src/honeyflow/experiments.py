@@ -82,6 +82,8 @@ class GeneratorParams:
             lo, hi = self.real_flows
             if lo > hi or lo < 0:
                 raise ConfigError(f"empty real flow range [{lo}, {hi}]")
+        elif self.real_flows < 0:
+            raise ConfigError(f"real flows must be nonnegative, got {self.real_flows}")
         if self.value_mode not in (MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL):
             raise ConfigError(f"unknown value mode {self.value_mode!r}")
         if not 0 <= self.cost < math.inf:  # NaN fails too

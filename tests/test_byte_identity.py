@@ -4,7 +4,10 @@ Each group of fixed work below is hashed with sha256 and compared with
 ``tests/data/byte_digests.json``; a group that differs is named. Solver
 groups hash, for every solve, the attacker's action, both values, every
 action's value (by repr) and the strategy's bytes. Command groups hash the
-exit code, stdout and stderr of in-process ``honeyflow`` runs.
+exit code, stdout and stderr of each of their in-process ``honeyflow``
+runs. Output groups hash the same of one run with ``--output``, then the
+contents of the file it writes and of its ``.meta.json`` sidecar; the
+files go to a scratch directory, whose path is not hashed.
 
 A change that alters bytes on purpose rewrites the file with
 
@@ -24,6 +27,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 
 import numpy as np
 
@@ -38,24 +42,47 @@ from honeyflow.experiments import (
 )
 from honeyflow.game import GameSpec, VulnerabilityType
 
-DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data", "byte_digests.json")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+DIGESTS_PATH = os.path.join(DATA_DIR, "byte_digests.json")
+WORKED_EXAMPLE = os.path.join(DATA_DIR, "worked_example.json")
 
 LADDER_SHAPES = ((2, 100), (4, 100), (8, 100), (16, 100), (5, 50), (5, 500))
 LADDER_SEEDS = (20200207, 5, 99)
 SWEEP_COSTS = (0.0, *DEFAULT_COST_SWEEP, 0.5, 3.0)
 MIXED_SPECS = 600
 
+# Each group's runs, hashed in order.
 COMMANDS = {
-    "cli-sweep": ["sweep"],
-    "cli-matchup": ["matchup"],
-    "cli-ratio": ["ratio"],
-    "cli-sweep-fake-equals-real": ["sweep", "--value-mode", MODE_FAKE_EQUALS_REAL],
+    "cli-sweep": [["sweep"]],
+    "cli-matchup": [["matchup"]],
+    "cli-ratio": [["ratio"]],
+    "cli-sweep-fake-equals-real": [["sweep", "--value-mode", MODE_FAKE_EQUALS_REAL]],
     "cli-sweep-large-bounds": [
-        "sweep", "--trials", "2", "--types", "5", "--honey-bounds", "100000", "100000"
+        ["sweep", "--trials", "2", "--types", "5", "--honey-bounds", "100000", "100000"]
     ],
     "cli-sweep-16-types": [
-        "sweep", "--trials", "3", "--types", "16", "--honey-bounds", "100", "100"
+        ["sweep", "--trials", "3", "--types", "16", "--honey-bounds", "100", "100"]
     ],
+    "cli-solve-worked-example": [["solve", "--game", WORKED_EXAMPLE]],
+    "cli-evaluate-worked-example": [
+        ["evaluate", "--game", WORKED_EXAMPLE, "--defender", defender,
+         "--attacker", attacker, "--format", fmt]
+        for defender in ("stackelberg", "uniform", "none")
+        for attacker in ("rational", "uniform", "greedy")
+        for fmt in ("json", "csv")
+    ],
+    "cli-heuristic": [
+        ["heuristic", "--real-values", "10,10", "--fake-values", "9,3",
+         "--real-flows", "10,10", "--format", fmt]
+        for fmt in ("json", "csv")
+    ],
+}
+
+# Run with --output; the written file and its sidecar are hashed too.
+OUTPUT_COMMANDS = {
+    "cli-sweep-output": ["sweep"],
+    "cli-matchup-output": ["matchup"],
+    "cli-ratio-output": ["ratio"],
 }
 
 
@@ -147,15 +174,30 @@ def _command_record(argv: list[str]) -> bytes:
     return repr((code, out.getvalue(), err.getvalue())).encode()
 
 
-def group_digests() -> dict[str, str]:
+def _output_record(argv: list[str], path: str) -> bytes:
+    record = _command_record([*argv, "--output", path])
+    for written in (path, path + ".meta.json"):
+        with open(written, "rb") as f:
+            record += f.read()
+    return record
+
+
+def group_digests(out_dir: str) -> dict[str, str]:
+    """Every group's digest; output groups write their files in ``out_dir``."""
     digests = {}
     for name, games in SOLVER_GROUPS.items():
         h = hashlib.sha256()
         for spec in games():
             h.update(_solve_record(spec))
         digests[name] = h.hexdigest()
-    for name, argv in COMMANDS.items():
-        digests[name] = hashlib.sha256(_command_record(argv)).hexdigest()
+    for name, runs in COMMANDS.items():
+        h = hashlib.sha256()
+        for argv in runs:
+            h.update(_command_record(argv))
+        digests[name] = h.hexdigest()
+    for name, argv in OUTPUT_COMMANDS.items():
+        path = os.path.join(out_dir, name + ".csv")
+        digests[name] = hashlib.sha256(_output_record(argv, path)).hexdigest()
     return digests
 
 
@@ -163,10 +205,10 @@ def _environment() -> dict[str, str]:
     return {"numpy": np.__version__, "platform": platform.platform()}
 
 
-def test_every_group_keeps_its_bytes():
+def test_every_group_keeps_its_bytes(tmp_path):
     with open(DIGESTS_PATH) as f:
         recorded = json.load(f)
-    got = group_digests()
+    got = group_digests(str(tmp_path))
     changed = sorted(
         name for name in recorded["groups"].keys() | got.keys()
         if recorded["groups"].get(name) != got.get(name)
@@ -180,6 +222,8 @@ def test_every_group_keeps_its_bytes():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_byte_identity.py --write")
+    with tempfile.TemporaryDirectory() as out_dir:
+        digests = group_digests(out_dir)
     with open(DIGESTS_PATH, "w") as f:
-        json.dump({"environment": _environment(), "groups": group_digests()}, f, indent=2)
+        json.dump({"environment": _environment(), "groups": digests}, f, indent=2)
         f.write("\n")

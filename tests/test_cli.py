@@ -272,6 +272,7 @@ class TestExitCodes:
             (["bench", "--sizes", ""], "bench needs at least one size"),
             (["sweep", "--types", str(MAX_TYPES + 1)], f"at most {MAX_TYPES}, got"),
             (["matchup", "--types", "8000"], f"at most {MAX_TYPES}, got 8000"),
+            (["sweep", "--trials", "1", "--real-flows", "-5"], "real flows must be nonnegative"),
             (["ratio", "--real-values", "1,2,3", "--fake-values", "0.5"], "fake values"),
             (["ratio", "--ratios", "1e10", "--real-flows", "10"], "honey_flow_bound"),
             (["ratio", "--real-flows", ","], "real-flow counts"),
@@ -307,6 +308,7 @@ class TestExitCodes:
             "bench-no-sizes",
             "sweep-too-many-types",
             "matchup-too-many-types",
+            "sweep-negative-real-flows",
             "ratio-vector-lengths",
             "ratio-oversize-bound",
             "ratio-no-real-flows",

@@ -176,9 +176,9 @@ class TestSolveStackelberg:
         calls = []
         value = equilibrium._value
 
-        def counted(curves, tau):
+        def counted(curve, costs, tau):
             calls.append(tau)
-            return value(curves, tau)
+            return value(curve, costs, tau)
 
         monkeypatch.setattr(equilibrium, "_value", counted)
         eq = solve_stackelberg(spec)
@@ -213,7 +213,8 @@ class TestHold:
     def test_search_matches_the_negated_curve_search(self, u, extra):
         """The reversed-view search finds the same count j as a search of
         -u, at every kink and one ulp and one TIE_TOL either side,
-        wherever the caller's condition holds (some u(j) <= tau + TIE_TOL)."""
+        wherever the caller's condition holds (some u(j) <= tau + TIE_TOL),
+        and the width of the segment it ends, or inf at j = 0."""
         taus = list(extra)
         for kink in set(u.tolist()):
             taus += [kink, math.nextafter(kink, -math.inf), math.nextafter(kink, math.inf)]
@@ -222,7 +223,9 @@ class TestHold:
             parent_j = int(np.searchsorted(-u, -(tau + TIE_TOL)))
             if parent_j < u.size:
                 with np.errstate(over="ignore"):  # a weight may overflow; it caps at 1
-                    assert equilibrium._hold(u, tau)[0] == parent_j, tau
+                    j, _, width = equilibrium._hold(u, tau)
+                assert j == parent_j, tau
+                assert width == (float(u[j - 1] - u[j]) if j else math.inf), tau
 
 
 def _ladder_games():
@@ -269,13 +272,14 @@ class TestLpReference:
         # There V's right slope is -1 + 1/2.5 + 0.5/(80/7 - 8.75) < 0, so the
         # water level is L itself: type 0 mixes zero and one honey flow
         # half and half to reach it, and type 1 needs all three.
-        curves = equilibrium.type_curves(worked_example)
-        assert [(k, cost) for k, _, cost in curves] == [(0, 1.0), (1, 0.5)]
-        assert curves[0][1] == pytest.approx([10.0, 7.5, 40 / 7], abs=1e-12)
-        assert curves[1][1] == pytest.approx([20.0, 15.0, 80 / 7, 8.75], abs=1e-12)
-        tau = equilibrium.cost_curve(worked_example).water_level([1.0, 0.5])
+        curve = equilibrium.cost_curve(worked_example)
+        assert [k for k, _ in curve.curves] == [0, 1]
+        assert curve.curves[0][1] == pytest.approx([10.0, 7.5, 40 / 7], abs=1e-12)
+        assert curve.curves[1][1] == pytest.approx([20.0, 15.0, 80 / 7, 8.75], abs=1e-12)
+        assert [t.honey_flow_cost for t in worked_example.types] == [1.0, 0.5]
+        tau = curve.water_level([1.0, 0.5])
         assert tau == 8.75
-        strategy = equilibrium.strategy_at(worked_example, curves, tau)
+        strategy = equilibrium.strategy_at(worked_example, curve, tau)
         assert strategy.marginals[0] == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
         assert strategy.marginals[1] == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-12)
 
@@ -342,8 +346,9 @@ class TestCostCurve:
         not that first level."""
         kind = VulnerabilityType(0, 1000000.0000000048, 1e6, 26, 19, 2.1031720729211948e-10)
         spec = GameSpec((kind,))
-        [(_, u, cost)] = equilibrium.type_curves(spec)
         curve = equilibrium.cost_curve(spec)
+        [(_, u)] = curve.curves
+        cost = spec.types[0].honey_flow_cost
         slope = []
         for tau in curve.levels.tolist():
             j = int(np.argmax(u <= tau + TIE_TOL))  # the first count held at tau
@@ -368,21 +373,21 @@ class TestCostCurve:
 
     def test_a_probed_level_is_looked_up_once(self, monkeypatch):
         """A second search on the same curve at the same costs probes the
-        same levels and reads every width from the memo."""
+        same levels and reads every width from the memo: it calls no
+        ``_hold``."""
         spec = random_game(GeneratorParams(type_count=5), 3)
         curve = equilibrium.cost_curve(spec)
-        fills = []
-        widths_at = equilibrium.CostCurve._widths_at
+        costs = [1e-3] * len(curve.curves)
+        tau = curve.water_level(costs)
+        assert 1 <= len(curve.widths) <= curve.levels.size
+        probed = dict(curve.widths)
 
-        def counted(self, tau):
-            fills.append(tau)
-            return widths_at(self, tau)
+        def fail(u, tau):
+            raise AssertionError("a memoized level was looked up again")
 
-        monkeypatch.setattr(equilibrium.CostCurve, "_widths_at", counted)
-        tau = curve.water_level([1e-3] * len(curve.curves))
-        assert 1 <= len(fills) == len(curve.widths) <= curve.levels.size
-        assert curve.water_level([1e-3] * len(curve.curves)) == tau
-        assert len(fills) == len(curve.widths)
+        monkeypatch.setattr(equilibrium, "_hold", fail)
+        assert curve.water_level(costs) == tau
+        assert curve.widths == probed
 
 
 class TestVerification:

@@ -90,6 +90,8 @@ class TestRandomGame:
             GeneratorParams(
                 type_count=2, real_flows=5, honey_bound_range=(1, 2), value_mode="explicit"
             )
+        with pytest.raises(ConfigError, match="real flows must be nonnegative, got -5"):
+            GeneratorParams(type_count=1, real_flows=-5, honey_bound_range=(1, 2))
 
     def test_strategy_size_capped(self):
         """The largest game the params can draw is checked against the caps
