@@ -6,13 +6,16 @@ groups hash, for every solve, the attacker's action, both values, every
 action's value (by repr) and the strategy's bytes. Command groups hash the
 exit code, stdout and stderr of each of their in-process ``honeyflow``
 runs. Output groups hash the same of one run with ``--output``, then the
-contents of the file it writes and of its ``.meta.json`` sidecar; the
-files go to a scratch directory, whose path is not hashed.
+contents of the file it writes and of its ``.meta.json`` sidecar. Simulate
+groups hash the same of each ``simulate`` run with ``--switch-rates``, then
+the contents of the rates file (simulate writes no sidecar). Written files
+go to a scratch directory, whose path is not hashed.
 
 A change that alters bytes on purpose rewrites the file with
 
-    PYTHONPATH=src python tests/test_byte_identity.py --write
+    PYTHONPATH=src python tests/test_byte_identity.py --write [NAME ...]
 
+which rewrites only the named groups, or every group when none is named,
 and says which groups changed and why. The digests depend on numpy and on
 the host's BLAS (``summarize`` takes dot products), as the golden CSVs do,
 so the file records the numpy version and platform it was written with.
@@ -28,6 +31,7 @@ import os
 import platform
 import sys
 import tempfile
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -45,11 +49,14 @@ from honeyflow.game import GameSpec, VulnerabilityType
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DIGESTS_PATH = os.path.join(DATA_DIR, "byte_digests.json")
 WORKED_EXAMPLE = os.path.join(DATA_DIR, "worked_example.json")
+CHAIN_TOPOLOGY = os.path.join(DATA_DIR, "chain_topology.json")
 
 LADDER_SHAPES = ((2, 100), (4, 100), (8, 100), (16, 100), (5, 50), (5, 500))
 LADDER_SEEDS = (20200207, 5, 99)
 SWEEP_COSTS = (0.0, *DEFAULT_COST_SWEEP, 0.5, 3.0)
 MIXED_SPECS = 600
+SIMULATE_REAL = (500, 5_000)
+SIMULATE_SWEEP = "0:500:250"
 
 # Each group's runs, hashed in order.
 COMMANDS = {
@@ -174,30 +181,97 @@ def _command_record(argv: list[str]) -> bytes:
     return repr((code, out.getvalue(), err.getvalue())).encode()
 
 
-def _output_record(argv: list[str], path: str) -> bytes:
-    record = _command_record([*argv, "--output", path])
-    for written in (path, path + ".meta.json"):
+def _written_record(argv: list[str], *files: str) -> bytes:
+    """One run's record, then the contents of each file it wrote."""
+    record = _command_record(argv)
+    for written in files:
         with open(written, "rb") as f:
             record += f.read()
     return record
 
 
-def group_digests(out_dir: str) -> dict[str, str]:
-    """Every group's digest; output groups write their files in ``out_dir``."""
-    digests = {}
+def _tree_topology(racks: int = 12, hosts: int = 3, types: int = 3) -> dict:
+    """Two linked core switches, c0 and c1, each with half the racks. Each
+    rack holds ``hosts`` real endpoints and one fake endpoint; one core
+    and two racks are compromised."""
+    endpoints, links = [], [["c0", "c1"]]
+    for i in range(racks):
+        rack = f"r{i:02d}"
+        links.append([f"c{2 * i // racks}", rack])
+        for h in range(hosts):
+            k = i * hosts + h
+            value = 1.0 + k % 5 * 0.5
+            endpoints.append(
+                {"id": f"h{k:02d}", "defender_value": value, "attacker_value": value,
+                 "weaknesses": sorted({k % types, k // 2 % types}), "fake": False}
+            )
+            links.append([rack, f"h{k:02d}"])
+        endpoints.append(
+            {"id": f"f{i:02d}", "defender_value": 0.0, "attacker_value": -0.5 - i % 4 * 0.25,
+             "weaknesses": [i % types], "fake": True}
+        )
+        links.append([rack, f"f{i:02d}"])
+    switches = ["c0", "c1", *(f"r{i:02d}" for i in range(racks))]
+    return {"endpoints": endpoints, "switches": switches, "links": links,
+            "compromised": ["c1", "r02", "r07"]}
+
+
+def _simulate_groups(out_dir: str) -> dict[str, list[list[str]]]:
+    """Each simulate group's runs: on the chain and on a 12-rack tree
+    (written to ``out_dir``), at SIMULATE_REAL real flows per type, fixed
+    honey counts and the honey sweep, each against a uniform and a
+    fixed-type attacker."""
+    tree = os.path.join(out_dir, "tree_topology.json")
+    with open(tree, "w", encoding="utf-8") as f:
+        json.dump(_tree_topology(), f)
+    groups = {}
+    for label, path, types in (("chain", CHAIN_TOPOLOGY, 2), ("tree", tree, 3)):
+        fixed = ",".join(str(100 * (k + 1)) for k in range(types))
+        for real in SIMULATE_REAL:
+            reals = ",".join([str(real)] * types)
+            groups[f"simulate-{label}-{real}"] = [
+                ["simulate", "--topology", path, "--real", reals, "--honey", honey,
+                 "--policy", policy, "--episodes", "500", "--seed", "7"]
+                for honey in (fixed, SIMULATE_SWEEP)
+                for policy in ("uniform", "1")
+            ]
+    return groups
+
+
+def _groups(out_dir: str) -> dict[str, Callable[[], Iterable[bytes]]]:
+    """Each group's name and a function that gives its records in order;
+    groups that write files write them in ``out_dir``."""
+    groups = {}
     for name, games in SOLVER_GROUPS.items():
-        h = hashlib.sha256()
-        for spec in games():
-            h.update(_solve_record(spec))
-        digests[name] = h.hexdigest()
+        groups[name] = lambda games=games: map(_solve_record, games())
     for name, runs in COMMANDS.items():
-        h = hashlib.sha256()
-        for argv in runs:
-            h.update(_command_record(argv))
-        digests[name] = h.hexdigest()
+        groups[name] = lambda runs=runs: map(_command_record, runs)
     for name, argv in OUTPUT_COMMANDS.items():
         path = os.path.join(out_dir, name + ".csv")
-        digests[name] = hashlib.sha256(_output_record(argv, path)).hexdigest()
+        argv = [*argv, "--output", path]
+        groups[name] = lambda argv=argv, path=path: [
+            _written_record(argv, path, path + ".meta.json")
+        ]
+    rates = os.path.join(out_dir, "rates.csv")
+    for name, runs in _simulate_groups(out_dir).items():
+        groups[name] = lambda runs=runs: (
+            _written_record([*argv, "--switch-rates", rates], rates) for argv in runs
+        )
+    return groups
+
+
+def group_digests(out_dir: str, names: list[str] | None = None) -> dict[str, str]:
+    """The digest of every group, or of each group in ``names``."""
+    groups = _groups(out_dir)
+    unknown = sorted(set(names or ()) - groups.keys())
+    if unknown:
+        raise ValueError(f"unknown groups: {unknown}")
+    digests = {}
+    for name in groups if names is None else names:
+        h = hashlib.sha256()
+        for record in groups[name]():
+            h.update(record)
+        digests[name] = h.hexdigest()
     return digests
 
 
@@ -220,10 +294,16 @@ def test_every_group_keeps_its_bytes(tmp_path):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_byte_identity.py --write")
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: python tests/test_byte_identity.py --write [NAME ...]")
+    names = sys.argv[2:] or None
+    with open(DIGESTS_PATH) as f:
+        kept = json.load(f)["groups"] if names else {}
     with tempfile.TemporaryDirectory() as out_dir:
-        digests = group_digests(out_dir)
+        try:
+            kept.update(group_digests(out_dir, names))
+        except ValueError as exc:
+            sys.exit(str(exc))
     with open(DIGESTS_PATH, "w") as f:
-        json.dump({"environment": _environment(), "groups": digests}, f, indent=2)
+        json.dump({"environment": _environment(), "groups": kept}, f, indent=2)
         f.write("\n")
