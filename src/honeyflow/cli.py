@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable, Sequence
 
@@ -437,11 +438,29 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return args
 
 
+def _check_outputs(args) -> None:
+    """Reject an output option that names the file of the input or of
+    another output option: the run would overwrite one with the other."""
+    outputs = [n for n in ("output", "dump_spec", "switch_rates") if getattr(args, n, None)]
+    if not outputs:
+        return
+    named = {}
+    for name in ("game", "topology", *outputs):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        first = named.setdefault(os.path.realpath(path), name)
+        if first != name:
+            options = " and ".join("--" + n.replace("_", "-") for n in (first, name))
+            raise HoneyflowError(f"{options} name the same file {path}")
+
+
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = _parse_args(argv)
+        _check_outputs(args)
         return _SUBCOMMANDS[args.command][2](args)
     except (HoneyflowError, OSError, RecursionError, ValueError) as exc:
         # RecursionError: a JSON input nested too deep

@@ -34,11 +34,12 @@ MAX_FLOWS_PER_TYPE = 10**6
 MAX_EPISODES = 10**6
 # Largest endpoint count, and node (endpoint and switch) count, that
 # build_network accepts. Routing keeps a switches × endpoints² boolean
-# incidence array, and a flow table's per-pair counts are 2 × endpoints²
-# int64 (4 MiB at the cap). At the cap the largest incidence (426
-# endpoints, 214 switches) is 37 MiB, and routing peaks at 46 MiB
-# (tracemalloc). On a 2-vCPU host a two-level tree of switches routes in
-# 0.1-0.2 s; a chain of switches, the deepest search, in 1.2-1.3 s.
+# incidence array, and each honey_traffic_rate call counts its flows per
+# pair into 2 × endpoints² int64 (4 MiB at the cap) while it runs. At the
+# cap the largest incidence (426 endpoints, 214 switches) is 37 MiB, and
+# routing peaks at 46 MiB (tracemalloc). On a 2-vCPU host a two-level
+# tree of switches routes in 0.1-0.2 s; a chain of switches, the deepest
+# search, in 1.2-1.3 s.
 MAX_ENDPOINTS = 512
 MAX_NODES = 640
 # Episodes whose draws episode_draws computes together. About 150 bytes
@@ -55,47 +56,39 @@ class Endpoint:
     is_fake: bool
 
 
-@dataclass(frozen=True)
-class PairIndex:
-    """Per-pair lookups over the sorted endpoint ids, built once per network.
-
-    The arrays are indexed by [origin, destination] positions in ``ids``:
-    ``reachable`` says a path exists, ``crosses`` that it passes a
-    compromised switch, and ``incidence[s]`` that it passes switch
-    ``switch_ids[s]``. This is the network's only copy of its routing. A
-    model changed with ``dataclasses.replace`` keeps the old index, so
-    build a new network instead.
-    """
-
-    ids: tuple[str, ...]
-    switch_ids: tuple[str, ...]
-    reachable: np.ndarray
-    crosses: np.ndarray
-    incidence: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
-    """Endpoints, switches and the compromised set, routed once into
-    ``index``. A network equals only itself: a flow table is read on
-    ``flows.net``, the network it was drawn on."""
+    """Endpoints, sorted switch ids, the compromised set, and the routing
+    of every endpoint pair, which build_network computes once.
+
+    The routing arrays are indexed by [origin, destination] positions in
+    ``ids``, the sorted endpoint ids: ``reachable`` says a path exists,
+    ``crosses`` that it passes a compromised switch, and ``incidence[s]``
+    that it passes switch ``switches[s]``. A model changed with
+    ``dataclasses.replace`` keeps the old routing, so build a new network
+    instead. A network equals only itself: a flow table is read on
+    ``flows.net``, the network it was drawn on.
+    """
 
     endpoints: dict[str, Endpoint]
-    switches: frozenset[str]
+    switches: tuple[str, ...]
     compromised: frozenset[str]
-    index: PairIndex = field(repr=False)
+    ids: tuple[str, ...]
+    reachable: np.ndarray = field(repr=False)
+    crosses: np.ndarray = field(repr=False)
+    incidence: np.ndarray = field(repr=False)
 
 
 class FlowTable:
     """A flow population stored as columns, one row per flow.
 
-    ``origin`` and ``destination`` are positions in ``net.index.ids``,
+    ``origin`` and ``destination`` are positions in ``net.ids``,
     ``info`` is the advertised vulnerability type and ``is_honey`` the
     honey flag. The columns are read-only. A table is read on ``net``,
     the network it was drawn on.
     """
 
-    __slots__ = ("net", "origin", "destination", "info", "is_honey", "_pairs")
+    __slots__ = ("net", "origin", "destination", "info", "is_honey")
 
     def __init__(self, net, origin, destination, info, is_honey):
         self.net = net
@@ -105,7 +98,6 @@ class FlowTable:
         self.is_honey = is_honey
         for column in (origin, destination, info, is_honey):
             column.setflags(write=False)
-        self._pairs = None
 
     def __len__(self) -> int:
         return len(self.info)
@@ -121,26 +113,6 @@ class FlowTable:
             self.info[rows],
             self.is_honey[rows],
         )
-
-    def lookup(self, table: np.ndarray) -> np.ndarray:
-        """Each row's entry in an [origin, destination] array of the index."""
-        return table[self.origin, self.destination]
-
-    def pair_counts(self) -> np.ndarray:
-        """The flows (row 0) and honey flows (row 1) of each (origin,
-        destination) pair, at origin * n + destination for n endpoints.
-        Counted on the first call; the columns are read-only, so the
-        counts cannot go stale."""
-        if self._pairs is None:
-            n = len(self.net.index.ids)
-            key = self.origin.astype(np.intp) * n + self.destination
-            self._pairs = np.stack(
-                [
-                    np.bincount(key, minlength=n * n),
-                    np.bincount(key[self.is_honey], minlength=n * n),
-                ]
-            )
-        return self._pairs
 
 
 class OutcomeKind(enum.Enum):
@@ -248,8 +220,7 @@ def build_network(
     links: Iterable[tuple[str, str]],
     compromised: Iterable[str] = (),
 ) -> NetworkModel:
-    """Validate the nodes and links, and route every endpoint pair into a
-    PairIndex.
+    """Validate the nodes and links, and route every endpoint pair.
 
     Switch and endpoint ids must not overlap, every link must join two
     known nodes and at least one switch, and every compromised id must
@@ -305,18 +276,14 @@ def build_network(
         incidence[hop - n, o_idx, d_idx] = True
         hop = pred[o_idx, hop]
     watched = [position[s] - n for s in sorted(compromised)]
-    index = PairIndex(
+    return NetworkModel(
+        endpoints=dict(endpoints),
+        switches=switch_ids,
+        compromised=compromised,
         ids=ids,
-        switch_ids=switch_ids,
         reachable=reachable,
         crosses=incidence[watched].any(axis=0),
         incidence=incidence,
-    )
-    return NetworkModel(
-        endpoints=dict(endpoints),
-        switches=switches,
-        compromised=compromised,
-        index=index,
     )
 
 
@@ -389,7 +356,7 @@ def generate_flows(
     check_flow_counts("real", real_counts)
     check_flow_counts("honey", honey_counts)
     rng = np.random.default_rng(seed)
-    ids = net.index.ids
+    ids = net.ids
     fake = np.array([net.endpoints[e].is_fake for e in ids], dtype=bool)
     real_pool = np.flatnonzero(~fake).astype(np.int32)
     fake_pool = np.flatnonzero(fake).astype(np.int32)
@@ -452,11 +419,10 @@ def _draw_pairs(
     if skip:
         slot += slot >= np.searchsorted(origins, dest)
     origin = origins[slot]
-    missing = ~net.index.reachable[origin, dest]
+    missing = ~net.reachable[origin, dest]
     if missing.any():
         k = int(missing.argmax())
-        ids = net.index.ids
-        raise TopologyError(f"no path between {ids[origin[k]]} and {ids[dest[k]]}")
+        raise TopologyError(f"no path between {net.ids[origin[k]]} and {net.ids[dest[k]]}")
     return origin, dest
 
 
@@ -466,8 +432,7 @@ class Observation:
 
     ``observed`` maps each type with a visible flow to its rows, in
     generation order. Attacker policies only ever see ``totals``; the rows
-    and the real/honey split exist for episode resolution and for
-    validation oracles.
+    exist for episode resolution and for validation oracles.
     """
 
     observed: dict[int, FlowTable]
@@ -475,17 +440,10 @@ class Observation:
     def totals(self) -> dict[int, int]:
         return {t: len(fs) for t, fs in self.observed.items()}
 
-    def real_honey_split(self) -> dict[int, tuple[int, int]]:
-        split = {}
-        for t, fs in self.observed.items():
-            honey = int(np.count_nonzero(fs.is_honey))
-            split[t] = (len(fs) - honey, honey)
-        return split
-
 
 def observe(flows: FlowTable) -> Observation:
     """Flows whose path crosses at least one compromised switch."""
-    seen = flows.take(flows.lookup(flows.net.index.crosses))
+    seen = flows.take(flows.net.crosses[flows.origin, flows.destination])
     types = np.unique(seen.info).tolist()
     return Observation({t: seen.take(seen.info == t) for t in types})
 
@@ -496,7 +454,7 @@ def attacker_episode(observation: Observation, chosen: int, row: int) -> Episode
     flows = observation.observed.get(chosen, ())
     if not flows:
         raise EmptyObservation(f"no observed flows of type {chosen}")
-    target = flows.net.endpoints[flows.net.index.ids[flows.destination[row]]]
+    target = flows.net.endpoints[flows.net.ids[flows.destination[row]]]
     if flows.is_honey[row]:
         return EpisodeOutcome(
             OutcomeKind.DEFEAT, target.id, target.attacker_value, -target.attacker_value
@@ -654,20 +612,26 @@ def run_trials(
                 defeat_rate=defeats[vuln] / n,
             )
         )
-    switch_rates = {s: honey_traffic_rate(flows, s) for s in sorted(net.switches)}
+    switch_rates = honey_traffic_rate(flows)
     return SimulationReport(tuple(rows), switch_rates, episodes, seed)
 
 
-def honey_traffic_rate(flows: FlowTable, switch: str) -> float:
-    """Fraction of the traffic through one switch that is honey traffic.
+def honey_traffic_rate(flows: FlowTable) -> dict[str, float]:
+    """Each switch's fraction of honey traffic among the flows through it,
+    keyed by switch id in sorted order: 0 when no honey flow passes, and
+    by convention 0 when nothing passes.
 
-    0 when no honey flows pass, and by convention 0 when nothing passes.
+    The flows and honey flows of each (origin, destination) pair are
+    counted once, then read against one switch's incidence row at a time:
+    a product with every row at once would cast the boolean incidence to
+    int64, eight times its size.
     """
-    if switch not in flows.net.switches:
-        raise TopologyError(f"unknown switch {switch}")
-    index = flows.net.index
-    through = index.incidence[index.switch_ids.index(switch)].reshape(-1)
-    passing, honey = (int(c) for c in flows.pair_counts() @ through)
-    if not passing:
-        return 0.0
-    return honey / passing
+    net = flows.net
+    n = len(net.ids)
+    key = flows.origin.astype(np.intp) * n + flows.destination
+    counts = np.stack([np.bincount(k, minlength=n * n) for k in (key, key[flows.is_honey])])
+    rates = {}
+    for switch, through in zip(net.switches, net.incidence):
+        passing, honey = (int(c) for c in counts @ through.reshape(-1))
+        rates[switch] = honey / passing if passing else 0.0
+    return rates

@@ -31,7 +31,6 @@ import os
 import platform
 import sys
 import tempfile
-from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -238,39 +237,28 @@ def _simulate_groups(out_dir: str) -> dict[str, list[list[str]]]:
     return groups
 
 
-def _groups(out_dir: str) -> dict[str, Callable[[], Iterable[bytes]]]:
-    """Each group's name and a function that gives its records in order;
-    groups that write files write them in ``out_dir``."""
-    groups = {}
+def group_digests(out_dir: str) -> dict[str, str]:
+    """Every group's digest; groups that write files write them in ``out_dir``."""
+    digests = {}
     for name, games in SOLVER_GROUPS.items():
-        groups[name] = lambda games=games: map(_solve_record, games())
+        h = hashlib.sha256()
+        for spec in games():
+            h.update(_solve_record(spec))
+        digests[name] = h.hexdigest()
     for name, runs in COMMANDS.items():
-        groups[name] = lambda runs=runs: map(_command_record, runs)
+        h = hashlib.sha256()
+        for argv in runs:
+            h.update(_command_record(argv))
+        digests[name] = h.hexdigest()
     for name, argv in OUTPUT_COMMANDS.items():
         path = os.path.join(out_dir, name + ".csv")
-        argv = [*argv, "--output", path]
-        groups[name] = lambda argv=argv, path=path: [
-            _written_record(argv, path, path + ".meta.json")
-        ]
+        record = _written_record([*argv, "--output", path], path, path + ".meta.json")
+        digests[name] = hashlib.sha256(record).hexdigest()
     rates = os.path.join(out_dir, "rates.csv")
     for name, runs in _simulate_groups(out_dir).items():
-        groups[name] = lambda runs=runs: (
-            _written_record([*argv, "--switch-rates", rates], rates) for argv in runs
-        )
-    return groups
-
-
-def group_digests(out_dir: str, names: list[str] | None = None) -> dict[str, str]:
-    """The digest of every group, or of each group in ``names``."""
-    groups = _groups(out_dir)
-    unknown = sorted(set(names or ()) - groups.keys())
-    if unknown:
-        raise ValueError(f"unknown groups: {unknown}")
-    digests = {}
-    for name in groups if names is None else names:
         h = hashlib.sha256()
-        for record in groups[name]():
-            h.update(record)
+        for argv in runs:
+            h.update(_written_record([*argv, "--switch-rates", rates], rates))
         digests[name] = h.hexdigest()
     return digests
 
@@ -296,14 +284,16 @@ def test_every_group_keeps_its_bytes(tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:2] != ["--write"]:
         sys.exit("usage: python tests/test_byte_identity.py --write [NAME ...]")
-    names = sys.argv[2:] or None
-    with open(DIGESTS_PATH) as f:
-        kept = json.load(f)["groups"] if names else {}
     with tempfile.TemporaryDirectory() as out_dir:
-        try:
-            kept.update(group_digests(out_dir, names))
-        except ValueError as exc:
-            sys.exit(str(exc))
+        digests = group_digests(out_dir)
+    names = sys.argv[2:]
+    unknown = sorted(set(names) - digests.keys())
+    if unknown:
+        sys.exit(f"unknown groups: {unknown}")
+    if names:
+        with open(DIGESTS_PATH) as f:
+            recorded = json.load(f)["groups"]
+        digests = {**recorded, **{name: digests[name] for name in names}}
     with open(DIGESTS_PATH, "w") as f:
-        json.dump({"environment": _environment(), "groups": kept}, f, indent=2)
+        json.dump({"environment": _environment(), "groups": digests}, f, indent=2)
         f.write("\n")

@@ -17,6 +17,8 @@ COMMANDS = ("solve", "evaluate", "sweep", "matchup", "ratio", "bench", "simulate
 
 # A valid heuristic input; argparse keeps the last of a repeated option.
 _HEURISTIC = ("--real-values", "10", "--fake-values", "1", "--real-flows", "10")
+# A simulate command line, to be given a file option.
+_SIMULATE = ("simulate", "--topology", "t.json", "--real", "5", "--honey", "1")
 
 
 def _run(capsys, *argv):
@@ -287,6 +289,18 @@ class TestExitCodes:
             (["heuristic", *_HEURISTIC, "--real-flows", "500001"], "[0, 500000], got 500001"),
             (["heuristic", *_HEURISTIC, "--real-flows", str(5 * 10**18)], f"got {5 * 10**18}"),
             (["heuristic", *_HEURISTIC, "--real-flows", str(2**63)], f"got {2**63}"),
+            (["solve", "--game", "g.json", "--output", "g.json"],
+             "--game and --output name the same file g.json"),
+            (["solve", "--game", "g.json", "--output", "r.json", "--dump-spec", "./r.json"],
+             "--output and --dump-spec name the same file ./r.json"),
+            (["evaluate", "--game", "g.json", "--dump-spec", "g.json"],
+             "--game and --dump-spec name the same file"),
+            (["evaluate", "--game", "g.json", "--output", "r.json", "--dump-spec", "r.json"],
+             "--output and --dump-spec name the same file"),
+            ([*_SIMULATE, "--switch-rates", "t.json"],
+             "--topology and --switch-rates name the same file"),
+            ([*_SIMULATE, "--output", "o.csv", "--switch-rates", "o.csv"],
+             "--output and --switch-rates name the same file"),
         ],
         ids=[
             "sweep-zero-trials",
@@ -323,6 +337,12 @@ class TestExitCodes:
             "heuristic-oversize-count",
             "heuristic-count-overflowing-when-doubled",
             "heuristic-count-wrapping-negative",
+            "solve-output-over-game",
+            "solve-dump-spec-over-output",
+            "evaluate-dump-spec-over-game",
+            "evaluate-dump-spec-over-output",
+            "simulate-rates-over-topology",
+            "simulate-rates-over-output",
         ],
     )
     def test_bad_arguments_are_config_errors(self, capsys, argv, named):
@@ -825,8 +845,7 @@ class TestSimulate:
             # run_trials seeds the flows with the first child of seed + k
             child = np.random.SeedSequence(11 + k).spawn(1)[0]
             flows = simulator.generate_flows(net, {0: 30, 1: 20}, {0: point, 1: point}, child)
-            for switch in sorted(net.switches):
-                rate = simulator.honey_traffic_rate(flows, switch)
+            for switch, rate in simulator.honey_traffic_rate(flows).items():
                 expected.append([str(2 * point), switch, repr(rate)])
         assert rows == expected
         assert any(float(r[2]) > 0 for r in rows[1:])

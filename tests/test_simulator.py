@@ -47,16 +47,15 @@ def _endpoint(eid, value=1.0, weaknesses=(0,), fake=False, attacker_value=None):
 
 def _rows(flows):
     """(origin, destination, type, is_honey) per flow, with endpoint ids."""
-    ids = flows.net.index.ids
+    ids = flows.net.ids
     columns = (flows.origin, flows.destination, flows.info, flows.is_honey)
     return [(ids[o], ids[d], t, h) for o, d, t, h in zip(*(c.tolist() for c in columns))]
 
 
 def _switches_on(net, origin, destination):
     """The switches on the network's path between two endpoints."""
-    ids = net.index.ids
-    on = net.index.incidence[:, ids.index(origin), ids.index(destination)]
-    return {s for s, hit in zip(net.index.switch_ids, on.tolist()) if hit}
+    on = net.incidence[:, net.ids.index(origin), net.ids.index(destination)]
+    return {s for s, hit in zip(net.switches, on.tolist()) if hit}
 
 
 def _no_flows(net):
@@ -93,7 +92,7 @@ class TestBuildNetwork:
         with open(chain_topology_path) as fh:
             net = network_from_dict(json.load(fh))
         assert len(net.endpoints) == 6
-        assert net.switches == {"s1", "s2", "s3"}
+        assert net.switches == ("s1", "s2", "s3")
         assert _switches_on(net, "client1", "server1") == {"s1", "s2", "s3"}
 
     def test_routing_reads_the_links_as_a_set(self):
@@ -101,20 +100,20 @@ class TestBuildNetwork:
         pair the same way. Compromising s1 instead of s2 changes which paths
         cross a compromised switch, and the s1-s3 shortcut keeps the nodes
         but routes client-server flows around s2."""
-        index = _chain_net().index
+        net = _chain_net()
         for other in (
             _chain_net(links=CHAIN_LINKS[::-1]),
             _chain_net(links=[(b, a) for a, b in CHAIN_LINKS]),
             _chain_net(extra_links=CHAIN_LINKS[::2]),
         ):
             for name in ("reachable", "crosses", "incidence"):
-                assert np.array_equal(getattr(other.index, name), getattr(index, name))
-        moved = _chain_net(compromised=("s1",)).index
-        assert not np.array_equal(moved.crosses, index.crosses)
-        assert np.array_equal(moved.incidence, index.incidence)
-        shortcut = _chain_net(extra_links=[("s1", "s3")]).index
-        assert not np.array_equal(shortcut.incidence, index.incidence)
-        assert np.array_equal(shortcut.reachable, index.reachable)
+                assert np.array_equal(getattr(other, name), getattr(net, name))
+        moved = _chain_net(compromised=("s1",))
+        assert not np.array_equal(moved.crosses, net.crosses)
+        assert np.array_equal(moved.incidence, net.incidence)
+        shortcut = _chain_net(extra_links=[("s1", "s3")])
+        assert not np.array_equal(shortcut.incidence, net.incidence)
+        assert np.array_equal(shortcut.reachable, net.reachable)
 
     @pytest.mark.parametrize(
         "links, compromised, message",
@@ -146,7 +145,7 @@ class TestBuildNetwork:
         more of either is not."""
         eps = {f"e{k}": _endpoint(f"e{k}") for k in range(MAX_ENDPOINTS)}
         net = build_network(eps, ["s0"], [(e, "s0") for e in eps])
-        assert net.index.reachable.sum() == MAX_ENDPOINTS * (MAX_ENDPOINTS - 1)
+        assert net.reachable.sum() == MAX_ENDPOINTS * (MAX_ENDPOINTS - 1)
         more = {**eps, "z": _endpoint("z")}
         with pytest.raises(TopologyError, match="at most"):
             build_network(more, ["s0"], [(e, "s0") for e in more])
@@ -154,7 +153,7 @@ class TestBuildNetwork:
         two = {e: eps[e] for e in ("e0", "e1")}
         switches = [f"s{k}" for k in range(MAX_NODES - 2)]
         links = [("e0", "s0"), ("e1", "s0")] + [("s0", s) for s in switches[1:]]
-        assert build_network(two, switches, links).index.reachable[0, 1]
+        assert build_network(two, switches, links).reachable[0, 1]
         with pytest.raises(TopologyError, match="at most"):
             build_network(two, [*switches, "t"], links)
 
@@ -300,8 +299,8 @@ class TestObserve:
         crossing = [f for f in _rows(flows) if "s2" in _switches_on(net, f[0], f[1])]
         observed = observe(flows)
         assert observed.totals().get(0, 0) == len(crossing)
-        real, honey = observed.real_honey_split()[0]
-        assert honey == 20  # fakes sit on opposite ends, always crossing
+        # fakes sit on opposite ends, always crossing
+        assert np.count_nonzero(observed.observed[0].is_honey) == 20
 
 
 class TestAttackerEpisode:
@@ -323,8 +322,7 @@ class TestAttackerEpisode:
         net = _chain_net(compromised=("s2",))
         # generated real flows always advertise a true weakness, so build
         # the one row by hand: client1 -> server2 advertising type 0
-        ids = net.index.ids
-        row = [np.array([ids.index(e)], dtype=np.int32) for e in ("client1", "server2")]
+        row = [np.array([net.ids.index(e)], dtype=np.int32) for e in ("client1", "server2")]
         flow = FlowTable(net, *row, np.array([0]), np.array([False]))
         obs = observe(flow)
         outcome = attacker_episode(obs, 0, 0)
@@ -531,17 +529,19 @@ class TestHoneyTrafficRate:
         flows = generate_flows(net, {0: 500, 1: 500}, {0: 500, 1: 500}, seed=1)
         through = [f for f in _rows(flows) if "s2" in _switches_on(net, f[0], f[1])]
         expected = sum(f[3] for f in through) / len(through)
-        assert honey_traffic_rate(flows, "s2") == pytest.approx(expected)
-        assert honey_traffic_rate(flows, "s2") > 0.4  # honey always crosses
+        rates = honey_traffic_rate(flows)
+        assert list(rates) == ["s1", "s2", "s3"]
+        assert rates["s2"] == pytest.approx(expected)
+        assert rates["s2"] > 0.4  # honey always crosses
 
     def test_no_honey_rate_zero(self):
         net = _chain_net()
         flows = generate_flows(net, {0: 100}, {}, seed=1)
-        assert honey_traffic_rate(flows, "s2") == 0.0
+        assert honey_traffic_rate(flows) == dict.fromkeys(net.switches, 0.0)
 
     def test_no_traffic_rate_zero_by_convention(self):
         net = _chain_net()
-        assert honey_traffic_rate(_no_flows(net), "s2") == 0.0
+        assert honey_traffic_rate(_no_flows(net)) == dict.fromkeys(net.switches, 0.0)
 
     def test_honey_routed_around_a_switch(self):
         eps = {
@@ -561,13 +561,31 @@ class TestHoneyTrafficRate:
         ]
         net = build_network(eps, ["s1", "s2", "s3"], links)
         flows = generate_flows(net, {0: 40}, {0: 40}, seed=6)
-        assert honey_traffic_rate(flows, "s2") == 0.0
-        assert honey_traffic_rate(flows, "s1") == pytest.approx(0.5)
+        rates = honey_traffic_rate(flows)
+        assert rates["s2"] == 0.0
+        assert rates["s1"] == pytest.approx(0.5)
 
-    def test_unknown_switch_rejected(self):
-        net = _chain_net()
-        with pytest.raises(TopologyError, match="unknown switch"):
-            honey_traffic_rate(_no_flows(net), "nope")
+    def test_memory_at_the_endpoint_cap(self):
+        """Every switch of a 426-endpoint, 214-switch tree is rated from
+        the 2.9 MiB of per-pair counts; one product of the whole incidence
+        would have cast it to int64, 296 MiB."""
+        eps, links = {}, []
+        for r in range(213):
+            links.append(("c", f"r{r:03d}"))
+            for eid, fake in ((f"h{r:03d}", False), (f"f{r:03d}", True)):
+                eps[eid] = _endpoint(eid, fake=fake)
+                links.append((f"r{r:03d}", eid))
+        net = build_network(eps, ["c", *(f"r{r:03d}" for r in range(213))], links)
+        assert (len(net.ids), len(net.switches)) == (426, 214)
+        flows = generate_flows(net, {0: 1000}, {0: 1000}, seed=3)
+        tracemalloc.start()
+        try:
+            rates = honey_traffic_rate(flows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert rates["c"] > 0 and len(rates) == 214
 
 
 class TestFlowTable:
@@ -577,8 +595,11 @@ class TestFlowTable:
         assert len(flows) == 13
         assert _rows(flows.take(slice(2, 5))) == _rows(flows)[2:5]
         assert _rows(flows.take(flows.is_honey)) == [f for f in _rows(flows) if f[3]]
-        crosses = flows.lookup(net.index.crosses).tolist()
-        assert crosses == [net.index.crosses[o, d] for o, d in zip(flows.origin, flows.destination)]
+        # observe looks each row's pair up in the network's crossing array
+        pairs = zip(flows.origin.tolist(), flows.destination.tolist())
+        crossing = [f for f, (o, d) in zip(_rows(flows), pairs) if net.crosses[o, d]]
+        seen = [f for table in observe(flows).observed.values() for f in _rows(table)]
+        assert sorted(seen) == sorted(crossing)
 
     def test_mask_take_equals_index_take(self):
         net = _chain_net()
@@ -590,8 +611,7 @@ class TestFlowTable:
                 assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     def test_columns_are_read_only(self):
-        """The per-pair counts are kept with the table, so its columns
-        must not change under them."""
+        """A table's rows are fixed once drawn: no column can be written."""
         net = _chain_net()
         flows = generate_flows(net, {0: 10}, {0: 4}, seed=3)
         for table in (flows, flows.take(flows.is_honey), flows.take(slice(1, 4))):
@@ -602,7 +622,7 @@ class TestFlowTable:
                     column[0] = column[0]
 
     def test_rates_of_taken_tables_match_the_scalar_loop(self, chain_topology_path):
-        """A table made by take counts its own pairs: the rates of each
+        """A table made by take is rated on its own rows: the rates of each
         observed type's rows, read after the whole population's, are the
         scalar loop's rates over those rows."""
         with open(chain_topology_path, encoding="utf-8") as fh:
@@ -611,17 +631,17 @@ class TestFlowTable:
         real, honey = {0: 60, 1: 45}, {0: 20, 1: 30}
         expected = scalar_flows(topology, real, honey, 21)
         flows = generate_flows(net, real, honey, 21)
-        whole = {s: honey_traffic_rate(flows, s) for s in topology["switches"]}
-        assert whole == {s: scalar_switch_rate(expected, s) for s in topology["switches"]}
+        switches = sorted(topology["switches"])
+        whole = honey_traffic_rate(flows)
+        assert list(whole.items()) == [(s, scalar_switch_rate(expected, s)) for s in switches]
         crossing = set(topology["compromised"])
         differs = False
         for vuln, table in observe(flows).observed.items():
             rows = [f for f in expected if f[2] == vuln and crossing & set(f[3])]
-            for switch in topology["switches"]:
-                rate = honey_traffic_rate(table, switch)
-                assert rate == scalar_switch_rate(rows, switch)
-                differs |= rate != whole[switch]
-        assert differs  # shared counts would have given the whole table's rates
+            rates = honey_traffic_rate(table)
+            assert rates == {s: scalar_switch_rate(rows, s) for s in switches}
+            differs |= rates != whole
+        assert differs  # the whole population's rates would not pass
 
 
 def test_block_draw_matches_scalar_draws():
@@ -701,12 +721,14 @@ class TestScalarOracle:
 
             split = scalar_observation(expected, topology["compromised"])
             observation = observe(flows)
-            assert observation.real_honey_split() == split
+            assert {
+                t: (len(fs) - int(fs.is_honey.sum()), int(fs.is_honey.sum()))
+                for t, fs in observation.observed.items()
+            } == split
             assert observation.totals() == {t: r + h for t, (r, h) in split.items()}
-            for switch in topology["switches"]:
-                assert honey_traffic_rate(flows, switch) == scalar_switch_rate(
-                    expected, switch
-                )
+            assert honey_traffic_rate(flows) == {
+                s: scalar_switch_rate(expected, s) for s in topology["switches"]
+            }
 
             fakes = [e for e in topology["endpoints"] if e["fake"]]
             seen["single fake"] += len(fakes) == 1 and sum(honey.values()) > 0
@@ -786,25 +808,22 @@ class TestRoutingOracle:
             topology = _routing_topology(np.random.default_rng([2026, case]))
             net = network_from_dict(topology)
             paths = _scalar_paths(topology)
-            index = net.index
             compromised = set(topology["compromised"])
-            for o, origin in enumerate(index.ids):
+            for o, origin in enumerate(net.ids):
                 dist, ties = _hops(topology, origin, through_endpoints=False)
                 shortcut, _ = _hops(topology, origin, through_endpoints=True)
-                for d, dest in enumerate(index.ids):
+                for d, dest in enumerate(net.ids):
                     path = paths.get((origin, dest))
-                    assert index.reachable[o, d] == (path is not None)
+                    assert net.reachable[o, d] == (path is not None)
                     on = set(path or ())
-                    assert index.incidence[:, o, d].tolist() == [
-                        s in on for s in index.switch_ids
-                    ]
-                    assert index.crosses[o, d] == bool(on & compromised)
+                    assert net.incidence[:, o, d].tolist() == [s in on for s in net.switches]
+                    assert net.crosses[o, d] == bool(on & compromised)
                     if path is None:
                         seen["unreachable"] += o != d
                         continue
                     seen["tie"] += any(ties[x] > 1 for x in (*path, dest))
                     seen["endpoint shortcut"] += shortcut[dest] < dist[dest]
-            seen["many switches"] += len(index.switch_ids) >= 10
+            seen["many switches"] += len(net.switches) >= 10
         assert all(seen[k] for k in ("unreachable", "tie", "endpoint shortcut", "many switches")), seen
 
 
