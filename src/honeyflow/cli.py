@@ -4,8 +4,8 @@ Subcommands: solve, evaluate, sweep, matchup, ratio, bench, simulate,
 heuristic. Results go to stdout or --output; diagnostics go to stderr.
 Exit codes: 0 success, 1 bad input or configuration.
 Randomized subcommands default to a fixed seed, so default runs (and
-their output files) are reproducible byte for byte; wall-clock columns
-are withheld unless --with-timing is passed.
+their output files) are reproducible byte for byte; only bench results
+hold wall-clock time.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from collections.abc import Iterable, Sequence
 
 from . import experiments, simulator
@@ -104,8 +105,8 @@ def _add_generator_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trials", type=int, default=100)
 
 
-def _report_out(report: experiments.ExperimentReport, args, with_timing=False) -> int:
-    _emit(report.csv(with_timing=with_timing), args.output)
+def _report_out(report: experiments.ExperimentReport, args) -> int:
+    _emit(report.csv(), args.output)
     if args.output:
         _emit(to_json(report.metadata), args.output + ".meta.json")
     return EXIT_OK
@@ -114,7 +115,6 @@ def _report_out(report: experiments.ExperimentReport, args, with_timing=False) -
 def _solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--game", required=True, help="game spec JSON path")
     p.add_argument("--output", default=None)
-    p.add_argument("--with-timing", action="store_true")
     p.add_argument("--dump-spec", default=None, help="re-emit the parsed spec as JSON")
 
 
@@ -136,7 +136,6 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--costs", type=_floats, default=list(experiments.DEFAULT_COST_SWEEP))
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
-    p.add_argument("--with-timing", action="store_true")
 
 
 def _matchup_args(p: argparse.ArgumentParser) -> None:
@@ -199,12 +198,14 @@ def _cmd_solve(args) -> int:
     spec = load_spec(args.game)
     if args.dump_spec:
         _emit(to_json(spec_to_dict(spec)), args.dump_spec)
+    start = time.perf_counter()
     eq = solve_stackelberg(spec)
+    elapsed = time.perf_counter() - start
     report = verify_equilibrium(spec, eq)
     if args.verbose:
         for action, (status, value) in eq.per_action_values.items():
             print(f"{action}: {status} {value}", file=sys.stderr)
-        print(f"solved in {eq.solve_time:.6f}s", file=sys.stderr)
+        print(f"solved in {elapsed:.6f}s", file=sys.stderr)
     payload = {
         "attacker_action": str(eq.attacker_action),
         "defender_value": eq.defender_value,
@@ -216,8 +217,6 @@ def _cmd_solve(args) -> int:
         },
         "verified": report.all_passed,
     }
-    if args.with_timing:
-        payload["solve_time"] = eq.solve_time
     _emit(to_json(payload), args.output)
     return EXIT_OK
 
@@ -311,6 +310,8 @@ def _policy(text: str, n_types: int) -> str | int:
 
 
 def _cmd_simulate(args) -> int:
+    if not args.real:
+        raise HoneyflowError("--real needs at least one real flow count")
     with open(args.topology, "r", encoding="utf-8") as fh:
         net = simulator.network_from_dict(json.load(fh))
     real = dict(enumerate(args.real))
@@ -368,7 +369,7 @@ def _cmd_heuristic(args) -> int:
 
 def _cmd_sweep(args) -> int:
     report = experiments.cost_sweep(_params_from_args(args), args.costs, args.trials, args.seed)
-    return _report_out(report, args, with_timing=args.with_timing)
+    return _report_out(report, args)
 
 
 def _cmd_matchup(args) -> int:
@@ -387,7 +388,7 @@ def _cmd_ratio(args) -> int:
 
 def _cmd_bench(args) -> int:
     report = experiments.scalability_bench(args.dimension, args.sizes, args.trials, args.seed)
-    return _report_out(report, args, with_timing=True)  # timing is what bench reports
+    return _report_out(report, args)
 
 
 # name: (help, adds the subcommand's arguments, runs it)

@@ -28,7 +28,6 @@ longer on the solve path; the tests keep them as a reference.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,7 +57,6 @@ class Equilibrium:
     defender_value: float
     attacker_value: float
     per_action_values: dict[AttackerAction, tuple[str, float | None]]
-    solve_time: float
 
 
 @dataclass(frozen=True)
@@ -70,15 +68,13 @@ class CostCurve:
     ``low`` is L and ``levels`` are L and the distinct kinks above it,
     ascending. ``widths[k]`` holds ``_hold``'s width of each curve at
     ``levels[k]``. It is filled the first time a search probes level k,
-    and every cost searched on this curve shares it. ``build_time`` is the
-    seconds ``cost_curve`` took.
+    and every cost searched on this curve shares it.
     """
 
     curves: tuple[tuple[int, np.ndarray], ...]
     low: float
     levels: np.ndarray
     widths: dict[int, list[float]]
-    build_time: float
 
     def water_level(self, costs: Sequence[float]) -> float:
         """tau* at one cost per curve: the smallest level at which V's
@@ -221,19 +217,12 @@ def cost_curve(spec: GameSpec) -> CostCurve:
     with an empty width memo. Rounding can leave a curve that is constant
     in exact arithmetic a few ulps out of order; the running minimum keeps
     every curve nonincreasing, as ``_hold`` needs. L is never below 0."""
-    start = time.perf_counter()
     curves = tuple(
         (i, np.minimum.accumulate(spec.attack_values[i])) for i in spec.attackable_ids
     )
     low = max([0.0] + [float(u[-1]) for _, u in curves])
     levels = np.unique(np.concatenate([[low]] + [u for _, u in curves]))
-    return CostCurve(
-        curves=curves,
-        low=low,
-        levels=levels[levels >= low],
-        widths={},
-        build_time=time.perf_counter() - start,
-    )
+    return CostCurve(curves=curves, low=low, levels=levels[levels >= low], widths={})
 
 
 def strategy_at(spec: GameSpec, curve: CostCurve, tau: float) -> DefenderStrategy:
@@ -264,12 +253,10 @@ def solve_stackelberg(spec: GameSpec, curve: CostCurve | None = None) -> Equilib
 
     ``curve`` is ``cost_curve`` of ``spec``, or of a game that differs
     from it at most in its costs; one is built when it is None. A curve
-    shared across a game's costs shares its width memo. ``solve_time`` is
-    the curve's build time plus this call's own time.
+    shared across a game's costs shares its width memo.
     """
     if curve is None:
         curve = cost_curve(spec)
-    start = time.perf_counter() - curve.build_time
     costs = [spec.types[type_id].honey_flow_cost for type_id, _ in curve.curves]
     low = curve.low
     top = curve.water_level(costs)
@@ -294,7 +281,6 @@ def solve_stackelberg(spec: GameSpec, curve: CostCurve | None = None) -> Equilib
     # values is in action order: attacks by type id, then no-attack.
     action = first_best(list(values), list(values.values()))
     strategy = strategy_at(spec, curve, levels[action])
-    elapsed = time.perf_counter() - start
     summary = summarize(spec, strategy)
     defender_value, attacker_value = utilities(spec, summary, action)
     return Equilibrium(
@@ -304,7 +290,6 @@ def solve_stackelberg(spec: GameSpec, curve: CostCurve | None = None) -> Equilib
         defender_value=defender_value,
         attacker_value=attacker_value,
         per_action_values=per_action,
-        solve_time=elapsed,
     )
 
 

@@ -2,8 +2,8 @@
 
 Harnesses: a honey-flow cost sweep, a defender-vs-attacker matchup grid,
 a honey/real ratio analysis, and a solver scalability benchmark. Every
-harness is reproducible from (params, seed); wall-clock columns are the
-only exception and are marked so writers can drop them.
+harness but the benchmark, whose results are wall-clock times, is
+reproducible from (params, seed).
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ MODE_FAKE_ZERO = "fake-zero-real-one"
 MODE_FAKE_EQUALS_REAL = "fake-equals-real-random"
 
 DEFAULT_COST_SWEEP = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
-
-# Column names carrying wall-clock measurements; CSV writers drop them
-# unless asked, so default outputs stay byte-identical across runs.
-TIMING_COLUMNS = frozenset({"solve_time", "median_time", "min_time", "max_time"})
 
 
 @dataclass(frozen=True)
@@ -132,23 +128,17 @@ class ExperimentReport:
     rows: tuple[tuple, ...]
     metadata: dict
 
-    def csv(self, with_timing: bool = False) -> str:
+    def csv(self) -> str:
         """The header and rows as CSV text with ``\\r\\n`` line endings;
-        floats print as repr and timing columns are dropped unless
-        ``with_timing``. Raises ConfigError on a non-finite float before
-        any text is returned, so no partial CSV is written."""
-        keep = [
-            i
-            for i, c in enumerate(self.columns)
-            if with_timing or c not in TIMING_COLUMNS
-        ]
+        floats print as repr. Raises ConfigError on a non-finite float
+        before any text is returned, so no partial CSV is written."""
         out = io.StringIO()
         writer = csv.writer(out)
-        writer.writerow([self.columns[i] for i in keep])
+        writer.writerow(self.columns)
         for row in self.rows:
-            for i in keep:
-                _check_finite(self.columns[i], row[i])
-            writer.writerow([repr(row[i]) if isinstance(row[i], float) else row[i] for i in keep])
+            for column, value in zip(self.columns, row):
+                _check_finite(column, value)
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
         return out.getvalue()
 
 
@@ -175,25 +165,21 @@ def _metadata(seed: int, params: GeneratorParams | None, **extra) -> dict:
 _DEFENDERS = ("stackelberg", "uniform", "no-deception")
 
 
-def _mean_values(
-    swept: Sequence[GeneratorParams], game_seeds, attackers
-) -> list[tuple[dict, float]]:
+def _mean_values(swept: Sequence[GeneratorParams], game_seeds, attackers) -> list[dict]:
     """For each of ``swept``, which differ only in their cost: the mean
     (defender value, attacker value) of each defender in ``_DEFENDERS``
-    against each attacker model, keyed (defender, model), and the mean
-    Stackelberg solve time, over one game drawn per seed.
+    against each attacker model, keyed (defender, model), over one game
+    drawn per seed.
 
     Each game is drawn, and its baselines and ``cost_curve`` built, once,
     at the first cost; ``GameSpec.with_cost`` gives it each other cost, and
     ``solve_stackelberg`` solves it there on that one curve, so the tau*
-    searches at all costs share the curve's width memo. Each solve time
-    counts the curve's build time. Each defender's strategy is summarized
-    once per game and cost (the Stackelberg one by its solve), and every
-    attacker model is scored from that one summary. Sums run in seed order
-    at each cost.
+    searches at all costs share the curve's width memo. Each defender's
+    strategy is summarized once per game and cost (the Stackelberg one by
+    its solve), and every attacker model is scored from that one summary.
+    Sums run in seed order at each cost.
     """
     sums = [{(d, a): [0.0, 0.0] for d in _DEFENDERS for a in attackers} for _ in swept]
-    total_times = [0.0] * len(swept)
     for game_seed in game_seeds:
         base = random_game(swept[0], game_seed)
         baselines = (uniform_random_strategy(base), no_deception_strategy(base))
@@ -201,7 +187,6 @@ def _mean_values(
         for k, params in enumerate(swept):
             spec = base.with_cost(params.cost) if k else base
             eq = solve_stackelberg(spec, curve)
-            total_times[k] += eq.solve_time
             summaries = (eq.summary, *(summarize(spec, strategy) for strategy in baselines))
             for name, summary in zip(_DEFENDERS, summaries):
                 for attacker in attackers:
@@ -210,8 +195,8 @@ def _mean_values(
                     sums[k][(name, attacker)][1] += result.attacker_value
     trials = len(game_seeds)
     return [
-        ({key: (d / trials, a / trials) for key, (d, a) in cost_sums.items()}, total / trials)
-        for cost_sums, total in zip(sums, total_times)
+        {key: (d / trials, a / trials) for key, (d, a) in cost_sums.items()}
+        for cost_sums in sums
     ]
 
 
@@ -225,19 +210,16 @@ def cost_sweep(
     each facing a rational attacker. Each seeded game is drawn and
     tabulated once and scored at every cost, so rows differ only in the
     cost; tau* at each cost is searched on the game's one cost curve,
-    whose width memo the costs share. A row's ``solve_time`` is the mean
-    over games of the curve's build time plus that cost's own solve. Every
-    cost is checked before any game is drawn."""
+    whose width memo the costs share. Every cost is checked before any
+    game is drawn."""
     if not costs:
         raise ConfigError("cost sweep needs at least one cost")
     swept = [dataclasses.replace(params, cost=float(cost)) for cost in costs]
     game_seeds = _game_seeds(seed, trials)
     rational = AttackerModel.RATIONAL
     rows = [
-        (cost_params.cost, *(v for d in _DEFENDERS for v in means[(d, rational)]), solve_time)
-        for cost_params, (means, solve_time) in zip(
-            swept, _mean_values(swept, game_seeds, (rational,))
-        )
+        (cost_params.cost, *(v for d in _DEFENDERS for v in means[(d, rational)]))
+        for cost_params, means in zip(swept, _mean_values(swept, game_seeds, (rational,)))
     ]
     columns = (
         "cost",
@@ -247,7 +229,6 @@ def cost_sweep(
         "uniform_att",
         "no_deception_def",
         "no_deception_att",
-        "solve_time",
     )
     meta = _metadata(seed, params, trials=trials, costs=list(map(float, costs)))
     del meta["params"]["cost"]  # each row's cost is in "costs"
@@ -259,7 +240,7 @@ def matchup_grid(
 ) -> ExperimentReport:
     """Mean values for every defender x attacker-model pairing."""
     attackers = tuple(AttackerModel)
-    [(means, _solve_time)] = _mean_values([params], _game_seeds(seed, trials), attackers)
+    [means] = _mean_values([params], _game_seeds(seed, trials), attackers)
     rows = tuple((d, a.value, *means[(d, a)]) for d in _DEFENDERS for a in attackers)
     columns = ("defender", "attacker", "mean_def", "mean_att")
     return ExperimentReport(columns, rows, _metadata(seed, params, trials=trials))

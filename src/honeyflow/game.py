@@ -360,7 +360,7 @@ def spec_from_dict(payload: Mapping) -> GameSpec:
     if unknown:
         raise ValidationError(f"unknown top-level fields: {sorted(unknown)}")
     raw_types = payload.get("types")
-    if not isinstance(raw_types, Collection) or isinstance(raw_types, (str, bytes)):
+    if not isinstance(raw_types, Collection) or isinstance(raw_types, (str, bytes, Mapping)):
         raise ValidationError('"types" must be a list of type objects')
     if len(raw_types) > MAX_TYPES:
         raise ValidationError(

@@ -533,8 +533,6 @@ class TypeStats:
 class SimulationReport:
     rows: tuple[TypeStats, ...]
     switch_rates: dict[str, float]
-    episodes: int
-    seed: int
 
 
 def _statistic(payoffs: np.ndarray, ddof: int | None = None) -> float:
@@ -613,7 +611,7 @@ def run_trials(
             )
         )
     switch_rates = honey_traffic_rate(flows)
-    return SimulationReport(tuple(rows), switch_rates, episodes, seed)
+    return SimulationReport(tuple(rows), switch_rates)
 
 
 def honey_traffic_rate(flows: FlowTable) -> dict[str, float]:

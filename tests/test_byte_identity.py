@@ -44,6 +44,7 @@ from honeyflow.experiments import (
     random_game,
 )
 from honeyflow.game import GameSpec, VulnerabilityType
+from test_cli import BAD_ARGUMENTS
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DIGESTS_PATH = os.path.join(DATA_DIR, "byte_digests.json")
@@ -82,6 +83,7 @@ COMMANDS = {
          "--real-flows", "10,10", "--format", fmt]
         for fmt in ("json", "csv")
     ],
+    "cli-input-errors": [argv for argv, _ in BAD_ARGUMENTS.values()],
 }
 
 # Run with --output; the written file and its sidecar are hashed too.
@@ -165,11 +167,22 @@ def _rounding_games():
     )
 
 
+def _cap_games():
+    """Four types at honey bound 999,999: 4,000,000 strategy entries, near
+    the MAX_STRATEGY_SIZE cap, in both value modes."""
+    for mode in (MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL):
+        params = GeneratorParams(
+            type_count=4, real_flows=500, honey_bound_range=(999_999, 999_999), value_mode=mode
+        )
+        yield random_game(params, 1)
+
+
 SOLVER_GROUPS = {
     "solve-ladder": _ladder_games,
     "solve-default-sweep-costs": _sweep_games,
     "solve-mixed-sign": _mixed_games,
     "solve-rounding-game": _rounding_games,
+    "solve-cap-size": _cap_games,
 }
 
 

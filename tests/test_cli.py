@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,101 @@ COMMANDS = ("solve", "evaluate", "sweep", "matchup", "ratio", "bench", "simulate
 _HEURISTIC = ("--real-values", "10", "--fake-values", "1", "--real-flows", "10")
 # A simulate command line, to be given a file option.
 _SIMULATE = ("simulate", "--topology", "t.json", "--real", "5", "--honey", "1")
+
+# Bad command lines and a phrase of the one-line error each must print.
+# Paths are relative and no file is read, so the bytes repeat anywhere.
+BAD_ARGUMENTS = {
+    "sweep-zero-trials": (["sweep", "--trials", "0"], "trials"),
+    "sweep-negative-trials": (["sweep", "--trials", "-1"], "trials"),
+    "sweep-has-no-cost": (["sweep", "--cost", "0.5"], "unrecognized arguments: --cost"),
+    "matchup-negative-cost": (["matchup", "--cost", "-1"], "cost must be nonnegative"),
+    "matchup-nan-cost": (
+        ["matchup", "--cost", "nan"], "cost must be nonnegative and finite, got nan"
+    ),
+    "sweep-nan-cost": (
+        ["sweep", "--costs", "1e-3,nan"], "cost must be nonnegative and finite, got nan"
+    ),
+    "sweep-infinite-cost": (
+        ["sweep", "--costs", "1e-3,inf"], "cost must be nonnegative and finite, got inf"
+    ),
+    "sweep-negative-cost": (
+        ["sweep", "--costs", "1e-3,-1"], "cost must be nonnegative and finite, got -1.0"
+    ),
+    "matchup-zero-trials": (["matchup", "--trials", "0"], "trials"),
+    "bench-zero-trials": (["bench", "--trials", "0"], "trials"),
+    "sweep-too-many-trials": (
+        ["sweep", "--trials", str(MAX_TRIALS + 1)], f"at most {MAX_TRIALS}, got"
+    ),
+    "matchup-too-many-trials": (
+        ["matchup", "--trials", str(MAX_TRIALS + 1)], f"at most {MAX_TRIALS}, got"
+    ),
+    "bench-too-many-trials": (
+        ["bench", "--trials", str(MAX_TRIALS + 1)], f"at most {MAX_TRIALS}, got"
+    ),
+    "bench-with-timing": (
+        ["bench", "--sizes", "1", "--trials", "1", "--with-timing"], "--with-timing"
+    ),
+    "matchup-with-timing": (["matchup", "--trials", "1", "--with-timing"], "--with-timing"),
+    "ratio-with-timing": (["ratio", "--real-flows", "10", "--with-timing"], "--with-timing"),
+    "bench-no-sizes": (["bench", "--sizes", ""], "bench needs at least one size"),
+    "sweep-too-many-types": (
+        ["sweep", "--types", str(MAX_TYPES + 1)], f"at most {MAX_TYPES}, got"
+    ),
+    "matchup-too-many-types": (["matchup", "--types", "8000"], f"at most {MAX_TYPES}, got 8000"),
+    "sweep-negative-real-flows": (
+        ["sweep", "--trials", "1", "--real-flows", "-5"], "real flows must be nonnegative"
+    ),
+    "ratio-vector-lengths": (
+        ["ratio", "--real-values", "1,2,3", "--fake-values", "0.5"], "fake values"
+    ),
+    "ratio-oversize-bound": (
+        ["ratio", "--ratios", "1e10", "--real-flows", "10"], "honey_flow_bound"
+    ),
+    "ratio-no-real-flows": (["ratio", "--real-flows", ","], "real-flow counts"),
+    "ratio-zero-real-flows": (["ratio", "--real-flows", "0"], "real-flow counts"),
+    "ratio-infinite": (["ratio", "--ratios", "inf"], "ratio grid must be nonempty, finite"),
+    "ratio-beyond-float": (["ratio", "--ratios", "1e400"], "ratio grid must be nonempty, finite"),
+    "ratio-nan": (["ratio", "--ratios", "0,nan"], "ratio grid must be nonempty, finite"),
+    "ratio-bound-overflows": (["ratio", "--ratios", "1e308", "--real-flows", "10"], "overflows"),
+    "heuristic-nan-real-value": (["heuristic", *_HEURISTIC, "--real-values", "nan"], "finite"),
+    "heuristic-infinite-real-value": (
+        ["heuristic", *_HEURISTIC, "--real-values", "inf"], "finite"
+    ),
+    "heuristic-nan-fake-value": (["heuristic", *_HEURISTIC, "--fake-values", "nan"], "finite"),
+    "heuristic-oversize-count": (
+        ["heuristic", *_HEURISTIC, "--real-flows", "500001"], "[0, 500000], got 500001"
+    ),
+    "heuristic-count-overflowing-when-doubled": (
+        ["heuristic", *_HEURISTIC, "--real-flows", str(5 * 10**18)], f"got {5 * 10**18}"
+    ),
+    "heuristic-count-wrapping-negative": (
+        ["heuristic", *_HEURISTIC, "--real-flows", str(2**63)], f"got {2**63}"
+    ),
+    "solve-output-over-game": (
+        ["solve", "--game", "g.json", "--output", "g.json"],
+        "--game and --output name the same file g.json",
+    ),
+    "solve-dump-spec-over-output": (
+        ["solve", "--game", "g.json", "--output", "r.json", "--dump-spec", "./r.json"],
+        "--output and --dump-spec name the same file ./r.json",
+    ),
+    "evaluate-dump-spec-over-game": (
+        ["evaluate", "--game", "g.json", "--dump-spec", "g.json"],
+        "--game and --dump-spec name the same file",
+    ),
+    "evaluate-dump-spec-over-output": (
+        ["evaluate", "--game", "g.json", "--output", "r.json", "--dump-spec", "r.json"],
+        "--output and --dump-spec name the same file",
+    ),
+    "simulate-rates-over-topology": (
+        [*_SIMULATE, "--switch-rates", "t.json"],
+        "--topology and --switch-rates name the same file",
+    ),
+    "simulate-rates-over-output": (
+        [*_SIMULATE, "--output", "o.csv", "--switch-rates", "o.csv"],
+        "--output and --switch-rates name the same file",
+    ),
+}
 
 
 def _run(capsys, *argv):
@@ -42,20 +138,32 @@ class TestSolve:
         assert "solve_time" not in payload
 
     def test_output_file_and_timing_flag(self, capsys, worked_example_path, tmp_path):
+        """--output takes the result off stdout. Neither solve nor sweep
+        has a timing flag: only bench results hold wall-clock time."""
         out_path = tmp_path / "eq.json"
         code, out, _ = _run(
-            capsys,
-            "solve",
-            "--game",
-            worked_example_path,
-            "--output",
-            str(out_path),
-            "--with-timing",
+            capsys, "solve", "--game", worked_example_path, "--output", str(out_path)
         )
-        assert code == 0
-        assert out == ""
-        payload = json.loads(out_path.read_text())
-        assert payload["solve_time"] > 0
+        assert (code, out) == (0, "")
+        assert "solve_time" not in json.loads(out_path.read_text())
+        for argv in (("solve", "--game", worked_example_path), ("sweep", "--trials", "1")):
+            assert _run(capsys, *argv, "--with-timing") == (
+                1, "", "error: unrecognized arguments: --with-timing\n"
+            )
+
+    def test_verbose_writes_each_action_then_the_time_to_stderr(
+        self, capsys, worked_example_path
+    ):
+        plain = _run(capsys, "solve", "--game", worked_example_path)
+        code, out, err = _run(capsys, "--verbose", "solve", "--game", worked_example_path)
+        assert (code, out, plain[2]) == (0, plain[1], "")
+        per_action = json.loads(out)["per_action"]
+        *action_lines, timing = err.split("\n")[:-1]
+        assert action_lines == [
+            f"{a}: {per_action[str(a)]['status']} {per_action[str(a)]['value']}"
+            for a in load_spec(worked_example_path).actions
+        ]
+        assert re.fullmatch(r"solved in \d+\.\d{6}s", timing)
 
     def test_byte_identical_output_files(self, capsys, worked_example_path, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -253,97 +361,7 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize(
-        "argv, named",
-        [
-            (["sweep", "--trials", "0"], "trials"),
-            (["sweep", "--trials", "-1"], "trials"),
-            (["sweep", "--cost", "0.5"], "unrecognized arguments: --cost"),
-            (["matchup", "--cost", "-1"], "cost must be nonnegative"),
-            (["matchup", "--cost", "nan"], "cost must be nonnegative and finite, got nan"),
-            (["sweep", "--costs", "1e-3,nan"], "cost must be nonnegative and finite, got nan"),
-            (["sweep", "--costs", "1e-3,inf"], "cost must be nonnegative and finite, got inf"),
-            (["sweep", "--costs", "1e-3,-1"], "cost must be nonnegative and finite, got -1.0"),
-            (["matchup", "--trials", "0"], "trials"),
-            (["bench", "--trials", "0"], "trials"),
-            (["sweep", "--trials", str(MAX_TRIALS + 1)], f"at most {MAX_TRIALS}, got"),
-            (["matchup", "--trials", str(MAX_TRIALS + 1)], f"at most {MAX_TRIALS}, got"),
-            (["bench", "--trials", str(MAX_TRIALS + 1)], f"at most {MAX_TRIALS}, got"),
-            (["bench", "--sizes", "1", "--trials", "1", "--with-timing"], "--with-timing"),
-            (["matchup", "--trials", "1", "--with-timing"], "--with-timing"),
-            (["ratio", "--real-flows", "10", "--with-timing"], "--with-timing"),
-            (["bench", "--sizes", ""], "bench needs at least one size"),
-            (["sweep", "--types", str(MAX_TYPES + 1)], f"at most {MAX_TYPES}, got"),
-            (["matchup", "--types", "8000"], f"at most {MAX_TYPES}, got 8000"),
-            (["sweep", "--trials", "1", "--real-flows", "-5"], "real flows must be nonnegative"),
-            (["ratio", "--real-values", "1,2,3", "--fake-values", "0.5"], "fake values"),
-            (["ratio", "--ratios", "1e10", "--real-flows", "10"], "honey_flow_bound"),
-            (["ratio", "--real-flows", ","], "real-flow counts"),
-            (["ratio", "--real-flows", "0"], "real-flow counts"),
-            (["ratio", "--ratios", "inf"], "ratio grid must be nonempty, finite"),
-            (["ratio", "--ratios", "1e400"], "ratio grid must be nonempty, finite"),
-            (["ratio", "--ratios", "0,nan"], "ratio grid must be nonempty, finite"),
-            (["ratio", "--ratios", "1e308", "--real-flows", "10"], "overflows"),
-            (["heuristic", *_HEURISTIC, "--real-values", "nan"], "finite"),
-            (["heuristic", *_HEURISTIC, "--real-values", "inf"], "finite"),
-            (["heuristic", *_HEURISTIC, "--fake-values", "nan"], "finite"),
-            (["heuristic", *_HEURISTIC, "--real-flows", "500001"], "[0, 500000], got 500001"),
-            (["heuristic", *_HEURISTIC, "--real-flows", str(5 * 10**18)], f"got {5 * 10**18}"),
-            (["heuristic", *_HEURISTIC, "--real-flows", str(2**63)], f"got {2**63}"),
-            (["solve", "--game", "g.json", "--output", "g.json"],
-             "--game and --output name the same file g.json"),
-            (["solve", "--game", "g.json", "--output", "r.json", "--dump-spec", "./r.json"],
-             "--output and --dump-spec name the same file ./r.json"),
-            (["evaluate", "--game", "g.json", "--dump-spec", "g.json"],
-             "--game and --dump-spec name the same file"),
-            (["evaluate", "--game", "g.json", "--output", "r.json", "--dump-spec", "r.json"],
-             "--output and --dump-spec name the same file"),
-            ([*_SIMULATE, "--switch-rates", "t.json"],
-             "--topology and --switch-rates name the same file"),
-            ([*_SIMULATE, "--output", "o.csv", "--switch-rates", "o.csv"],
-             "--output and --switch-rates name the same file"),
-        ],
-        ids=[
-            "sweep-zero-trials",
-            "sweep-negative-trials",
-            "sweep-has-no-cost",
-            "matchup-negative-cost",
-            "matchup-nan-cost",
-            "sweep-nan-cost",
-            "sweep-infinite-cost",
-            "sweep-negative-cost",
-            "matchup-zero-trials",
-            "bench-zero-trials",
-            "sweep-too-many-trials",
-            "matchup-too-many-trials",
-            "bench-too-many-trials",
-            "bench-with-timing",
-            "matchup-with-timing",
-            "ratio-with-timing",
-            "bench-no-sizes",
-            "sweep-too-many-types",
-            "matchup-too-many-types",
-            "sweep-negative-real-flows",
-            "ratio-vector-lengths",
-            "ratio-oversize-bound",
-            "ratio-no-real-flows",
-            "ratio-zero-real-flows",
-            "ratio-infinite",
-            "ratio-beyond-float",
-            "ratio-nan",
-            "ratio-bound-overflows",
-            "heuristic-nan-real-value",
-            "heuristic-infinite-real-value",
-            "heuristic-nan-fake-value",
-            "heuristic-oversize-count",
-            "heuristic-count-overflowing-when-doubled",
-            "heuristic-count-wrapping-negative",
-            "solve-output-over-game",
-            "solve-dump-spec-over-output",
-            "evaluate-dump-spec-over-game",
-            "evaluate-dump-spec-over-output",
-            "simulate-rates-over-topology",
-            "simulate-rates-over-output",
-        ],
+        "argv, named", list(BAD_ARGUMENTS.values()), ids=list(BAD_ARGUMENTS)
     )
     def test_bad_arguments_are_config_errors(self, capsys, argv, named):
         code, out, err = _run(capsys, *argv)
@@ -377,8 +395,17 @@ class TestExitCodes:
             (["--real=-5,5", "--honey", "1,1"], "real flow count for type 0"),
             (["--real", "5,1000001", "--honey", "1,1"], "real flow count for type 1"),
             (["--real", "5,5", "--honey", "0:1000001:1000001"], "honey flow count"),
+            (["--real", "", "--honey", "0:10:5"], "--real needs at least one"),
+            (["--real", ",", "--honey", "0:10:5"], "--real needs at least one"),
         ],
-        ids=["negative-honey", "negative-real", "oversize-real", "oversize-honey-sweep"],
+        ids=[
+            "negative-honey",
+            "negative-real",
+            "oversize-real",
+            "oversize-honey-sweep",
+            "no-real-types",
+            "comma-only-real",
+        ],
     )
     def test_bad_flow_counts_are_config_errors(
         self, capsys, chain_topology_path, counts, named
@@ -391,6 +418,12 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert named in err
+
+    def test_empty_real_rejected_before_the_topology_is_read(self, capsys):
+        argv = ("simulate", "--topology", "missing.json", "--real", "", "--honey", "1")
+        assert _run(capsys, *argv) == (
+            1, "", "error: --real needs at least one real flow count\n"
+        )
 
     @pytest.mark.parametrize(
         "honey, named",
@@ -574,7 +607,7 @@ class TestHelpText:
 
 # One valid command line per subcommand, each setting some non-default option.
 _VALID = {
-    "solve": ("--game", "g.json", "--with-timing", "--dump-spec", "d.json"),
+    "solve": ("--game", "g.json", "--output", "o.json", "--dump-spec", "d.json"),
     "evaluate": ("--game", "g.json", "--defender", "uniform", "--format", "csv"),
     "sweep": ("--types", "3", "--costs", "0.1,0.2", "--honey-bounds", "5", "10", "--seed", "5"),
     "matchup": ("--cost", "0.5", "--trials", "2", "--real-flow-range", "5", "9"),

@@ -150,10 +150,6 @@ class TestSolveStackelberg:
         assert eq.attacker_value == pytest.approx(v, rel=1e-12)
         assert verify_equilibrium(spec, eq).all_passed
 
-    def test_solve_time_recorded(self, worked_example):
-        eq = solve_stackelberg(worked_example)
-        assert eq.solve_time > 0.0
-
     def test_game_with_no_attackable_types(self):
         spec = GameSpec(
             (

@@ -128,9 +128,7 @@ class TestCostSweep:
     def test_rows_reproducible(self):
         a = cost_sweep(SMALL, costs=[0.01], trials=3, seed=4)
         b = cost_sweep(SMALL, costs=[0.01], trials=3, seed=4)
-        ti = a.columns.index("solve_time")
-        for ra, rb in zip(a.rows, b.rows):
-            assert ra[:ti] == rb[:ti]
+        assert a.rows == b.rows
 
     def test_empty_cost_list_rejected(self):
         with pytest.raises(ConfigError):
@@ -337,14 +335,11 @@ class TestGameSeeds:
 
 
 class TestReportFiles:
-    def test_csv_drops_timing_by_default(self):
+    def test_csv_writes_every_column(self):
         report = cost_sweep(SMALL, costs=[0.01], trials=2, seed=4)
         header = next(csv.reader(io.StringIO(report.csv(), newline="")))
+        assert tuple(header) == report.columns
         assert "solve_time" not in header
-
-        text = report.csv(with_timing=True)
-        header = next(csv.reader(io.StringIO(text, newline="")))
-        assert "solve_time" in header
 
     def test_metadata_sidecar(self):
         report = cost_sweep(SMALL, costs=[0.01], trials=2, seed=4)

@@ -503,6 +503,12 @@ class TestJsonSchema:
         with pytest.raises(ValidationError, match="unknown top-level"):
             spec_from_dict({"types": [], "extra": 1})
 
+    def test_types_object_rejected(self, worked_example):
+        """A JSON object of valid types is a collection but not a list."""
+        payload = {"types": {"x": spec_to_dict(worked_example)["types"][0]}}
+        with pytest.raises(ValidationError, match='"types" must be a list of type objects'):
+            spec_from_dict(payload)
+
     def test_unknown_type_field_rejected(self, worked_example):
         payload = spec_to_dict(worked_example)
         payload["types"][0]["surprise"] = True
