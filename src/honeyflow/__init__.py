@@ -30,8 +30,6 @@ from .game import (
     DefenderStrategy,
     GameSpec,
     VulnerabilityType,
-    attacker_utility,
-    defender_utility,
     load_spec,
     spec_from_dict,
     spec_to_dict,
@@ -71,8 +69,6 @@ __all__ = [
     "ValidationError",
     "VerificationReport",
     "VulnerabilityType",
-    "attacker_utility",
-    "defender_utility",
     "evaluate_matchup",
     "exactness_gap",
     "greedy_attacker",

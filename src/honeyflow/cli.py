@@ -56,12 +56,24 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _numbers(text: str, kind: type) -> list:
+    """The comma-separated entries of ``text`` as ``kind``, empty ones
+    skipped; a bad entry is named, as ``_seed`` names a bad seed."""
+    values = []
+    for entry in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(kind(entry))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {entry!r}") from None
+    return values
+
+
 def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    return _numbers(text, float)
 
 
 def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    return _numbers(text, int)
 
 
 def _seed(text: str) -> int:
@@ -76,12 +88,14 @@ def _seed(text: str) -> int:
 
 
 def _params_from_args(args, **extra) -> experiments.GeneratorParams:
-    real_flows = (
-        tuple(args.real_flow_range) if args.real_flow_range else args.real_flows
-    )
+    """A sweep's or matchup's generator. ``--real-flows N`` stays the int N;
+    LO HI is the tuple from which ``random_game`` draws each type's count."""
+    counts = args.real_flows
+    if len(counts) > 2:
+        raise HoneyflowError(f"--real-flows takes N or LO HI, got {len(counts)} counts")
     return experiments.GeneratorParams(
         type_count=args.types,
-        real_flows=real_flows,
+        real_flows=counts[0] if len(counts) == 1 else tuple(counts),
         honey_bound_range=tuple(args.honey_bounds),
         value_mode=args.value_mode,
         **extra,
@@ -90,9 +104,9 @@ def _params_from_args(args, **extra) -> experiments.GeneratorParams:
 
 def _add_generator_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--types", type=int, default=5, help="number of vulnerability types")
-    sub.add_argument("--real-flows", type=int, default=500)
     sub.add_argument(
-        "--real-flow-range", type=int, nargs=2, metavar=("LO", "HI"), default=None
+        "--real-flows", type=int, nargs="+", default=[500], metavar="N",
+        help="per type: N, or LO HI to draw each type's count",
     )
     sub.add_argument(
         "--honey-bounds", type=int, nargs=2, metavar=("LO", "HI"), default=(500, 1000)
@@ -105,11 +119,10 @@ def _add_generator_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trials", type=int, default=100)
 
 
-def _report_out(report: experiments.ExperimentReport, args) -> int:
+def _report_out(report: experiments.ExperimentReport, args) -> None:
     _emit(report.csv(), args.output)
     if args.output:
         _emit(to_json(report.metadata), args.output + ".meta.json")
-    return EXIT_OK
 
 
 def _solve_args(p: argparse.ArgumentParser) -> None:
@@ -194,7 +207,7 @@ def _heuristic_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
     spec = load_spec(args.game)
     if args.dump_spec:
         _emit(to_json(spec_to_dict(spec)), args.dump_spec)
@@ -218,10 +231,9 @@ def _cmd_solve(args) -> int:
         "verified": report.all_passed,
     }
     _emit(to_json(payload), args.output)
-    return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     spec = load_spec(args.game)
     if args.dump_spec:
         _emit(to_json(spec_to_dict(spec)), args.dump_spec)
@@ -259,7 +271,6 @@ def _cmd_evaluate(args) -> int:
             ).csv(),
             args.output,
         )
-    return EXIT_OK
 
 
 def _honey_configs(text: str, n_types: int, episodes: int) -> Iterable[dict[int, int]]:
@@ -285,7 +296,10 @@ def _honey_configs(text: str, n_types: int, episodes: int) -> Iterable[dict[int,
         for point in (points[0], points[-1]):
             simulator.check_flow_counts("honey", dict.fromkeys(range(n_types), point))
         return (dict.fromkeys(range(n_types), point) for point in points)
-    counts = _ints(text)
+    try:
+        counts = _ints(text)
+    except argparse.ArgumentTypeError as exc:
+        raise HoneyflowError(f"argument --honey: {exc}") from None
     if len(counts) != n_types:
         raise HoneyflowError(
             f"expected {n_types} honey counts to match --real, got {len(counts)}"
@@ -309,7 +323,7 @@ def _policy(text: str, n_types: int) -> str | int:
     return chosen
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     if not args.real:
         raise HoneyflowError("--real needs at least one real flow count")
     with open(args.topology, "r", encoding="utf-8") as fh:
@@ -347,10 +361,9 @@ def _cmd_simulate(args) -> int:
             {},
         )
         _emit(rates.csv(), args.switch_rates)
-    return EXIT_OK
 
 
-def _cmd_heuristic(args) -> int:
+def _cmd_heuristic(args) -> None:
     inp = HeuristicInput(
         real_values=args.real_values,
         fake_values=args.fake_values,
@@ -364,31 +377,30 @@ def _cmd_heuristic(args) -> int:
             ("type", "honey_flows"), tuple((i, int(c)) for i, c in enumerate(counts)), {}
         )
         _emit(report.csv(), args.output)
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     report = experiments.cost_sweep(_params_from_args(args), args.costs, args.trials, args.seed)
-    return _report_out(report, args)
+    _report_out(report, args)
 
 
-def _cmd_matchup(args) -> int:
+def _cmd_matchup(args) -> None:
     report = experiments.matchup_grid(
         _params_from_args(args, cost=args.cost), args.trials, args.seed
     )
-    return _report_out(report, args)
+    _report_out(report, args)
 
 
-def _cmd_ratio(args) -> int:
+def _cmd_ratio(args) -> None:
     report = experiments.ratio_analysis(
         args.real_values, args.fake_values, args.ratios, args.real_flows, args.cost
     )
-    return _report_out(report, args)
+    _report_out(report, args)
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> None:
     report = experiments.scalability_bench(args.dimension, args.sizes, args.trials, args.seed)
-    return _report_out(report, args)
+    _report_out(report, args)
 
 
 # name: (help, adds the subcommand's arguments, runs it)
@@ -457,16 +469,18 @@ def _check_outputs(args) -> None:
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one command line: EXIT_OK once it returns, else one error line and EXIT_CONFIG."""
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = _parse_args(argv)
         _check_outputs(args)
-        return _SUBCOMMANDS[args.command][2](args)
+        _SUBCOMMANDS[args.command][2](args)
     except (HoneyflowError, OSError, RecursionError, ValueError) as exc:
         # RecursionError: a JSON input nested too deep
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 def main() -> None:

@@ -155,8 +155,8 @@ def _game_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(trials)
 
 
-def _metadata(seed: int, params: GeneratorParams | None, **extra) -> dict:
-    meta = {"seed": seed, "build": __version__, **extra}
+def _metadata(params: GeneratorParams | None, **extra) -> dict:
+    meta = {"build": __version__, **extra}
     if params is not None:
         meta["params"] = dataclasses.asdict(params)
     return meta
@@ -230,7 +230,7 @@ def cost_sweep(
         "no_deception_def",
         "no_deception_att",
     )
-    meta = _metadata(seed, params, trials=trials, costs=list(map(float, costs)))
+    meta = _metadata(params, seed=seed, trials=trials, costs=list(map(float, costs)))
     del meta["params"]["cost"]  # each row's cost is in "costs"
     return ExperimentReport(columns, tuple(rows), meta)
 
@@ -243,7 +243,7 @@ def matchup_grid(
     [means] = _mean_values([params], _game_seeds(seed, trials), attackers)
     rows = tuple((d, a.value, *means[(d, a)]) for d in _DEFENDERS for a in attackers)
     columns = ("defender", "attacker", "mean_def", "mean_att")
-    return ExperimentReport(columns, rows, _metadata(seed, params, trials=trials))
+    return ExperimentReport(columns, rows, _metadata(params, seed=seed, trials=trials))
 
 
 def ratio_analysis(
@@ -291,7 +291,6 @@ def ratio_analysis(
         optimal[str(int(rf))] = best[0]
     columns = ("real_flows", "ratio", "defender_value", "attacker_value")
     meta = _metadata(
-        0,
         None,
         real_values=list(map(float, real_values)),
         fake_values=list(map(float, fake_values)),
@@ -346,8 +345,8 @@ def scalability_bench(
     ]
     columns = ("dimension", "size", "median_time", "min_time", "max_time", "trials")
     meta = _metadata(
-        seed,
         None,
+        seed=seed,
         dimension=dimension,
         sizes=[int(s) for s in sizes],
         trials=trials,

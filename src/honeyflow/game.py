@@ -308,20 +308,6 @@ def utilities(
     )
 
 
-def attacker_utility(
-    spec: GameSpec, strategy: DefenderStrategy, action: AttackerAction
-) -> float:
-    """Attacker's expected utility for a pure action against ``strategy``."""
-    return utilities(spec, summarize(spec, strategy), action)[1]
-
-
-def defender_utility(
-    spec: GameSpec, strategy: DefenderStrategy, action: AttackerAction
-) -> float:
-    """Defender's expected utility: negated attack value minus honey cost."""
-    return utilities(spec, summarize(spec, strategy), action)[0]
-
-
 # --- JSON wire format -------------------------------------------------------
 
 _TYPE_FIELDS = {

@@ -167,7 +167,8 @@ def network_from_dict(payload: Mapping) -> NetworkModel:
     defender_value, attacker_value, weaknesses, and a boolean fake),
     ``switches`` (ids), ``links`` (id pairs; endpoint-to-endpoint links
     are rejected), ``compromised`` (switch ids). Node ids are strings or
-    integers. Unknown fields are rejected.
+    integers, read as strings; an endpoint or switch id listed twice is
+    rejected. Unknown fields are rejected.
     """
     if not isinstance(payload, Mapping):
         raise TopologyError("topology must be a JSON object")
@@ -203,6 +204,9 @@ def network_from_dict(payload: Mapping) -> NetworkModel:
         endpoints[ep.id] = ep
 
     switches = [_node_id(s, "switch") for s in _list_field(payload, "switches")]
+    repeated = [s for s, n in Counter(switches).items() if n > 1]
+    if repeated:
+        raise TopologyError(f"duplicate switch id {repeated[0]}")
     links = []
     for pair in _list_field(payload, "links"):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:

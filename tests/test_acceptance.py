@@ -25,9 +25,8 @@ from honeyflow.game import (
     DefenderStrategy,
     GameSpec,
     VulnerabilityType,
-    attacker_utility,
-    defender_utility,
     summarize,
+    utilities,
 )
 from honeyflow.heuristics import HeuristicInput, exactness_gap, recommend_honey_flows
 from honeyflow.simulator import Endpoint, build_network, run_trials
@@ -67,15 +66,23 @@ def _small_random_spec(rng: np.random.Generator) -> GameSpec:
 
 def test_criterion_1_worked_example_regression(worked_example, worked_example_strategy):
     attack_second = AttackerAction.attack(1)
-    att = attacker_utility(worked_example, worked_example_strategy, attack_second)
-    dfd = defender_utility(worked_example, worked_example_strategy, attack_second)
+    att = utilities(
+        worked_example, summarize(worked_example, worked_example_strategy), attack_second
+    )[1]
+    dfd = utilities(
+        worked_example, summarize(worked_example, worked_example_strategy), attack_second
+    )[0]
     response = rational_attacker(worked_example, worked_example_strategy)
 
     reps = 200
     start = time.perf_counter()
     for _ in range(reps):
-        attacker_utility(worked_example, worked_example_strategy, attack_second)
-        defender_utility(worked_example, worked_example_strategy, attack_second)
+        utilities(
+            worked_example, summarize(worked_example, worked_example_strategy), attack_second
+        )[1]
+        utilities(
+            worked_example, summarize(worked_example, worked_example_strategy), attack_second
+        )[0]
     per_call = (time.perf_counter() - start) / (2 * reps)
 
     ok = (
@@ -246,7 +253,7 @@ def test_criterion_7_simulator_matches_analytic_utilities():
     # the same flow mix, played as a fixed count.
     spec = GameSpec((VulnerabilityType(0, 2.0, -1.0, real_flows, honey_flows, 0.0),))
     strategy = DefenderStrategy.from_counts(spec, [honey_flows])
-    analytic = attacker_utility(spec, strategy, AttackerAction.attack(0))
+    analytic = utilities(spec, summarize(spec, strategy), AttackerAction.attack(0))[1]
 
     expected_defeat = honey_flows / (honey_flows + real_flows)
     sigma = (expected_defeat * (1 - expected_defeat) / 10_000) ** 0.5

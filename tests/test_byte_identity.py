@@ -91,6 +91,7 @@ OUTPUT_COMMANDS = {
     "cli-sweep-output": ["sweep"],
     "cli-matchup-output": ["matchup"],
     "cli-ratio-output": ["ratio"],
+    "cli-matchup-real-flow-range-output": ["matchup", "--trials", "2", "--real-flows", "5", "9"],
 }
 
 

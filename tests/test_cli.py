@@ -1,7 +1,10 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -575,21 +578,40 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: argument --seed: must be a nonnegative integer, got -1\n"
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["sweep", "--costs", "abc"], "argument --costs: invalid float value: 'abc'"),
+            (["bench", "--sizes", "1,a"], "argument --sizes: invalid int value: 'a'"),
+            (
+                ["simulate", "--topology", os.path.join(DATA_DIR, "chain_topology.json"),
+                 "--real", "5,5", "--honey", "1,x"],
+                "argument --honey: invalid int value: 'x'",
+            ),
+        ],
+        ids=["sweep-costs", "bench-sizes", "simulate-honey"],
+    )
+    def test_bad_list_entry_names_the_entry_and_the_option(self, capsys, argv, err):
+        assert _run(capsys, *argv) == (1, "", f"error: {err}\n")
+
 
 def _golden(name: str) -> str:
     with open(os.path.join(HELP_DIR, name + ".txt"), encoding="utf-8") as fh:
         return fh.read()
 
 
+# Each help golden's name and command line: help on stdout, usage errors on stderr.
+HELP_GOLDENS = [("help_top", ["--help"]), ("help_h_solve", ["-h", "solve"])] + [
+    (f"help_{c}", [c, "--help"]) for c in COMMANDS
+]
+USAGE_ERROR_GOLDENS = [("missing_command", []), ("invalid_choice", ["bogus"])]
+
+
 class TestHelpText:
     """Help and usage errors match text recorded when the parser built every
     subcommand's arguments up front (at an 80-column terminal)."""
 
-    @pytest.mark.parametrize(
-        "name, argv",
-        [("help_top", ["--help"]), ("help_h_solve", ["-h", "solve"])]
-        + [(f"help_{c}", [c, "--help"]) for c in COMMANDS],
-    )
+    @pytest.mark.parametrize("name, argv", HELP_GOLDENS)
     def test_help(self, capsys, monkeypatch, name, argv):
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exc:
@@ -597,9 +619,7 @@ class TestHelpText:
         assert exc.value.code == 0
         assert capsys.readouterr() == (_golden(name), "")
 
-    @pytest.mark.parametrize(
-        "name, argv", [("missing_command", []), ("invalid_choice", ["bogus"])]
-    )
+    @pytest.mark.parametrize("name, argv", USAGE_ERROR_GOLDENS)
     def test_usage_errors(self, capsys, monkeypatch, name, argv):
         monkeypatch.setenv("COLUMNS", "80")
         assert _run(capsys, *argv) == (1, "", _golden(name))
@@ -610,7 +630,7 @@ _VALID = {
     "solve": ("--game", "g.json", "--output", "o.json", "--dump-spec", "d.json"),
     "evaluate": ("--game", "g.json", "--defender", "uniform", "--format", "csv"),
     "sweep": ("--types", "3", "--costs", "0.1,0.2", "--honey-bounds", "5", "10", "--seed", "5"),
-    "matchup": ("--cost", "0.5", "--trials", "2", "--real-flow-range", "5", "9"),
+    "matchup": ("--cost", "0.5", "--trials", "2", "--real-flows", "5", "9"),
     "ratio": ("--ratios", "0.5,1", "--real-flows", "10"),
     "bench": ("--dimension", "honey_bounds", "--sizes", "1,2"),
     "simulate": ("--topology", "t.json", "--real", "5,5", "--honey", "0:10:5", "--policy", "1"),
@@ -936,6 +956,33 @@ class TestReportCommands:
             tmp_path / "again.csv.meta.json"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "counts, drawn, recorded", [(["500"], 500, 500), (["5", "9"], (5, 9), [5, 9])]
+    )
+    def test_real_flows_takes_one_count_or_a_range(
+        self, capsys, tmp_path, counts, drawn, recorded
+    ):
+        """One count stays the int N, so no type's count is drawn; two are
+        the range from which each type's count is drawn."""
+        out = tmp_path / "m.csv"
+        argv = ["matchup", "--trials", "1", "--real-flows", *counts, "--output", str(out)]
+        assert cli._params_from_args(cli._parse_args(argv)).real_flows == drawn
+        assert _run(capsys, *argv) == (0, "", "")
+        meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
+        assert meta["params"]["real_flows"] == recorded
+
+    @pytest.mark.parametrize(
+        "option, err",
+        [
+            (["--real-flows", "1", "2", "3"], "--real-flows takes N or LO HI, got 3 counts"),
+            (["--real-flow-range", "5", "9"], "unrecognized arguments: --real-flow-range 5 9"),
+        ],
+        ids=["three-counts", "range-option"],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "matchup"])
+    def test_real_flows_spelled_otherwise_is_one_error_line(self, capsys, command, option, err):
+        assert _run(capsys, command, "--trials", "1", *option) == (1, "", f"error: {err}\n")
+
     def test_matchup_stdout(self, capsys):
         code, out, _ = _run(
             capsys,
@@ -1008,3 +1055,23 @@ class TestCsvDialect:
         for text in [out] + [f.read_bytes().decode("utf-8") for f in files]:
             assert text.endswith("\r\n")
             assert text.count("\n") == text.count("\r\n") >= 2
+
+
+if __name__ == "__main__":
+    # Rewrite the named help goldens, or all of them, from this build's output.
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: python tests/test_cli.py --write [NAME ...]")
+    goldens = dict(HELP_GOLDENS + USAGE_ERROR_GOLDENS)
+    names = sys.argv[2:] or list(goldens)
+    unknown = sorted(set(names) - goldens.keys())
+    if unknown:
+        sys.exit(f"unknown goldens: {unknown}")
+    os.environ["COLUMNS"] = "80"
+    for name in names:
+        # each golden is one stream; the tests check that the other is empty
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+            with contextlib.suppress(SystemExit):
+                run(goldens[name])
+        with open(os.path.join(HELP_DIR, name + ".txt"), "w", encoding="utf-8") as fh:
+            fh.write(text.getvalue())

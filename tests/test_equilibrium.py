@@ -31,8 +31,8 @@ from honeyflow.game import (
     DefenderStrategy,
     GameSpec,
     VulnerabilityType,
-    defender_utility,
     summarize,
+    utilities,
 )
 from honeyflow.strategies import (
     AttackerModel,
@@ -98,9 +98,11 @@ class TestSolveStackelberg:
         self, worked_example, worked_example_strategy
     ):
         eq = solve_stackelberg(worked_example)
-        hand = defender_utility(
-            worked_example, worked_example_strategy, AttackerAction.attack(1)
-        )
+        hand = utilities(
+            worked_example,
+            summarize(worked_example, worked_example_strategy),
+            AttackerAction.attack(1),
+        )[0]
         assert hand == pytest.approx(-11.75, abs=1e-9)
         assert eq.defender_value >= hand - 1e-9
 
@@ -486,9 +488,11 @@ class TestVerification:
             eq,
             strategy=worked_example_strategy,
             attacker_action=AttackerAction.attack(0),
-            defender_value=defender_utility(
-                worked_example, worked_example_strategy, AttackerAction.attack(0)
-            ),
+            defender_value=utilities(
+                worked_example,
+                summarize(worked_example, worked_example_strategy),
+                AttackerAction.attack(0),
+            )[0],
         )
         report = verify_equilibrium(worked_example, broken)
         failed = {c.name for c in report.failures()}

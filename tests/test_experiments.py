@@ -361,6 +361,19 @@ class TestReportFiles:
         meta = json.loads((tmp_path / "matchup.csv.meta.json").read_text())
         assert meta["params"]["cost"] == 0.25
 
+    def test_ratio_sidecar_records_no_seed(self, tmp_path):
+        """ratio draws nothing, so its sidecar holds no seed; the studies
+        that draw games keep theirs."""
+        out = tmp_path / "ratio.csv"
+        assert cli.run(["ratio", "--real-flows", "10", "--output", str(out)]) == 0
+        meta = json.loads((tmp_path / "ratio.csv.meta.json").read_text())
+        assert "seed" not in meta
+        assert meta["optimal_ratios"].keys() == {"10"}
+        for argv in (["sweep", "--costs", "0.1"], ["matchup"], ["bench", "--sizes", "1"]):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert cli.run([*argv, "--trials", "1", "--seed", "3", "--output", str(out)]) == 0
+            assert json.loads((tmp_path / f"{argv[0]}.csv.meta.json").read_text())["seed"] == 3
+
     def test_csv_floats_round_trip(self):
         report = cost_sweep(SMALL, costs=[0.01], trials=2, seed=4)
         reader = csv.reader(io.StringIO(report.csv(), newline=""))

@@ -19,8 +19,6 @@ from honeyflow.game import (
     DefenderStrategy,
     GameSpec,
     VulnerabilityType,
-    attacker_utility,
-    defender_utility,
     first_best,
     spec_from_dict,
     spec_to_dict,
@@ -117,8 +115,8 @@ class TestValidation:
         with pytest.raises(ValidationError, match=named):
             spec = GameSpec((bad,) + worked_example.types[1:])
             strategy = DefenderStrategy.from_counts(spec, [1, 1])
-            defender_utility(spec, strategy, ATTACK_0)
-            attacker_utility(spec, strategy, ATTACK_0)
+            utilities(spec, summarize(spec, strategy), ATTACK_0)[0]
+            utilities(spec, summarize(spec, strategy), ATTACK_0)[1]
 
     def test_strategy_shape_not_checked_at_construction(self, worked_example):
         # Length mismatches surface later, in the utility operations.
@@ -345,34 +343,36 @@ class TestHoneyCost:
 
 class TestUtilities:
     def test_hand_built_defender_value(self, worked_example, worked_example_strategy):
-        assert defender_utility(
-            worked_example, worked_example_strategy, ATTACK_1
-        ) == pytest.approx(-11.75, abs=1e-9)
+        assert utilities(
+            worked_example, summarize(worked_example, worked_example_strategy), ATTACK_1
+        )[0] == pytest.approx(-11.75, abs=1e-9)
 
     def test_hand_built_attacker_value(self, worked_example, worked_example_strategy):
-        assert attacker_utility(
-            worked_example, worked_example_strategy, ATTACK_1
-        ) == pytest.approx(8.75, abs=1e-9)
+        assert utilities(
+            worked_example, summarize(worked_example, worked_example_strategy), ATTACK_1
+        )[1] == pytest.approx(8.75, abs=1e-9)
 
     def test_attack_on_type_one(self, worked_example, worked_example_strategy):
         # 65/84 * 10 + 19/84 * (-5) = 555/84
-        assert attacker_utility(
-            worked_example, worked_example_strategy, ATTACK_0
-        ) == pytest.approx(555 / 84, abs=1e-9)
+        assert utilities(
+            worked_example, summarize(worked_example, worked_example_strategy), ATTACK_0
+        )[1] == pytest.approx(555 / 84, abs=1e-9)
 
     def test_no_attack_pays_attacker_nothing(self, worked_example, worked_example_strategy):
-        assert attacker_utility(worked_example, worked_example_strategy, NO_ATTACK) == 0.0
+        assert utilities(
+            worked_example, summarize(worked_example, worked_example_strategy), NO_ATTACK
+        )[1] == 0.0
 
     def test_no_attack_still_costs_defender(self, worked_example, worked_example_strategy):
-        assert defender_utility(
-            worked_example, worked_example_strategy, NO_ATTACK
-        ) == pytest.approx(-3.0, abs=1e-12)
+        assert utilities(
+            worked_example, summarize(worked_example, worked_example_strategy), NO_ATTACK
+        )[0] == pytest.approx(-3.0, abs=1e-12)
 
     def test_no_deception_defender_pays_full_real_value(self, worked_example):
         strategy = DefenderStrategy.from_counts(worked_example, [0, 0])
-        assert defender_utility(worked_example, strategy, ATTACK_1) == pytest.approx(
-            -20.0, abs=1e-12
-        )
+        assert utilities(
+            worked_example, summarize(worked_example, strategy), ATTACK_1
+        )[0] == pytest.approx(-20.0, abs=1e-12)
 
     def test_zero_defender_value_is_positive_zero(self):
         """The defender's value negates each attack value before the cost
@@ -411,10 +411,12 @@ class TestMixedAttacker:
     ):
         summary = summarize(worked_example, worked_example_strategy)
         result = evaluate_matchup(worked_example, summary, AttackerModel.UNIFORM_RANDOM)
-        d0 = defender_utility(worked_example, worked_example_strategy, ATTACK_0)
-        d1 = defender_utility(worked_example, worked_example_strategy, ATTACK_1)
-        a0 = attacker_utility(worked_example, worked_example_strategy, ATTACK_0)
-        a1 = attacker_utility(worked_example, worked_example_strategy, ATTACK_1)
+        d0, a0 = utilities(
+            worked_example, summarize(worked_example, worked_example_strategy), ATTACK_0
+        )
+        d1, a1 = utilities(
+            worked_example, summarize(worked_example, worked_example_strategy), ATTACK_1
+        )
         assert result.defender_value == pytest.approx((d0 + d1) / 2, abs=1e-9)
         assert result.attacker_value == pytest.approx((a0 + a1) / 2, abs=1e-9)
 
@@ -429,9 +431,7 @@ class TestInvariants:
         cost = summarize(spec, strategy)[1]
         for i in spec.attackable_ids:
             action = AttackerAction.attack(i)
-            total = defender_utility(spec, strategy, action) + attacker_utility(
-                spec, strategy, action
-            )
+            total = sum(utilities(spec, summarize(spec, strategy), action))
             assert total == pytest.approx(-cost, abs=1e-9)
 
     @given(st.integers(0, 10**6), st.floats(0.0, 1.0))
@@ -446,13 +446,12 @@ class TestInvariants:
         )
         actions = [AttackerAction.attack(i) for i in spec.attackable_ids] + [NO_ATTACK]
         for action in actions:
-            for utility in (defender_utility, attacker_utility):
-                expected = alpha * utility(spec, s1, action) + (1 - alpha) * utility(
-                    spec, s2, action
+            for k in (0, 1):  # the defender's utility, then the attacker's
+                u1, u2, mixed = (
+                    utilities(spec, summarize(spec, s), action)[k] for s in (s1, s2, blended)
                 )
-                assert utility(spec, blended, action) == pytest.approx(
-                    expected, abs=1e-9
-                )
+                expected = alpha * u1 + (1 - alpha) * u2
+                assert mixed == pytest.approx(expected, abs=1e-9)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)

@@ -233,6 +233,8 @@ class TestBuildNetwork:
             (lambda t: t["links"].append([False, "s1"]), "link node id must be a string"),
             (lambda t: t["compromised"].append(["s1"]), "compromised switch id must be"),
             (lambda t: t["endpoints"][0].update(fake=0), "client1: fake must be true or false"),
+            (lambda t: t["switches"].append("s2"), "duplicate switch id s2"),
+            (lambda t: t["switches"].extend([7, "7"]), "duplicate switch id 7"),
         ],
     )
     def test_bad_topology_types_rejected(self, edit, message):

@@ -8,8 +8,8 @@ from honeyflow.game import (
     DefenderStrategy,
     GameSpec,
     VulnerabilityType,
-    attacker_utility,
     summarize,
+    utilities,
 )
 from honeyflow.strategies import (
     AttackerModel,
@@ -34,7 +34,9 @@ class TestBaselines:
         strategy = no_deception_strategy(worked_example)
         response = rational_attacker(worked_example, strategy)
         assert response == ATTACK_1
-        assert attacker_utility(worked_example, strategy, response) == pytest.approx(20.0)
+        assert utilities(
+            worked_example, summarize(worked_example, strategy), response
+        )[1] == pytest.approx(20.0)
         result = evaluate_matchup(
             worked_example, summarize(worked_example, strategy), AttackerModel.RATIONAL
         )
@@ -98,7 +100,7 @@ class TestGreedyAttacker:
         ) * t.attacker_real_value + (
             t.honey_flow_bound / (t.honey_flow_bound + t.real_flow_count)
         ) * t.attacker_honey_value
-        actual = attacker_utility(worked_example, strategy, choice)
+        actual = utilities(worked_example, summarize(worked_example, strategy), choice)[1]
         assert pessimistic == pytest.approx(8.75, abs=1e-12)
         assert actual == pytest.approx(20.0, abs=1e-12)
         assert actual > pessimistic
@@ -144,7 +146,7 @@ class TestRationalAttacker:
         # type 1 yields exactly 0; ties with no-attack resolve toward the
         # defender, who is indifferent, then by order (types first).
         choice = rational_attacker(spec, strategy)
-        assert attacker_utility(spec, strategy, choice) == pytest.approx(0.0)
+        assert utilities(spec, summarize(spec, strategy), choice)[1] == pytest.approx(0.0)
 
     def test_strictly_negative_options_decline(self):
         spec = GameSpec(
@@ -191,9 +193,9 @@ class TestRationalAttacker:
                 marginals.append(w / w.sum())
             strategy = DefenderStrategy(tuple(marginals))
             choice = rational_attacker(spec, strategy)
-            chosen_value = attacker_utility(spec, strategy, choice)
+            chosen_value = utilities(spec, summarize(spec, strategy), choice)[1]
             all_values = [
-                attacker_utility(spec, strategy, AttackerAction.attack(i))
+                utilities(spec, summarize(spec, strategy), AttackerAction.attack(i))[1]
                 for i in spec.attackable_ids
             ] + [0.0]
             assert chosen_value == max(all_values)
