@@ -57,6 +57,8 @@ SWEEP_COSTS = (0.0, *DEFAULT_COST_SWEEP, 0.5, 3.0)
 MIXED_SPECS = 600
 SIMULATE_REAL = (500, 5_000)
 SIMULATE_SWEEP = "0:500:250"
+# More than two EPISODE_BLOCKs (1,024), with a part block at the end.
+MULTI_BLOCK_EPISODES = 2_500
 
 # Each group's runs, hashed in order.
 COMMANDS = {
@@ -233,21 +235,27 @@ def _simulate_groups(out_dir: str) -> dict[str, list[list[str]]]:
     """Each simulate group's runs: on the chain and on a 12-rack tree
     (written to ``out_dir``), at SIMULATE_REAL real flows per type, fixed
     honey counts and the honey sweep, each against a uniform and a
-    fixed-type attacker."""
+    fixed-type attacker, over 500 episodes; and on the tree at 500 real
+    flows per type over MULTI_BLOCK_EPISODES episodes."""
     tree = os.path.join(out_dir, "tree_topology.json")
     with open(tree, "w", encoding="utf-8") as f:
         json.dump(_tree_topology(), f)
+
+    def runs(path, types, real, episodes):
+        fixed = ",".join(str(100 * (k + 1)) for k in range(types))
+        reals = ",".join([str(real)] * types)
+        return [
+            ["simulate", "--topology", path, "--real", reals, "--honey", honey,
+             "--policy", policy, "--episodes", str(episodes), "--seed", "7"]
+            for honey in (fixed, SIMULATE_SWEEP)
+            for policy in ("uniform", "1")
+        ]
+
     groups = {}
     for label, path, types in (("chain", CHAIN_TOPOLOGY, 2), ("tree", tree, 3)):
-        fixed = ",".join(str(100 * (k + 1)) for k in range(types))
         for real in SIMULATE_REAL:
-            reals = ",".join([str(real)] * types)
-            groups[f"simulate-{label}-{real}"] = [
-                ["simulate", "--topology", path, "--real", reals, "--honey", honey,
-                 "--policy", policy, "--episodes", "500", "--seed", "7"]
-                for honey in (fixed, SIMULATE_SWEEP)
-                for policy in ("uniform", "1")
-            ]
+            groups[f"simulate-{label}-{real}"] = runs(path, types, real, 500)
+    groups["simulate-tree-multi-block"] = runs(tree, 3, 500, MULTI_BLOCK_EPISODES)
     return groups
 
 
