@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from collections.abc import Iterable, Sequence
@@ -428,6 +429,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A long option without "=", and a list or sweep word (with "," or ":")
+# that starts with a minus sign, which argparse would read as an option.
+_OPTION = re.compile(r"--[^=]+")
+_MINUS_LIST = re.compile(r"-.*[,:]")
+
+
+def _attach_minus_lists(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each minus-led list joined to the option before it:
+    ``--honey -1,1`` becomes ``--honey=-1,1``. No option name holds "," or
+    ":", so such a word is always a value."""
+    words: list[str] = []
+    for word in argv:
+        if words and _OPTION.fullmatch(words[-1]) and _MINUS_LIST.match(word):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    return words
+
+
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """The arguments of one command line, parsed by one parser when it can.
 
@@ -435,8 +455,10 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     tokens, only that subcommand's parser is built: it is the parser
     ``build_parser``'s ``add_parser`` would make, and the full tree would
     hand it every remaining token, so the result, help and errors are the
-    same. Any other command line goes to the full tree.
+    same. Any other command line goes to the full tree. Either way, a list
+    value that starts with a minus sign is first attached to its option.
     """
+    argv = _attach_minus_lists(argv)
     verbose = 0
     while verbose < len(argv) and argv[verbose] == "--verbose":
         verbose += 1

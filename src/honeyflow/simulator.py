@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -29,8 +28,9 @@ from .errors import ConfigError, EmptyObservation, TopologyError
 # runs, so this bounds memory.
 MAX_FLOWS_PER_TYPE = 10**6
 # Largest episode count that run_trials accepts. It keeps two payoffs per
-# episode (16 bytes), so this bounds its memory to about 16 MB; mostly it
-# bounds its run time.
+# episode (16 bytes) until it takes each type's statistics, which need
+# 8 bytes more: at the cap it peaks at 24 MB (tracemalloc, chain
+# topology, uniform or fixed policy). Mostly the cap bounds run time.
 MAX_EPISODES = 10**6
 # Largest endpoint count, and node (endpoint and switch) count, that
 # build_network accepts. Routing keeps a switches × endpoints² boolean
@@ -42,8 +42,9 @@ MAX_EPISODES = 10**6
 # search, in 1.2-1.3 s.
 MAX_ENDPOINTS = 512
 MAX_NODES = 640
-# Episodes whose draws episode_draws computes together. About 150 bytes
-# of numpy temporaries per episode are alive while a block is drawn.
+# Episodes whose draws episode_draws computes, and whose outcomes
+# run_trials gathers into payoff arrays, together. About 150 bytes of
+# numpy temporaries per episode are alive while a block is drawn.
 EPISODE_BLOCK = 1024
 
 
@@ -437,9 +438,16 @@ class Observation:
     ``observed`` maps each type with a visible flow to its rows, in
     generation order. Attacker policies only ever see ``totals``; the rows
     exist for episode resolution and for validation oracles.
+    ``outcomes`` is ``attacker_episode``'s memo, keyed by (attacked type,
+    destination position, honey flag); it lives as long as the
+    observation, one flow population, and its outcomes are immutable, so
+    every episode with that key shares one.
     """
 
     observed: dict[int, FlowTable]
+    outcomes: dict[tuple[int, int, bool], EpisodeOutcome] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def totals(self) -> dict[int, int]:
         return {t: len(fs) for t, fs in self.observed.items()}
@@ -454,12 +462,25 @@ def observe(flows: FlowTable) -> Observation:
 
 def attacker_episode(observation: Observation, chosen: int, row: int) -> EpisodeOutcome:
     """One attack on type ``chosen`` that hits its observed flow ``row`` (a
-    position in ``observation.observed[chosen]``): resolve the outcome."""
+    position in ``observation.observed[chosen]``): resolve the outcome.
+
+    The outcome depends only on the type, the row's destination and its
+    honey flag, so it is built once per such key and then shared from
+    ``observation.outcomes``.
+    """
     flows = observation.observed.get(chosen, ())
     if not flows:
         raise EmptyObservation(f"no observed flows of type {chosen}")
-    target = flows.net.endpoints[flows.net.ids[flows.destination[row]]]
-    if flows.is_honey[row]:
+    key = (chosen, int(flows.destination[row]), bool(flows.is_honey[row]))
+    outcome = observation.outcomes.get(key)
+    if outcome is None:
+        outcome = observation.outcomes[key] = _outcome(flows.net, *key)
+    return outcome
+
+
+def _outcome(net: NetworkModel, chosen: int, destination: int, honey: bool) -> EpisodeOutcome:
+    target = net.endpoints[net.ids[destination]]
+    if honey:
         return EpisodeOutcome(
             OutcomeKind.DEFEAT, target.id, target.attacker_value, -target.attacker_value
         )
@@ -585,22 +606,32 @@ def run_trials(
     flows = generate_flows(net, real_counts, honey_counts, ss.spawn(1)[0])
     observation = observe(flows)
 
-    # per attacked type: its episodes' payoffs and its defeat count
-    attacker: dict[int, array] = {}
-    defender: dict[int, array] = {}
+    # per attacked type: its episodes' payoffs, one array per block in
+    # episode order, and its defeat count
+    attacker: dict[int, list[np.ndarray]] = {}
+    defender: dict[int, list[np.ndarray]] = {}
     defeats: Counter[int] = Counter()
     for chosen, rows in episode_draws(observation.totals(), policy, episodes, seed):
-        for vuln, row in zip(chosen.tolist(), rows.tolist()):
-            outcome = attacker_episode(observation, vuln, row)
-            attacker.setdefault(vuln, array("d")).append(outcome.attacker_payoff)
-            defender.setdefault(vuln, array("d")).append(outcome.defender_payoff)
-            if outcome.kind is OutcomeKind.DEFEAT:
-                defeats[vuln] += 1
+        # attacker_episode is read from the module on each call, so a
+        # wrapper installed there sees every episode
+        outcomes = [
+            attacker_episode(observation, vuln, row)
+            for vuln, row in zip(chosen.tolist(), rows.tolist())
+        ]
+        apay = np.array([o.attacker_payoff for o in outcomes])
+        dpay = np.array([o.defender_payoff for o in outcomes])
+        defeat = np.array([o.kind is OutcomeKind.DEFEAT for o in outcomes])
+        for vuln in np.unique(chosen).tolist():
+            mask = chosen == vuln
+            attacker.setdefault(vuln, []).append(apay[mask])
+            defender.setdefault(vuln, []).append(dpay[mask])
+            defeats[vuln] += int(np.count_nonzero(defeat[mask]))
 
     rows = []
     for vuln in sorted(attacker):
-        apay = np.frombuffer(attacker[vuln])
-        dpay = np.frombuffer(defender[vuln])
+        # popped, so each type's blocks are freed once joined
+        apay = np.concatenate(attacker.pop(vuln))
+        dpay = np.concatenate(defender.pop(vuln))
         n = len(apay)
         rows.append(
             TypeStats(

@@ -594,6 +594,35 @@ class TestExitCodes:
     def test_bad_list_entry_names_the_entry_and_the_option(self, capsys, argv, err):
         assert _run(capsys, *argv) == (1, "", f"error: {err}\n")
 
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["ratio", "--fake-values", "-1,-2,-3,-4"], 0, ""),
+            (
+                ["simulate", "--topology", os.path.join(DATA_DIR, "chain_topology.json"),
+                 "--real", "5,5", "--honey", "-1,1", "--episodes", "10"],
+                1,
+                "error: honey flow count for type 0 must be in [0, 1000000], got -1\n",
+            ),
+            (
+                ["simulate", "--topology", os.path.join(DATA_DIR, "chain_topology.json"),
+                 "--real", "5,5", "--honey", "-1:5:1", "--episodes", "10"],
+                1,
+                "error: honey flow count for type 0 must be in [0, 1000000], got -1\n",
+            ),
+        ],
+        ids=["ratio-fake-values", "simulate-honey", "simulate-honey-sweep"],
+    )
+    def test_a_list_may_start_with_a_minus_sign(self, capsys, argv, code, err):
+        """A list or sweep word that starts with "-" is its option's value,
+        spelled after a space or after "=" alike."""
+        k = next(k for k, word in enumerate(argv) if word[0] == "-" and word[1].isdigit())
+        joined = [*argv[: k - 1], f"{argv[k - 1]}={argv[k]}", *argv[k + 1 :]]
+        spaced = _run(capsys, *argv)
+        assert spaced == _run(capsys, *joined)
+        assert (spaced[0], spaced[2]) == (code, err)
+        assert (spaced[1] != "") == (code == 0)
+
 
 def _golden(name: str) -> str:
     with open(os.path.join(HELP_DIR, name + ".txt"), encoding="utf-8") as fh:

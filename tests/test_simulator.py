@@ -13,6 +13,7 @@ from honeyflow.simulator import (
     Endpoint,
     FlowTable,
     OutcomeKind,
+    TypeStats,
     EPISODE_BLOCK,
     MAX_ENDPOINTS,
     MAX_NODES,
@@ -24,6 +25,7 @@ from honeyflow.simulator import (
     network_from_dict,
     observe,
     run_trials,
+    _statistic,
 )
 from honeyflow.pcg import bounded, first_outputs
 from oracles import (
@@ -85,6 +87,27 @@ def _chain_net(compromised=("s2",), extra_links=(), links=CHAIN_LINKS):
         "fake2": _endpoint("fake2", 0.0, (1,), fake=True),
     }
     return build_network(endpoints, ["s1", "s2", "s3"], [*links, *extra_links], compromised)
+
+
+def _three_type_net():
+    """Six real endpoints and one fake per type on two linked switches;
+    only s1 is compromised, so flows among s2's endpoints go unseen. The
+    values are not short binary fractions, so sums round and their order
+    shows in the statistics' bits."""
+    endpoints = {
+        "a": _endpoint("a", 1.1, (0, 1)),
+        "b": _endpoint("b", 2.3, (1,)),
+        "c": _endpoint("c", 3.7, (0, 2)),
+        "d": _endpoint("d", 1.9, (2,)),
+        "e": _endpoint("e", 2.9, (0,)),
+        "g": _endpoint("g", 0.7, (1, 2)),
+        "f0": _endpoint("f0", 0.0, (0,), fake=True, attacker_value=-1.3),
+        "f1": _endpoint("f1", 0.0, (1,), fake=True, attacker_value=-0.55),
+        "f2": _endpoint("f2", 0.0, (2,), fake=True, attacker_value=-2.1),
+    }
+    links = [(e, "s1") for e in ("a", "b", "c", "f0")]
+    links += [(e, "s2") for e in ("d", "e", "g", "f1", "f2")] + [("s1", "s2")]
+    return build_network(endpoints, ["s1", "s2"], links, ["s1"])
 
 
 class TestBuildNetwork:
@@ -366,7 +389,64 @@ class TestAttackerEpisode:
                 )
 
 
+def _replayed_rows(net, real, honey, policy, episodes, seed):
+    """run_trials' rows rebuilt one episode at a time: the draws of
+    ``scalar_episodes``, one ``attacker_episode`` call per episode, then
+    ``_statistic`` over each type's payoffs in episode order."""
+    flows = generate_flows(net, real, honey, np.random.SeedSequence(seed).spawn(1)[0])
+    observation = observe(flows)
+    outcomes = {}
+    for vuln, row in zip(*scalar_episodes(observation.totals(), policy, episodes, seed)):
+        outcomes.setdefault(vuln, []).append(attacker_episode(observation, vuln, row))
+    rows = []
+    for vuln in sorted(outcomes):
+        apay = np.array([o.attacker_payoff for o in outcomes[vuln]])
+        dpay = np.array([o.defender_payoff for o in outcomes[vuln]])
+        defeats = sum(o.kind is OutcomeKind.DEFEAT for o in outcomes[vuln])
+        n = len(apay)
+        rows.append(
+            TypeStats(
+                vuln, int(honey.get(vuln, 0)), n, _statistic(dpay), _statistic(apay),
+                _statistic(dpay, ddof=1) if n > 1 else 0.0,
+                _statistic(apay, ddof=1) if n > 1 else 0.0,
+                defeats / n,
+            )
+        )
+    return tuple(rows)
+
+
+REPLAY_POPULATIONS = {
+    "chain": (lambda: _chain_net(), {0: 30, 1: 25}, {0: 10, 1: 4}),
+    "three-types": (_three_type_net, {0: 40, 1: 30, 2: 50}, {0: 5, 1: 10, 2: 3}),
+}
+
+
 class TestRunTrials:
+    @pytest.mark.parametrize("population", REPLAY_POPULATIONS)
+    @pytest.mark.parametrize("policy", ["uniform", 1])
+    @pytest.mark.parametrize("episodes", [EPISODE_BLOCK - 1, EPISODE_BLOCK, 2_500])
+    def test_rows_match_a_scalar_replay(self, population, policy, episodes):
+        """Bit for bit, also across block edges: repr keeps every bit of a
+        float."""
+        make_net, real, honey = REPLAY_POPULATIONS[population]
+        net = make_net()
+        report = run_trials(net, real, honey, policy, episodes, seed=11)
+        expected = _replayed_rows(net, real, honey, policy, episodes, 11)
+        assert len(expected) == (len(real) if policy == "uniform" else 1)
+        assert repr(report.rows) == repr(expected)
+
+    def test_rows_with_one_key_share_an_outcome(self):
+        """One outcome object per (type, destination, honey flag)."""
+        net = _chain_net(compromised=("s1", "s2", "s3"))
+        obs = observe(generate_flows(net, {0: 30}, {0: 10}, seed=4))
+        flows = obs.observed[0]
+        keys = list(zip(flows.destination.tolist(), flows.is_honey.tolist()))
+        assert len(set(keys)) < len(keys)
+        for row, key in enumerate(keys):
+            assert attacker_episode(obs, 0, row) is attacker_episode(obs, 0, keys.index(key))
+        shared = {id(attacker_episode(obs, 0, row)) for row in range(len(keys))}
+        assert len(shared) == len(set(keys))
+
     def test_no_honey_means_no_detection_and_full_value(self):
         net = _chain_net(compromised=("s1", "s2", "s3"))
         report = run_trials(net, {0: 50}, {}, policy=0, episodes=400, seed=3)
