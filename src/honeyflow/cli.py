@@ -441,7 +441,7 @@ def _attach_minus_lists(argv: Sequence[str]) -> list[str]:
     ":", so such a word is always a value."""
     words: list[str] = []
     for word in argv:
-        if words and _OPTION.fullmatch(words[-1]) and _MINUS_LIST.match(word):
+        if _MINUS_LIST.match(word) and words and _OPTION.fullmatch(words[-1]):
             words[-1] += "=" + word
         else:
             words.append(word)

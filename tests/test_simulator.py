@@ -416,7 +416,7 @@ def _replayed_rows(net, real, honey, policy, episodes, seed):
 
 
 REPLAY_POPULATIONS = {
-    "chain": (lambda: _chain_net(), {0: 30, 1: 25}, {0: 10, 1: 4}),
+    "chain": (_chain_net, {0: 30, 1: 25}, {0: 10, 1: 4}),
     "three-types": (_three_type_net, {0: 40, 1: 30, 2: 50}, {0: 5, 1: 10, 2: 3}),
 }
 
