@@ -8,8 +8,11 @@ exit code, stdout and stderr of each of their in-process ``honeyflow``
 runs. Output groups hash the same of one run with ``--output``, then the
 contents of the file it writes and of its ``.meta.json`` sidecar. Simulate
 groups hash the same of each ``simulate`` run with ``--switch-rates``, then
-the contents of the rates file (simulate writes no sidecar). Written files
-go to a scratch directory, whose path is not hashed.
+the contents of the rates file (simulate writes no sidecar); the
+``simulate-stdout-only`` group hashes the runs at the larger real flow count
+on both topologies again without the option, so it covers a run that
+computes no rates. Written files go to a scratch directory, whose path is
+not hashed.
 
 A change that alters bytes on purpose rewrites the file with
 
@@ -57,6 +60,8 @@ SWEEP_COSTS = (0.0, *DEFAULT_COST_SWEEP, 0.5, 3.0)
 MIXED_SPECS = 600
 SIMULATE_REAL = (500, 5_000)
 SIMULATE_SWEEP = "0:500:250"
+# Runs without --switch-rates: the SIMULATE_REAL[-1] groups of both topologies.
+STDOUT_ONLY_GROUP = "simulate-stdout-only"
 # More than two EPISODE_BLOCKs (1,024), with a part block at the end.
 MULTI_BLOCK_EPISODES = 2_500
 
@@ -277,11 +282,17 @@ def group_digests(out_dir: str) -> dict[str, str]:
         record = _written_record([*argv, "--output", path], path, path + ".meta.json")
         digests[name] = hashlib.sha256(record).hexdigest()
     rates = os.path.join(out_dir, "rates.csv")
-    for name, runs in _simulate_groups(out_dir).items():
+    simulate = _simulate_groups(out_dir)
+    for name, runs in simulate.items():
         h = hashlib.sha256()
         for argv in runs:
             h.update(_written_record([*argv, "--switch-rates", rates], rates))
         digests[name] = h.hexdigest()
+    h = hashlib.sha256()
+    for label in ("chain", "tree"):
+        for argv in simulate[f"simulate-{label}-{SIMULATE_REAL[-1]}"]:
+            h.update(_command_record(argv))
+    digests[STDOUT_ONLY_GROUP] = h.hexdigest()
     return digests
 
 
