@@ -333,35 +333,33 @@ def _cmd_simulate(args) -> None:
     simulator.check_flow_counts("real", real)
     honey_configs = _honey_configs(args.honey, len(args.real), args.episodes)
     policy = _policy(args.policy, len(args.real))
-    runs = [
-        (honey, simulator.run_trials(net, real, honey, policy, args.episodes, args.seed + k))
-        for k, honey in enumerate(honey_configs)
-    ]
+    rows, rates = [], []
+    for k, honey in enumerate(honey_configs):
+        report = simulator.run_trials(net, real, honey, policy, args.episodes, args.seed + k)
+        rows.extend(report.rows)
+        if args.switch_rates:
+            # one row per (population, switch): its total honey flows, the
+            # switch and the switch's honey-traffic rate
+            total = sum(honey.values())
+            rates.extend(
+                (total, switch, rate)
+                for switch, rate in simulator.honey_traffic_rate(report.flows).items()
+            )
+        del report  # so no point's flow population outlives the point
     stats = experiments.ExperimentReport(
         ("honey_count", "type", "mean_def", "mean_att", "stderr_def", "stderr_att",
          "detect_rate"),
         tuple(
             (r.honey_count, r.vuln_type, r.mean_defender, r.mean_attacker,
              r.stderr_defender, r.stderr_attacker, r.defeat_rate)
-            for _, report in runs
-            for r in report.rows
+            for r in rows
         ),
         {},
     )
     _emit(stats.csv(), args.output)  # no .meta.json: the CSV is the whole record
     if args.switch_rates:
-        # one row per (population, switch): its total honey flows, the
-        # switch and the switch's honey-traffic rate
-        rates = experiments.ExperimentReport(
-            ("honey_count", "switch", "honey_rate"),
-            tuple(
-                (sum(honey.values()), switch, rate)
-                for honey, report in runs
-                for switch, rate in report.switch_rates.items()
-            ),
-            {},
-        )
-        _emit(rates.csv(), args.switch_rates)
+        header = ("honey_count", "switch", "honey_rate")
+        _emit(experiments.ExperimentReport(header, tuple(rates), {}).csv(), args.switch_rates)
 
 
 def _cmd_heuristic(args) -> None:
@@ -429,19 +427,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A long option without "=", and a list or sweep word (with "," or ":")
-# that starts with a minus sign, which argparse would read as an option.
+# A long option without "=", a list or sweep word (with "," or ":") that
+# starts with a minus sign, and argparse's pattern of a negative number.
 _OPTION = re.compile(r"--[^=]+")
 _MINUS_LIST = re.compile(r"-.*[,:]")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _minus_value(word: str) -> bool:
+    """Whether ``word`` is a value that argparse would read as an option: a
+    minus-led list or sweep, or a negative number argparse's pattern misses
+    (``-1e-5``, ``-inf``, ``-nan``). No option name holds "," or ":" or
+    parses as a float. Plain negatives such as ``-5`` are left to argparse,
+    which reads them as values already, also as one of several."""
+    if _MINUS_LIST.match(word):
+        return True
+    if not word.startswith("-") or _NEGATIVE_NUMBER.fullmatch(word):
+        return False
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
 
 
 def _attach_minus_lists(argv: Sequence[str]) -> list[str]:
-    """``argv`` with each minus-led list joined to the option before it:
-    ``--honey -1,1`` becomes ``--honey=-1,1``. No option name holds "," or
-    ":", so such a word is always a value."""
+    """``argv`` with each minus-led value that argparse would misread joined
+    to the option before it: ``--honey -1,1`` becomes ``--honey=-1,1`` and
+    ``--cost -1e-5`` becomes ``--cost=-1e-5``."""
     words: list[str] = []
     for word in argv:
-        if _MINUS_LIST.match(word) and words and _OPTION.fullmatch(words[-1]):
+        if _minus_value(word) and words and _OPTION.fullmatch(words[-1]):
             words[-1] += "=" + word
         else:
             words.append(word)
@@ -455,8 +471,9 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     tokens, only that subcommand's parser is built: it is the parser
     ``build_parser``'s ``add_parser`` would make, and the full tree would
     hand it every remaining token, so the result, help and errors are the
-    same. Any other command line goes to the full tree. Either way, a list
-    value that starts with a minus sign is first attached to its option.
+    same. Any other command line goes to the full tree. Either way, a
+    minus-led value that argparse would misread is first attached to its
+    option.
     """
     argv = _attach_minus_lists(argv)
     verbose = 0

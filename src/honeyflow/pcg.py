@@ -16,9 +16,11 @@ bit for bit:
 ``bounded`` is ``Generator.integers(bound)``'s draw from one 32-bit word:
 Lemire's multiply-shift ("Fast Random Integer Generation in an Interval",
 ACM TOMACS 2019), which flags the words numpy would reject and replace by
-further draws. 128-bit values are (high, low) pairs of uint64 arrays;
-uint64 arithmetic wraps, which is the arithmetic modulo 2**64 these steps
-need.
+further draws. ``integers`` is ``Generator.integers(0, highs)`` for a
+whole array of bounds: ``bounded`` over the 32-bit halves of PCG64 words
+drawn in one ``random_raw`` call, the state left as numpy leaves it.
+128-bit values are (high, low) pairs of uint64 arrays; uint64 arithmetic
+wraps, which is the arithmetic modulo 2**64 these steps need.
 """
 
 from __future__ import annotations
@@ -141,5 +143,54 @@ def bounded(words: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
     """
     bounds = np.asarray(bounds, dtype=np.uint64)
     product = words * bounds
-    rejected = product & _MASK32 < np.uint64(2**32) % bounds
-    return product >> _U32, rejected
+    # numpy's threshold, 2**32 % bound, lies below the bound, so only the
+    # rare words whose low product word is below the bound need the division
+    rejected = product & _MASK32 < bounds
+    near = np.flatnonzero(rejected)
+    if len(near):
+        threshold = np.uint64(2**32) % np.broadcast_to(bounds, rejected.shape)[near]
+        rejected[near] = product[near] & _MASK32 < threshold
+    product >>= _U32
+    return product, rejected
+
+
+def integers(rng: np.random.Generator, highs: np.ndarray) -> np.ndarray:
+    """``rng.integers(0, highs)`` for int64 ``highs`` in [1, 2**32), bit
+    for bit, leaving ``rng.bit_generator.state`` as numpy would.
+
+    numpy draws each bound above 1 from one uint32: the half that an
+    earlier draw left buffered, else the low half of a fresh PCG64 word,
+    whose high half it buffers. Here the halves come from one
+    ``random_raw`` call and ``bounded`` maps them. If Lemire's method
+    rejects any of them, the state is restored and numpy draws instead.
+    """
+    highs = np.asarray(highs, dtype=np.int64)
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    drawn = highs > 1
+    every = bool(drawn.all())
+    bounds = highs if every else highs[drawn]
+    if not len(bounds):
+        return np.zeros(len(highs), dtype=np.int64)
+    buffered = saved["has_uint32"]
+    words = bitgen.random_raw((len(bounds) - buffered + 1) // 2)
+    halves = np.empty(buffered + 2 * len(words), dtype=np.uint64)
+    halves[:buffered] = saved["uinteger"]
+    # little-endian uint32 pairs: each word's low half, then its high half
+    halves[buffered:] = words.astype("<u8", copy=False).view("<u4")
+    state = bitgen.state
+    state["has_uint32"] = len(halves) - len(bounds)
+    if len(words):  # else numpy leaves its stale buffered half
+        state["uinteger"] = int(halves[-1])
+    bitgen.state = state
+    del words
+    values, rejected = bounded(halves[: len(bounds)], bounds.view(np.uint64))
+    if rejected.any():
+        bitgen.state = saved
+        return rng.integers(0, highs)
+    values = values.view(np.int64)  # every draw is below 2**32
+    if every:
+        return values
+    out = np.zeros(len(highs), dtype=np.int64)
+    out[drawn] = values
+    return out

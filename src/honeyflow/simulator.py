@@ -24,8 +24,8 @@ from .errors import ConfigError, EmptyObservation, TopologyError
 
 # Largest real or honey flow count per type that generate_flows accepts.
 # A flow is one row of a FlowTable (17 bytes over its four columns), and
-# drawing a type block needs roughly 60 bytes per flow more while it
-# runs, so this bounds memory.
+# drawing a type block peaks at about 51 bytes per flow more while it
+# runs (tracemalloc), so this bounds memory.
 MAX_FLOWS_PER_TYPE = 10**6
 # Largest episode count that run_trials accepts. It keeps two payoffs per
 # episode (16 bytes) until it takes each type's statistics, which need
@@ -356,7 +356,8 @@ def generate_flows(
     its destination, then its origin among the pool without that
     destination, each as one ``Generator.integers(high)`` draw; a type's
     whole block is one ``integers(0, highs)`` call with the two bounds
-    alternating, which gives the same numbers.
+    alternating, which gives the same numbers. ``pcg.integers`` makes
+    that call from raw PCG64 words.
     """
     check_flow_counts("real", real_counts)
     check_flow_counts("honey", honey_counts)
@@ -418,17 +419,25 @@ def _draw_pairs(
     highs = np.empty(2 * count, dtype=np.int64)
     highs[0::2] = len(dests)
     highs[1::2] = len(origins) - skip
-    draws = rng.integers(0, highs)
-    dest = dests[draws[0::2]]
+    draws = pcg.integers(rng, highs)
+    pick = draws[0::2]
     slot = draws[1::2]
-    if skip:
-        slot += slot >= np.searchsorted(origins, dest)
+    if skip:  # each destination's rank in the origin pool, found once
+        slot += slot >= np.searchsorted(origins, dests)[pick]
+    dest = dests[pick]
     origin = origins[slot]
-    missing = ~net.reachable[origin, dest]
+    missing = ~_pair_values(net.reachable, origin, dest)
     if missing.any():
         k = int(missing.argmax())
         raise TopologyError(f"no path between {net.ids[origin[k]]} and {net.ids[dest[k]]}")
     return origin, dest
+
+
+def _pair_values(matrix: np.ndarray, origin: np.ndarray, destination: np.ndarray) -> np.ndarray:
+    """``matrix[origin, destination]`` for an endpoints × endpoints matrix,
+    read at flat positions: ``np.take`` with one index array is about
+    three times faster than indexing with two."""
+    return np.take(matrix.ravel(), origin * len(matrix) + destination)
 
 
 @dataclass(frozen=True)
@@ -436,8 +445,9 @@ class Observation:
     """Flows visible from the compromised switches, grouped by type.
 
     ``observed`` maps each type with a visible flow to its rows, in
-    generation order. Attacker policies only ever see ``totals``; the rows
-    exist for episode resolution and for validation oracles.
+    generation order: a non-empty slice of one table of the visible rows,
+    sorted stably by type. Attacker policies only ever see ``totals``; the
+    rows exist for episode resolution and for validation oracles.
     ``outcomes`` is ``attacker_episode``'s memo, keyed by (attacked type,
     destination position, honey flag); it lives as long as the
     observation, one flow population, and its outcomes are immutable, so
@@ -454,10 +464,18 @@ class Observation:
 
 
 def observe(flows: FlowTable) -> Observation:
-    """Flows whose path crosses at least one compromised switch."""
-    seen = flows.take(flows.net.crosses[flows.origin, flows.destination])
-    types = np.unique(seen.info).tolist()
-    return Observation({t: seen.take(seen.info == t) for t in types})
+    """Flows whose path crosses at least one compromised switch.
+
+    The visible rows are sorted stably by type in one pass, so each type's
+    rows are a contiguous slice of one table, in generation order.
+    """
+    visible = np.flatnonzero(_pair_values(flows.net.crosses, flows.origin, flows.destination))
+    seen = flows.take(visible[np.argsort(flows.info[visible], kind="stable")])
+    starts = [0, *(np.flatnonzero(seen.info[1:] != seen.info[:-1]) + 1).tolist()]
+    ends = [*starts[1:], len(seen)]
+    return Observation(  # a == b only for the one slice of an empty population
+        {int(seen.info[a]): seen.take(slice(a, b)) for a, b in zip(starts, ends) if a < b}
+    )
 
 
 def attacker_episode(observation: Observation, chosen: int, row: int) -> EpisodeOutcome:
@@ -468,8 +486,8 @@ def attacker_episode(observation: Observation, chosen: int, row: int) -> Episode
     honey flag, so it is built once per such key and then shared from
     ``observation.outcomes``.
     """
-    flows = observation.observed.get(chosen, ())
-    if not flows:
+    flows = observation.observed.get(chosen)
+    if flows is None:  # observe keeps only types with a visible flow
         raise EmptyObservation(f"no observed flows of type {chosen}")
     key = (chosen, int(flows.destination[row]), bool(flows.is_honey[row]))
     outcome = observation.outcomes.get(key)
@@ -556,8 +574,11 @@ class TypeStats:
 
 @dataclass(frozen=True)
 class SimulationReport:
+    """One run's per-type statistics and the flow population it drew;
+    ``honey_traffic_rate(report.flows)`` gives its per-switch rates."""
+
     rows: tuple[TypeStats, ...]
-    switch_rates: dict[str, float]
+    flows: FlowTable
 
 
 def _statistic(payoffs: np.ndarray, ddof: int | None = None) -> float:
@@ -596,7 +617,9 @@ def run_trials(
     order reproduces the same report: the first child seeds the flows and
     child k + 1 episode k. ``episode_draws`` describes ``policy`` and what
     an episode draws. ``episodes`` must lie in [1, MAX_EPISODES]; it and
-    the seed are checked before any flow is drawn.
+    the seed are checked before any flow is drawn. The report carries the
+    population but no switch rates: a caller that wants them computes
+    them, and one that does not pays nothing for them.
     """
     if not 1 <= episodes <= MAX_EPISODES:
         raise ConfigError(
@@ -645,8 +668,7 @@ def run_trials(
                 defeat_rate=defeats[vuln] / n,
             )
         )
-    switch_rates = honey_traffic_rate(flows)
-    return SimulationReport(tuple(rows), switch_rates)
+    return SimulationReport(tuple(rows), flows)
 
 
 def honey_traffic_rate(flows: FlowTable) -> dict[str, float]:

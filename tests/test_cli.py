@@ -5,6 +5,7 @@ import json
 import os
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -624,6 +625,48 @@ class TestExitCodes:
         assert (spaced[1] != "") == (code == 0)
 
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ["matchup", "--trials", "1", "--cost", "-1e-5"],
+                "cost must be nonnegative and finite, got -1e-05",
+            ),
+            (
+                ["ratio", "--fake-values", "1", "--real-values", "-inf"],
+                "type 0: attacker_real_value must be finite, got -inf",
+            ),
+            (
+                ["ratio", "--fake-values", "1", "--real-values", "-nan"],
+                "type 0: attacker_real_value must be finite, got nan",
+            ),
+        ],
+        ids=["matchup-exponent-cost", "ratio-minus-inf", "ratio-minus-nan"],
+    )
+    def test_a_number_argparse_reads_as_an_option_is_a_value(self, capsys, argv, err):
+        """argparse reads -1e-5, -inf and -nan as options; after a space
+        they are the option's value, as after "="."""
+        joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+        assert _run(capsys, *argv) == _run(capsys, *joined) == (1, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ["matchup", "--trials", "1", "--real-flows", "-5", "9"],
+                "empty real flow range [-5, 9]",
+            ),
+            (
+                ["sweep", "--trials", "1", "--honey-bounds", "-5", "9"],
+                "empty honey bound range [-5, 9]",
+            ),
+        ],
+        ids=["matchup-real-flows", "sweep-honey-bounds"],
+    )
+    def test_a_plain_negative_stays_one_of_several_words(self, capsys, argv, err):
+        assert _run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+
 def _golden(name: str) -> str:
     with open(os.path.join(HELP_DIR, name + ".txt"), encoding="utf-8") as fh:
         return fh.read()
@@ -931,6 +974,49 @@ class TestSimulate:
                 expected.append([str(2 * point), switch, repr(rate)])
         assert rows == expected
         assert any(float(r[2]) > 0 for r in rows[1:])
+
+    @pytest.mark.parametrize(
+        "honey, points", [("5,15", 1), ("0:20:10", 3)], ids=["fixed", "sweep"]
+    )
+    def test_rates_are_computed_only_under_the_option(
+        self, capsys, monkeypatch, chain_topology_path, tmp_path, honey, points
+    ):
+        """Each population is rated once with --switch-rates and never
+        without it, and the option leaves stdout as it is."""
+        calls = []
+        rate = simulator.honey_traffic_rate
+
+        def counted(flows):
+            calls.append(len(flows))
+            return rate(flows)
+
+        monkeypatch.setattr(simulator, "honey_traffic_rate", counted)
+        argv = ["simulate", "--topology", chain_topology_path, "--real", "30,20",
+                "--honey", honey, "--episodes", "50"]
+        plain = _run(capsys, *argv)
+        assert (plain[0], calls) == (0, [])
+        assert _run(capsys, *argv, "--switch-rates", str(tmp_path / "rates.csv")) == plain
+        assert len(calls) == points
+
+    def test_a_sweep_holds_one_population_at_a_time(self, chain_topology_path, tmp_path):
+        """A sweep of 6 points at 20,000 real flows per type peaks within
+        10 % of one point: each point's flows are freed before the next
+        point draws its own."""
+        out = str(tmp_path / "out.csv")
+
+        def peak(honey):
+            argv = ["simulate", "--topology", chain_topology_path, "--real", "20000,20000",
+                    "--honey", honey, "--episodes", "10", "--output", out]
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("0:0:1")  # first-call allocations are not the sweep's
+        one, six = peak("0:0:1"), peak("0:50:10")
+        assert six <= 1.1 * one, (one, six)
 
 
 class TestReportCommands:
