@@ -11,7 +11,8 @@ groups hash the same of each ``simulate`` run with ``--switch-rates``, then
 the contents of the rates file (simulate writes no sidecar); the
 ``simulate-stdout-only`` group hashes the runs at the larger real flow count
 on both topologies again without the option, so it covers a run that
-computes no rates. Written files go to a scratch directory, whose path is
+computes no rates; ``simulate-tree-chunked-draw`` pins 40,000-flow
+populations, large enough that the draw spans several chunks. Written files go to a scratch directory, whose path is
 not hashed.
 
 A change that alters bytes on purpose rewrites the file with
@@ -64,6 +65,10 @@ SIMULATE_SWEEP = "0:500:250"
 STDOUT_ONLY_GROUP = "simulate-stdout-only"
 # More than two EPISODE_BLOCKs (1,024), with a part block at the end.
 MULTI_BLOCK_EPISODES = 2_500
+# Real and honey flows per type on a 4-type tree: 40,000 flows, drawn in
+# several chunks whose edges fall inside type blocks.
+CHUNKED_FLOWS = 5_000
+CHUNKED_SWEEP = "0:5000:2500"
 
 # Each group's runs, hashed in order.
 COMMANDS = {
@@ -241,10 +246,15 @@ def _simulate_groups(out_dir: str) -> dict[str, list[list[str]]]:
     (written to ``out_dir``), at SIMULATE_REAL real flows per type, fixed
     honey counts and the honey sweep, each against a uniform and a
     fixed-type attacker, over 500 episodes; and on the tree at 500 real
-    flows per type over MULTI_BLOCK_EPISODES episodes."""
+    flows per type over MULTI_BLOCK_EPISODES episodes; and on a 4-type tree
+    at CHUNKED_FLOWS real flows per type, with CHUNKED_FLOWS honey flows
+    per type or the CHUNKED_SWEEP sweep."""
     tree = os.path.join(out_dir, "tree_topology.json")
     with open(tree, "w", encoding="utf-8") as f:
         json.dump(_tree_topology(), f)
+    tree4 = os.path.join(out_dir, "tree4_topology.json")
+    with open(tree4, "w", encoding="utf-8") as f:
+        json.dump(_tree_topology(types=4), f)
 
     def runs(path, types, real, episodes):
         fixed = ",".join(str(100 * (k + 1)) for k in range(types))
@@ -261,6 +271,13 @@ def _simulate_groups(out_dir: str) -> dict[str, list[list[str]]]:
         for real in SIMULATE_REAL:
             groups[f"simulate-{label}-{real}"] = runs(path, types, real, 500)
     groups["simulate-tree-multi-block"] = runs(tree, 3, 500, MULTI_BLOCK_EPISODES)
+    chunked = ",".join([str(CHUNKED_FLOWS)] * 4)
+    groups["simulate-tree-chunked-draw"] = [
+        ["simulate", "--topology", tree4, "--real", chunked, "--honey", honey,
+         "--policy", policy, "--episodes", "500", "--seed", "7"]
+        for honey in (chunked, CHUNKED_SWEEP)
+        for policy in ("uniform", "3")
+    ]
     return groups
 
 
