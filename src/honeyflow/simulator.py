@@ -16,6 +16,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,9 +24,10 @@ from . import pcg
 from .errors import ConfigError, EmptyObservation, TopologyError
 
 # Largest real or honey flow count per type that generate_flows accepts.
-# A flow is one row of a FlowTable (17 bytes over its four columns), and
-# drawing a type block peaks at about 51 bytes per flow more while it
-# runs (tracemalloc), so this bounds memory.
+# A flow is one row of a FlowTable (17 bytes over its four columns). The
+# draw writes the columns in chunks of FLOW_BLOCK flows and holds one
+# chunk's temporaries besides them, about 0.7-0.8 MB whatever the count
+# (tracemalloc, chain topology), so this bounds memory to the table.
 MAX_FLOWS_PER_TYPE = 10**6
 # Largest episode count that run_trials accepts. It keeps two payoffs per
 # episode (16 bytes) until it takes each type's statistics, which need
@@ -33,15 +35,20 @@ MAX_FLOWS_PER_TYPE = 10**6
 # topology, uniform or fixed policy). Mostly the cap bounds run time.
 MAX_EPISODES = 10**6
 # Largest endpoint count, and node (endpoint and switch) count, that
-# build_network accepts. Routing keeps a switches × endpoints² boolean
-# incidence array, and each honey_traffic_rate call counts its flows per
-# pair into 2 × endpoints² int64 (4 MiB at the cap) while it runs. At the
-# cap the largest incidence (426 endpoints, 214 switches) is 37 MiB, and
-# routing peaks at 46 MiB (tracemalloc). On a 2-vCPU host a two-level
-# tree of switches routes in 0.1-0.2 s; a chain of switches, the deepest
-# search, in 1.2-1.3 s.
+# build_network accepts. The model holds pred, an endpoints × nodes int32
+# array (1.3 MB at the caps), and two endpoints² boolean arrays. Routing
+# peaks at 10-13 MiB (tracemalloc) on a 426-endpoint network at the node
+# cap, whether its 214 switches form a two-level tree or a chain. On a
+# 2-vCPU host the tree routes in 23-29 ms; the chain, the deepest
+# search, in 0.66-0.71 s. Each honey_traffic_rate call counts its flows
+# per pair into 2 × endpoints² int64 (4 MiB at the cap) while it runs.
 MAX_ENDPOINTS = 512
 MAX_NODES = 640
+# Flows that generate_flows draws together, in one pcg.integers call. On
+# a 2-vCPU host chunks of 2**15 drew no faster, and one draw of the whole
+# population raised the peak of a simulate op at 50,000 real and honey
+# flows per type on a 12-rack tree from 12.8 to 34.1 MB (tracemalloc).
+FLOW_BLOCK = 2**13
 # Episodes whose draws episode_draws computes, and whose outcomes
 # run_trials gathers into payoff arrays, together. About 150 bytes of
 # numpy temporaries per episode are alive while a block is drawn.
@@ -62,10 +69,14 @@ class NetworkModel:
     """Endpoints, sorted switch ids, the compromised set, and the routing
     of every endpoint pair, which build_network computes once.
 
-    The routing arrays are indexed by [origin, destination] positions in
-    ``ids``, the sorted endpoint ids: ``reachable`` says a path exists,
-    ``crosses`` that it passes a compromised switch, and ``incidence[s]``
-    that it passes switch ``switches[s]``. A model changed with
+    ``reachable`` and ``crosses`` are indexed by [origin, destination]
+    positions in ``ids``, the sorted endpoint ids: a path exists, and it
+    passes a compromised switch. ``pred`` is the routing itself, one
+    shortest-path tree per origin: ``pred[o, x]`` is the node before x on
+    the path from origin o, where positions are the endpoints, then the
+    sorted switches (``switches[s]`` at ``len(ids) + s``), and -1 where x
+    is o or unreachable from it. A pair's switches are found by following
+    ``pred`` back from the destination. A model changed with
     ``dataclasses.replace`` keeps the old routing, so build a new network
     instead. A network equals only itself: a flow table is read on
     ``flows.net``, the network it was drawn on.
@@ -77,7 +88,7 @@ class NetworkModel:
     ids: tuple[str, ...]
     reachable: np.ndarray = field(repr=False)
     crosses: np.ndarray = field(repr=False)
-    incidence: np.ndarray = field(repr=False)
+    pred: np.ndarray = field(repr=False)
 
 
 class FlowTable:
@@ -269,32 +280,25 @@ def build_network(
     linked = np.zeros((len(position), len(position)), dtype=bool)
     for a, b in links:
         linked[position[a], position[b]] = linked[position[b], position[a]] = True
-    pred = _route(n, linked)
-
-    reachable = pred[:, :n] >= 0
-    incidence = np.zeros((len(switch_ids), n, n), dtype=bool)
-    o_idx, d_idx = np.nonzero(reachable)
-    hop = pred[o_idx, d_idx]
-    while len(hop):  # walk every path back one hop at a time
-        on = hop >= n  # a switch; the walk ends at the origin
-        o_idx, d_idx, hop = o_idx[on], d_idx[on], hop[on]
-        incidence[hop - n, o_idx, d_idx] = True
-        hop = pred[o_idx, hop]
-    watched = [position[s] - n for s in sorted(compromised)]
+    watched = np.zeros(len(position), dtype=bool)
+    watched[[position[s] for s in compromised]] = True
+    pred, via = _route(n, linked, watched)
     return NetworkModel(
         endpoints=dict(endpoints),
         switches=switch_ids,
         compromised=compromised,
         ids=ids,
-        reachable=reachable,
-        crosses=incidence[watched].any(axis=0),
-        incidence=incidence,
+        reachable=pred[:, :n] >= 0,
+        crosses=via[:, :n].copy(),
+        pred=pred,
     )
 
 
-def _route(n: int, linked: np.ndarray) -> np.ndarray:
-    """pred[o, x]: the position of x's predecessor on the path from origin
-    o, or -1 where x is o or unreachable from it.
+def _route(n: int, linked: np.ndarray, watched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pred`` and ``via``, two origins × nodes arrays. pred[o, x] is the
+    position of x's predecessor on the path from origin o, or -1 where x
+    is o or unreachable from it; via[o, x] says that path passes a node
+    that ``watched`` marks before it reaches x.
 
     Positions are the sorted endpoints (the first ``n``), then the sorted
     switches; ``linked[x, y]`` says x and y are linked. One breadth-first
@@ -305,10 +309,13 @@ def _route(n: int, linked: np.ndarray) -> np.ndarray:
     switches finds that switch: the block's switch at position p weighs
     2**(hi - 1 - p), where hi is one past the block's last position, so
     a sum of distinct weights is exact and its highest bit, e - 1 for
-    frexp exponent e, names the lowest linked switch, p = hi - e.
+    frexp exponent e, names the lowest linked switch, p = hi - e. After
+    each hop, every node it reached inherits via from its predecessor,
+    reached one hop earlier: via[o, x] = via[o, p] | watched[p].
     """
     size = len(linked)
     pred = np.full((n, size), -1, dtype=np.int32)
+    via = np.zeros((n, size), dtype=bool)  # hop 1 passes only the origin
     new = linked[:n].copy()  # hop 1: an origin links only to switches
     pred[new] = np.nonzero(new)[0]
     reached = new | np.eye(n, size, dtype=bool)
@@ -317,6 +324,7 @@ def _route(n: int, linked: np.ndarray) -> np.ndarray:
         hi = min(lo + 52, size)
         weight = np.exp2(np.arange(hi - lo - 1, -1, -1.0))
         blocks.append((lo, hi, linked[lo:hi] * weight[:, None]))
+    flat_pred, flat_via = pred.ravel(), via.ravel()
     while new[:, n:].any():
         frontier = new.astype(float)
         new = np.zeros_like(reached)
@@ -326,7 +334,10 @@ def _route(n: int, linked: np.ndarray) -> np.ndarray:
             pred[found] = hi - np.frexp(top[found])[1]
             reached |= found
             new |= found
-    return pred
+        at = np.flatnonzero(new)  # o * size + x for each node this hop reached
+        p = flat_pred[at]
+        flat_via[at] = flat_via[at - at % size + p] | watched[p]
+    return pred, via
 
 
 def check_flow_counts(label: str, counts: Mapping[int, int]) -> None:
@@ -352,30 +363,89 @@ def generate_flows(
     real endpoint toward the fake one. Every count must lie in
     [0, MAX_FLOWS_PER_TYPE].
 
-    Types are drawn in sorted order, real before honey. Each flow draws
-    its destination, then its origin among the pool without that
-    destination, each as one ``Generator.integers(high)`` draw; a type's
-    whole block is one ``integers(0, highs)`` call with the two bounds
-    alternating, which gives the same numbers. ``pcg.integers`` makes
-    that call from raw PCG64 words.
+    Types are drawn in sorted order, real before honey, one block of rows
+    per type. Each flow draws its destination, then its origin among the
+    pool without that destination, each as one ``Generator.integers(high)``
+    draw. The rows are drawn in chunks of ``FLOW_BLOCK`` flows that run
+    across block edges: one ``pcg.integers(rng, highs)`` call per chunk,
+    with each flow's two bounds in turn, gives the numbers that one
+    ``integers(0, highs)`` call per type block would, and leaves the same
+    generator state. The chunks are written straight into the table's
+    columns, so a draw holds one chunk's temporaries at a time.
+
+    The type blocks are checked in draw order before any draw. When one is
+    bad, the blocks before it are still drawn, so that an unreachable pair
+    among them raises its TopologyError first; only then is the bad
+    block's ConfigError raised.
     """
     check_flow_counts("real", real_counts)
     check_flow_counts("honey", honey_counts)
+    blocks, bad = _type_blocks(net, real_counts, honey_counts)
     rng = np.random.default_rng(seed)
+    total = sum(block.count for block in blocks)
+    origin = np.empty(total, dtype=np.int32)
+    destination = np.empty(total, dtype=np.int32)
+    info = np.empty(total, dtype=np.int64)
+    is_honey = np.empty(total, dtype=bool)
+    for chunk in _chunks(blocks):
+        lo, hi = chunk[0][1], chunk[-1][2]
+        highs = np.empty(2 * (hi - lo), dtype=np.int64)
+        for block, a, b in chunk:
+            highs[2 * (a - lo) : 2 * (b - lo) : 2] = len(block.dests)
+            highs[2 * (a - lo) + 1 : 2 * (b - lo) : 2] = len(block.origins) - block.skip
+        draws = pcg.integers(rng, highs)
+        for block, a, b in chunk:
+            pick = draws[2 * (a - lo) : 2 * (b - lo) : 2]
+            slot = draws[2 * (a - lo) + 1 : 2 * (b - lo) : 2]
+            if block.skip:  # pass over the destination's own rank in the pool
+                slot += slot >= block.rank[pick]
+            destination[a:b] = block.dests[pick]
+            origin[a:b] = block.origins[slot]
+            info[a:b] = block.vuln
+            is_honey[a:b] = block.is_honey
+        missing = ~_pair_values(net.reachable, origin[lo:hi], destination[lo:hi])
+        if missing.any():
+            k = lo + int(missing.argmax())
+            raise TopologyError(
+                f"no path between {net.ids[origin[k]]} and {net.ids[destination[k]]}"
+            )
+    if bad is not None:
+        raise bad
+    return FlowTable(net, origin, destination, info, is_honey)
+
+
+@dataclass(frozen=True, eq=False)
+class _TypeBlock:
+    """One type's rows of a flow population: ``count`` flows to
+    ``dests``, from ``origins`` without the destination when ``skip``.
+    ``rank`` is each destination's position in ``origins``."""
+
+    vuln: int
+    count: int
+    dests: np.ndarray
+    origins: np.ndarray
+    skip: bool
+    is_honey: bool
+    rank: np.ndarray
+
+
+def _type_blocks(
+    net: NetworkModel, real_counts: Mapping[int, int], honey_counts: Mapping[int, int]
+) -> tuple[list[_TypeBlock], ConfigError | None]:
+    """The type blocks with flows, in draw order, up to the first bad one,
+    and that block's ConfigError (None when every block is good)."""
     ids = net.ids
     fake = np.array([net.endpoints[e].is_fake for e in ids], dtype=bool)
     real_pool = np.flatnonzero(~fake).astype(np.int32)
     fake_pool = np.flatnonzero(fake).astype(np.int32)
-    empty = np.empty(0, dtype=np.int32)
-    blocks = [(empty, empty, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))]
+    blocks = []
+
+    def add(vuln, count, dests, origins, skip, is_honey):
+        rank = np.searchsorted(origins, dests)
+        blocks.append(_TypeBlock(vuln, count, dests, origins, skip, is_honey, rank))
 
     def advertising(pool: np.ndarray, vuln: int) -> np.ndarray:
         return pool[[vuln in net.endpoints[ids[k]].weaknesses for k in pool]]
-
-    def add_block(vuln, count, dests, origins, skip, is_honey):
-        origin, dest = _draw_pairs(net, rng, count, dests, origins, skip)
-        info = np.full(count, vuln, dtype=np.int64)
-        blocks.append((origin, dest, info, np.full(count, is_honey)))
 
     for vuln in sorted(real_counts):
         count = real_counts[vuln]
@@ -383,54 +453,46 @@ def generate_flows(
             continue
         dests = advertising(real_pool, vuln)
         if not len(dests):
-            raise ConfigError(f"no real endpoint advertises vulnerability {vuln}")
+            return blocks, ConfigError(f"no real endpoint advertises vulnerability {vuln}")
         if len(real_pool) < 2:
-            raise ConfigError("real flows need at least two real endpoints")
-        add_block(vuln, count, dests, real_pool, True, False)
+            return blocks, ConfigError("real flows need at least two real endpoints")
+        add(vuln, count, dests, real_pool, True, False)
 
     for vuln in sorted(honey_counts):
         count = honey_counts[vuln]
         if count <= 0:
             continue
         if not len(fake_pool):
-            raise ConfigError("honey flows requested but the network has no fake endpoints")
+            return blocks, ConfigError(
+                "honey flows requested but the network has no fake endpoints"
+            )
         dests = advertising(fake_pool, vuln)
         if not len(dests):
-            raise ConfigError(f"no fake endpoint advertises vulnerability {vuln}")
+            return blocks, ConfigError(f"no fake endpoint advertises vulnerability {vuln}")
         if len(fake_pool) > 1:
-            add_block(vuln, count, dests, fake_pool, True, True)
+            add(vuln, count, dests, fake_pool, True, True)
         else:  # a network has two endpoints, so the others are all real
-            add_block(vuln, count, dests, real_pool, False, True)
+            add(vuln, count, dests, real_pool, False, True)
+    return blocks, None
 
-    return FlowTable(net, *map(np.concatenate, zip(*blocks)))
 
-
-def _draw_pairs(
-    net: NetworkModel,
-    rng: np.random.Generator,
-    count: int,
-    dests: np.ndarray,
-    origins: np.ndarray,
-    skip: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` (origin, destination) position pairs. When ``skip``
-    the destination is left out of the origin pool. Raises TopologyError
-    for the first pair, in draw order, that has no path."""
-    highs = np.empty(2 * count, dtype=np.int64)
-    highs[0::2] = len(dests)
-    highs[1::2] = len(origins) - skip
-    draws = pcg.integers(rng, highs)
-    pick = draws[0::2]
-    slot = draws[1::2]
-    if skip:  # each destination's rank in the origin pool, found once
-        slot += slot >= np.searchsorted(origins, dests)[pick]
-    dest = dests[pick]
-    origin = origins[slot]
-    missing = ~_pair_values(net.reachable, origin, dest)
-    if missing.any():
-        k = int(missing.argmax())
-        raise TopologyError(f"no path between {net.ids[origin[k]]} and {net.ids[dest[k]]}")
-    return origin, dest
+def _chunks(blocks: list[_TypeBlock]) -> Iterator[list[tuple[_TypeBlock, int, int]]]:
+    """The population's rows, ``FLOW_BLOCK`` at a time, as (block, start,
+    end) pieces in row order: each chunk's pieces of the blocks it
+    overlaps."""
+    chunk, edge, start = [], FLOW_BLOCK, 0
+    for block in blocks:
+        a, stop = start, start + block.count
+        while a < stop:
+            b = min(stop, edge)
+            chunk.append((block, a, b))
+            a = b
+            if b == edge:
+                yield chunk
+                chunk, edge = [], edge + FLOW_BLOCK
+        start = stop
+    if chunk:
+        yield chunk
 
 
 def _pair_values(matrix: np.ndarray, origin: np.ndarray, destination: np.ndarray) -> np.ndarray:
@@ -584,16 +646,22 @@ class SimulationReport:
 def _statistic(payoffs: np.ndarray, ddof: int | None = None) -> float:
     """The mean of ``payoffs`` or, given ``ddof``, its standard error.
 
-    Payoffs near the float maximum can overflow the sum or the squares;
-    only then is the statistic recomputed from the payoffs divided by their
-    largest magnitude and scaled back, so it is finite whenever its true
-    value is.
+    The reductions are the ones ``x.mean()`` and ``x.std(ddof=ddof) /
+    np.sqrt(len(x))`` make, without numpy's wrappers around them, so the
+    bits are the same. Payoffs near the float maximum can overflow the sum
+    or the squares; only then is the statistic recomputed from the payoffs
+    divided by their largest magnitude and scaled back, so it is finite
+    whenever its true value is.
     """
 
     def of(x: np.ndarray) -> float:
+        n = len(x)
+        mean = float(np.add.reduce(x)) / n
         if ddof is None:
-            return float(x.mean())
-        return float(x.std(ddof=ddof) / np.sqrt(len(x)))
+            return mean
+        squares = x - mean
+        np.multiply(squares, squares, out=squares)
+        return math.sqrt(float(np.add.reduce(squares)) / (n - ddof)) / math.sqrt(n)
 
     with np.errstate(over="ignore", invalid="ignore"):
         value = of(payoffs)
@@ -641,9 +709,11 @@ def run_trials(
             attacker_episode(observation, vuln, row)
             for vuln, row in zip(chosen.tolist(), rows.tolist())
         ]
-        apay = np.array([o.attacker_payoff for o in outcomes])
-        dpay = np.array([o.defender_payoff for o in outcomes])
-        defeat = np.array([o.kind is OutcomeKind.DEFEAT for o in outcomes])
+        count = len(outcomes)
+        apay = np.fromiter(map(attrgetter("attacker_payoff"), outcomes), float, count)
+        dpay = np.fromiter(map(attrgetter("defender_payoff"), outcomes), float, count)
+        kinds = np.fromiter(map(attrgetter("kind"), outcomes), object, count)
+        defeat = kinds == OutcomeKind.DEFEAT
         for vuln in np.unique(chosen).tolist():
             mask = chosen == vuln
             attacker.setdefault(vuln, []).append(apay[mask])
@@ -677,16 +747,37 @@ def honey_traffic_rate(flows: FlowTable) -> dict[str, float]:
     by convention 0 when nothing passes.
 
     The flows and honey flows of each (origin, destination) pair are
-    counted once, then read against one switch's incidence row at a time:
-    a product with every row at once would cast the boolean incidence to
-    int64, eight times its size.
+    counted once. Only the pairs that carry a flow are then walked up
+    their origin's tree in ``net.pred``, all of them one hop at a time,
+    and each hop adds their counts to the switches it reaches. The sums
+    are integers, exact in float64, so each rate is the correctly rounded
+    quotient of two counts.
     """
     net = flows.net
-    n = len(net.ids)
+    n, size = net.pred.shape
+    carried, passing, honey = _pair_counts(flows)
+    base = carried // n * size  # each pair's row of pred, flattened
+    hop = net.pred.ravel()[base + carried % n]
+    through = np.zeros((2, len(net.switches)))
+    while len(hop):  # a flow's first node is its origin, which ends the walk
+        on = hop >= n
+        base, hop, passing, honey = base[on], hop[on], passing[on], honey[on]
+        through[0] += np.bincount(hop - n, passing, minlength=len(net.switches))
+        through[1] += np.bincount(hop - n, honey, minlength=len(net.switches))
+        hop = net.pred.ravel()[base + hop]
+    return {
+        switch: h / c if c else 0.0
+        for switch, c, h in zip(net.switches, *through.tolist())
+    }
+
+
+def _pair_counts(flows: FlowTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (origin, destination) pairs that carry a flow, at their flat
+    positions origin × n + destination, with their flow and honey-flow
+    counts as floats."""
+    n = len(flows.net.ids)
     key = flows.origin.astype(np.intp) * n + flows.destination
-    counts = np.stack([np.bincount(k, minlength=n * n) for k in (key, key[flows.is_honey])])
-    rates = {}
-    for switch, through in zip(net.switches, net.incidence):
-        passing, honey = (int(c) for c in counts @ through.reshape(-1))
-        rates[switch] = honey / passing if passing else 0.0
-    return rates
+    counts = np.bincount(key, minlength=n * n)
+    honey = np.bincount(key[flows.is_honey], minlength=n * n)
+    carried = np.flatnonzero(counts)
+    return carried, counts[carried].astype(float), honey[carried].astype(float)

@@ -12,8 +12,8 @@ the contents of the rates file (simulate writes no sidecar); the
 ``simulate-stdout-only`` group hashes the runs at the larger real flow count
 on both topologies again without the option, so it covers a run that
 computes no rates; ``simulate-tree-chunked-draw`` pins 40,000-flow
-populations, large enough that the draw spans several chunks. Written files go to a scratch directory, whose path is
-not hashed.
+populations, large enough that the draw spans several chunks. Written
+files go to a scratch directory, whose path is not hashed.
 
 A change that alters bytes on purpose rewrites the file with
 

@@ -15,6 +15,7 @@ from honeyflow.simulator import (
     OutcomeKind,
     TypeStats,
     EPISODE_BLOCK,
+    FLOW_BLOCK,
     MAX_ENDPOINTS,
     MAX_NODES,
     attacker_episode,
@@ -55,10 +56,21 @@ def _rows(flows):
     return [(ids[o], ids[d], t, h) for o, d, t, h in zip(*(c.tolist() for c in columns))]
 
 
+def _path(net, o, d):
+    """The switch ids on the path from endpoint position o to position d,
+    in path order, read back from d along o's tree in ``net.pred``; empty
+    when d is o or unreachable from it."""
+    n, hops = len(net.ids), []
+    node = int(net.pred[o, d])
+    while node >= n:  # the walk ends at the origin, or at -1
+        hops.append(net.switches[node - n])
+        node = int(net.pred[o, node])
+    return tuple(reversed(hops))
+
+
 def _switches_on(net, origin, destination):
     """The switches on the network's path between two endpoints."""
-    on = net.incidence[:, net.ids.index(origin), net.ids.index(destination)]
-    return {s for s, hit in zip(net.switches, on.tolist()) if hit}
+    return set(_path(net, net.ids.index(origin), net.ids.index(destination)))
 
 
 def _no_flows(net):
@@ -130,13 +142,13 @@ class TestBuildNetwork:
             _chain_net(links=[(b, a) for a, b in CHAIN_LINKS]),
             _chain_net(extra_links=CHAIN_LINKS[::2]),
         ):
-            for name in ("reachable", "crosses", "incidence"):
+            for name in ("reachable", "crosses", "pred"):
                 assert np.array_equal(getattr(other, name), getattr(net, name))
         moved = _chain_net(compromised=("s1",))
         assert not np.array_equal(moved.crosses, net.crosses)
-        assert np.array_equal(moved.incidence, net.incidence)
+        assert np.array_equal(moved.pred, net.pred)
         shortcut = _chain_net(extra_links=[("s1", "s3")])
-        assert not np.array_equal(shortcut.incidence, net.incidence)
+        assert not np.array_equal(shortcut.pred, net.pred)
         assert np.array_equal(shortcut.reachable, net.reachable)
 
     @pytest.mark.parametrize(
@@ -304,6 +316,161 @@ class TestGenerateFlows:
         net = _chain_net()
         with pytest.raises(ConfigError, match="no real endpoint"):
             generate_flows(net, {9: 5}, {}, seed=0)
+
+
+def _reference_flows(net, real_counts, honey_counts, seed):
+    """generate_flows' four columns and the generator's final state, drawn
+    one type block at a time: one numpy ``Generator.integers(0, highs)``
+    call per block, each flow's origin picked from a list of its pool
+    without the destination."""
+    rng = np.random.default_rng(seed)
+    ids = net.ids
+    real = [k for k, e in enumerate(ids) if not net.endpoints[e].is_fake]
+    fake = [k for k, e in enumerate(ids) if net.endpoints[e].is_fake]
+    blocks = [(v, real_counts[v], real, real, False) for v in sorted(real_counts)]
+    honey_origins = fake if len(fake) > 1 else real
+    blocks += [(v, honey_counts[v], fake, honey_origins, True) for v in sorted(honey_counts)]
+    rows = []
+    for vuln, count, pool, origins, is_honey in blocks:
+        if count == 0:
+            continue
+        dests = [k for k in pool if vuln in net.endpoints[ids[k]].weaknesses]
+        skip = origins is pool
+        highs = np.empty(2 * count, dtype=np.int64)
+        highs[0::2], highs[1::2] = len(dests), len(origins) - skip
+        draws = rng.integers(0, highs).tolist()
+        for pick, slot in zip(draws[0::2], draws[1::2]):
+            dest = dests[pick]
+            pool_without = [k for k in origins if k != dest or not skip]
+            rows.append((pool_without[slot], dest, vuln, is_honey))
+    dtypes = (np.int32, np.int32, np.int64, bool)
+    return [np.array(c, dtype=t) for c, t in zip(zip(*rows), dtypes)], rng.bit_generator.state
+
+
+def _one_fake_net():
+    """Three real endpoints and one fake on one switch: honey flows run
+    from a real endpoint to the fake, so their origins skip nothing."""
+    endpoints = {
+        "a": _endpoint("a", 1.0, (0, 1)),
+        "b": _endpoint("b", 2.0, (1,)),
+        "c": _endpoint("c", 3.0, (0,)),
+        "f": _endpoint("f", 0.0, (0, 1), fake=True),
+    }
+    return build_network(endpoints, ["s1"], [(e, "s1") for e in endpoints], ["s1"])
+
+
+class TestChunkedDraw:
+    """generate_flows draws FLOW_BLOCK flows per pcg.integers call, across
+    type blocks; the columns and the generator state are those of one
+    numpy call per block."""
+
+    @pytest.mark.parametrize(
+        "make_net, real, honey",
+        [
+            (_chain_net, {0: 100, 1: 57}, {0: 30}),
+            (_chain_net, {0: FLOW_BLOCK - 1_000, 1: 600}, {1: 400}),
+            (_chain_net, {0: 5_000, 1: 7_000}, {0: 6_000, 1: 3_001}),
+            (_chain_net, {0: 0, 1: FLOW_BLOCK + 5, 7: 0}, {0: 0, 1: 40, 9: 0}),
+            (_one_fake_net, {0: 3_000, 1: 4_000}, {0: 2_500, 1: FLOW_BLOCK}),
+            (_three_type_net, {0: 0, 2: 1}, {0: 1, 1: 0, 2: 2}),
+        ],
+        ids=["below", "at", "across", "zero-count-types", "one-fake", "tiny-blocks"],
+    )
+    def test_columns_and_state_match_one_call_per_block(self, make_net, real, honey):
+        net = make_net()
+        for seed in (0, 5, 2**64 + 1):
+            rng = np.random.default_rng(seed)
+            flows = generate_flows(net, real, honey, rng)
+            expected, state = _reference_flows(net, real, honey, seed)
+            for name, want in zip(("origin", "destination", "info", "is_honey"), expected):
+                got = getattr(flows, name)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+            assert rng.bit_generator.state == state
+
+    def test_sizes_reach_across_chunks(self):
+        """The cases above hold one chunk exactly, and draw three."""
+        assert sum((FLOW_BLOCK - 1_000, 600, 400)) == FLOW_BLOCK
+        assert 2 * FLOW_BLOCK < sum((5_000, 7_000, 6_000, 3_001)) < 3 * FLOW_BLOCK
+
+    def test_an_unreachable_pair_before_a_bad_block_is_raised_first(self):
+        """Blocks in front of the first bad one are drawn: an unreachable
+        pair among them raises its TopologyError, not the bad block's
+        ConfigError (the island has no fake endpoint)."""
+        net = network_from_dict(_CHAIN_WITH_ISLAND)
+        with pytest.raises(ConfigError, match="no fake endpoints"):
+            generate_flows(net, {}, {0: 5}, seed=1)
+        with pytest.raises(TopologyError, match="no path"):
+            generate_flows(net, {0: 50}, {}, seed=1)
+        with pytest.raises(TopologyError, match="no path"):
+            generate_flows(net, {0: 50}, {0: 5}, seed=1)
+
+    def test_a_bad_block_before_an_unreachable_pair_is_raised_first(self):
+        """Type -1 sorts first and nobody advertises it: its ConfigError is
+        raised, and the type-0 block behind it is never drawn."""
+        net = network_from_dict(_CHAIN_WITH_ISLAND)
+        with pytest.raises(ConfigError, match="advertises vulnerability -1"):
+            generate_flows(net, {-1: 5, 0: 50}, {}, seed=1)
+
+    def test_draw_memory_is_the_table_plus_a_fixed_bound(self, chain_topology_path):
+        """The draw holds the table's columns (17 bytes a flow) and one
+        chunk's temporaries, whatever the count: drawing a whole type
+        block at once held about 51 bytes a flow more, and joining the
+        blocks copied the table."""
+        with open(chain_topology_path, encoding="utf-8") as fh:
+            net = network_from_dict(json.load(fh))
+        generate_flows(net, {0: 10}, {0: 10}, seed=1)  # first-call allocations
+        for per_type in (20_000, 150_000):
+            counts = {0: per_type, 1: per_type}
+            tracemalloc.start()
+            try:
+                flows = generate_flows(net, counts, counts, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(flows) == 4 * per_type
+            assert peak - 17 * len(flows) < 2**20
+
+
+class TestStatistic:
+    """_statistic against numpy's own mean and standard error, bit for bit."""
+
+    @staticmethod
+    def _reference(x, ddof=None):
+        """The mean or standard error from ``x.mean()`` and ``x.std()``,
+        recomputed from x over its largest magnitude when it overflows."""
+
+        def of(y):
+            return float(y.mean() if ddof is None else y.std(ddof=ddof) / np.sqrt(len(y)))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = of(x)
+            if not np.isfinite(value):
+                scale = float(np.max(np.abs(x)))
+                value = of(x / scale) * scale
+        return value
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 127, 128, 129, 1_000, 2_999, 3_000])
+    def test_matches_numpy_bit_for_bit(self, size):
+        for seed in range(6):
+            rng = np.random.default_rng([size, seed])
+            x = rng.normal(rng.uniform(-3, 3), 1.0, size=size) * 10.0 ** rng.integers(-150, 150)
+            assert _statistic(x).hex() == float(x.mean()).hex()
+            if size > 1:
+                want = float(x.std(ddof=1) / np.sqrt(size))
+                assert _statistic(x, ddof=1).hex() == want.hex()
+
+    @pytest.mark.parametrize("size", [2, 3, 50, 3_000])
+    def test_overflow_path_matches_the_scaled_numpy_statistic(self, size):
+        """Payoffs of ±1e308 overflow numpy's sum and squares; both ways
+        rescale and give the same finite bits."""
+        for seed in range(4):
+            rng = np.random.default_rng([size, seed, 308])
+            x = rng.choice([-1e308, 1e308, 9e307, -1.7e308], size=size)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(x.std(ddof=1))
+            for ddof in (None, 1):
+                got, want = _statistic(x, ddof), self._reference(x, ddof)
+                assert np.isfinite(got) and got.hex() == want.hex()
 
 
 class TestObserve:
@@ -944,7 +1111,8 @@ def _hops(topology: dict, origin: str, through_endpoints: bool) -> tuple[dict, d
 class TestRoutingOracle:
     def test_pair_index_matches_the_scalar_paths(self):
         """On 300 seeded graphs, every endpoint pair's reachability,
-        compromised crossing and switch incidence is the scalar router's."""
+        compromised crossing and switches, read along ``pred``, are the
+        scalar router's."""
         seen = Counter()
         for case in range(300):
             topology = _routing_topology(np.random.default_rng([2026, case]))
@@ -958,7 +1126,9 @@ class TestRoutingOracle:
                     path = paths.get((origin, dest))
                     assert net.reachable[o, d] == (path is not None)
                     on = set(path or ())
-                    assert net.incidence[:, o, d].tolist() == [s in on for s in net.switches]
+                    along = set(_path(net, o, d))
+                    assert [s in along for s in net.switches] == [s in on for s in net.switches]
+                    assert _path(net, o, d) == (path or ())
                     assert net.crosses[o, d] == bool(on & compromised)
                     if path is None:
                         seen["unreachable"] += o != d
