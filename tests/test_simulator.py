@@ -818,8 +818,9 @@ class TestHoneyTrafficRate:
 
     def test_memory_at_the_endpoint_cap(self):
         """Every switch of a 426-endpoint, 214-switch tree is rated from
-        the 2.9 MiB of per-pair counts; one product of the whole incidence
-        would have cast it to int64, 296 MiB."""
+        the 2.9 MiB of per-pair counts and a walk of the carried pairs up
+        ``pred``; a product with a switch × pair int64 array would take
+        296 MiB."""
         eps, links = {}, []
         for r in range(213):
             links.append(("c", f"r{r:03d}"))
