@@ -65,14 +65,13 @@ class CostCurve:
     them but the costs.
 
     ``curves`` are the attackable types' (type id, u(0..H)) pairs by id,
-    ``low`` is L and ``levels`` are L and the distinct kinks above it,
-    ascending. ``widths[k]`` holds ``_hold``'s width of each curve at
-    ``levels[k]``. It is filled the first time a search probes level k,
-    and every cost searched on this curve shares it.
+    and ``levels`` are L and the distinct kinks above it, ascending, so
+    ``levels[0]`` is L. ``widths[k]`` holds ``_hold``'s width of each
+    curve at ``levels[k]``. It is filled the first time a search probes
+    level k, and every cost searched on this curve shares it.
     """
 
     curves: tuple[tuple[int, np.ndarray], ...]
-    low: float
     levels: np.ndarray
     widths: dict[int, list[float]]
 
@@ -222,7 +221,7 @@ def cost_curve(spec: GameSpec) -> CostCurve:
     )
     low = max([0.0] + [float(u[-1]) for _, u in curves])
     levels = np.unique(np.concatenate([[low]] + [u for _, u in curves]))
-    return CostCurve(curves=curves, low=low, levels=levels[levels >= low], widths={})
+    return CostCurve(curves=curves, levels=levels[levels >= low], widths={})
 
 
 def strategy_at(spec: GameSpec, curve: CostCurve, tau: float) -> DefenderStrategy:
@@ -258,7 +257,7 @@ def solve_stackelberg(spec: GameSpec, curve: CostCurve | None = None) -> Equilib
     if curve is None:
         curve = cost_curve(spec)
     costs = [spec.types[type_id].honey_flow_cost for type_id, _ in curve.curves]
-    low = curve.low
+    low = float(curve.levels[0])
     top = curve.water_level(costs)
     levels = {
         AttackerAction.attack(type_id): min(top, float(u[0]))

@@ -27,10 +27,11 @@ from .strategies import AttackerModel, evaluate_matchup
 class HeuristicInput:
     """Per-type real values, fake-host values, and real-flow counts.
 
-    Values must be finite. Each count must be an integer in
-    [0, MAX_HONEY_FLOW_BOUND // 2], because the rule recommends up to twice
-    the count and ``exactness_gap`` plays twice the count as a honey bound.
-    Counts are checked as given, before numpy converts them.
+    There is at least one type. Values must be finite. Each count must
+    be an integer in [0, MAX_HONEY_FLOW_BOUND // 2], because the rule
+    recommends up to twice the count and ``exactness_gap`` plays twice the
+    count as a honey bound. Counts are checked as given, before numpy
+    converts them.
     """
 
     real_values: np.ndarray
@@ -43,6 +44,8 @@ class HeuristicInput:
         if rv.ndim != 1 or rv.shape != fv.shape or np.shape(self.real_flow_counts) != rv.shape:
             raise ValidationError("real/fake values and flow counts must be "
                                   "1-d vectors of equal length")
+        if not rv.size:
+            raise ValidationError("the rule needs at least one vulnerability type")
         if not (np.isfinite(rv).all() and np.isfinite(fv).all()):
             raise ValidationError("real and fake values must be finite")
         if np.any(rv <= 0):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -35,8 +36,8 @@ MAX_FLOWS_PER_TYPE = 10**6
 # topology, uniform or fixed policy). Mostly the cap bounds run time.
 MAX_EPISODES = 10**6
 # Largest endpoint count, and node (endpoint and switch) count, that
-# build_network accepts. The model holds pred, an endpoints × nodes int32
-# array (1.3 MB at the caps), and two endpoints² boolean arrays. Routing
+# build_network accepts. The model holds two endpoints × nodes arrays,
+# pred (int32, 1.3 MB at the caps) and crosses (bool, 0.3 MB). Routing
 # peaks at 10-13 MiB (tracemalloc) on a 426-endpoint network at the node
 # cap, whether its 214 switches form a two-level tree or a chain. On a
 # 2-vCPU host the tree routes in 23-29 ms; the chain, the deepest
@@ -69,14 +70,15 @@ class NetworkModel:
     """Endpoints, sorted switch ids, the compromised set, and the routing
     of every endpoint pair, which build_network computes once.
 
-    ``reachable`` and ``crosses`` are indexed by [origin, destination]
-    positions in ``ids``, the sorted endpoint ids: a path exists, and it
-    passes a compromised switch. ``pred`` is the routing itself, one
-    shortest-path tree per origin: ``pred[o, x]`` is the node before x on
-    the path from origin o, where positions are the endpoints, then the
-    sorted switches (``switches[s]`` at ``len(ids) + s``), and -1 where x
-    is o or unreachable from it. A pair's switches are found by following
-    ``pred`` back from the destination. A model changed with
+    ``pred`` and ``crosses`` are origins × nodes arrays, where origins are
+    the positions in ``ids``, the sorted endpoint ids, and nodes are the
+    endpoints, then the sorted switches (``switches[s]`` at
+    ``len(ids) + s``). ``pred`` is the routing itself, one shortest-path
+    tree per origin: ``pred[o, x]`` is the node before x on the path from
+    origin o, and -1 where x is o or unreachable from it, so a pair (o, d)
+    has a path when ``pred[o, d] >= 0``. ``crosses[o, x]`` says that path
+    passes a compromised switch before x. A pair's switches are found by
+    following ``pred`` back from the destination. A model changed with
     ``dataclasses.replace`` keeps the old routing, so build a new network
     instead. A network equals only itself: a flow table is read on
     ``flows.net``, the network it was drawn on.
@@ -86,7 +88,6 @@ class NetworkModel:
     switches: tuple[str, ...]
     compromised: frozenset[str]
     ids: tuple[str, ...]
-    reachable: np.ndarray = field(repr=False)
     crosses: np.ndarray = field(repr=False)
     pred: np.ndarray = field(repr=False)
 
@@ -115,9 +116,8 @@ class FlowTable:
         return len(self.info)
 
     def take(self, rows) -> FlowTable:
-        """The table restricted to ``rows`` (a slice, mask or index array)."""
-        if isinstance(rows, np.ndarray) and rows.dtype == bool:
-            rows = np.flatnonzero(rows)
+        """The table restricted to ``rows`` (a slice, mask or index array),
+        which indexes each column."""
         return FlowTable(
             self.net,
             self.origin[rows],
@@ -136,7 +136,6 @@ class OutcomeKind(enum.Enum):
 @dataclass(frozen=True)
 class EpisodeOutcome:
     kind: OutcomeKind
-    target: str
     attacker_payoff: float
     defender_payoff: float
 
@@ -282,14 +281,13 @@ def build_network(
         linked[position[a], position[b]] = linked[position[b], position[a]] = True
     watched = np.zeros(len(position), dtype=bool)
     watched[[position[s] for s in compromised]] = True
-    pred, via = _route(n, linked, watched)
+    pred, crosses = _route(n, linked, watched)
     return NetworkModel(
         endpoints=dict(endpoints),
         switches=switch_ids,
         compromised=compromised,
         ids=ids,
-        reachable=pred[:, :n] >= 0,
-        crosses=via[:, :n].copy(),
+        crosses=crosses,
         pred=pred,
     )
 
@@ -367,7 +365,8 @@ def generate_flows(
     per type. Each flow draws its destination, then its origin among the
     pool without that destination, each as one ``Generator.integers(high)``
     draw. The rows are drawn in chunks of ``FLOW_BLOCK`` flows that run
-    across block edges: one ``pcg.integers(rng, highs)`` call per chunk,
+    across block edges; a chunk's blocks are found by a bisect on the
+    blocks' row ranges. One ``pcg.integers(rng, highs)`` call per chunk,
     with each flow's two bounds in turn, gives the numbers that one
     ``integers(0, highs)`` call per type block would, and leaves the same
     generator state. The chunks are written straight into the table's
@@ -382,19 +381,23 @@ def generate_flows(
     check_flow_counts("honey", honey_counts)
     blocks, bad = _type_blocks(net, real_counts, honey_counts)
     rng = np.random.default_rng(seed)
-    total = sum(block.count for block in blocks)
+    total = blocks[-1].stop if blocks else 0
     origin = np.empty(total, dtype=np.int32)
     destination = np.empty(total, dtype=np.int32)
     info = np.empty(total, dtype=np.int64)
     is_honey = np.empty(total, dtype=bool)
-    for chunk in _chunks(blocks):
-        lo, hi = chunk[0][1], chunk[-1][2]
-        highs = np.empty(2 * (hi - lo), dtype=np.int64)
-        for block, a, b in chunk:
-            highs[2 * (a - lo) : 2 * (b - lo) : 2] = len(block.dests)
-            highs[2 * (a - lo) + 1 : 2 * (b - lo) : 2] = len(block.origins) - block.skip
+    starts = [block.start for block in blocks]
+    for lo in range(0, total, FLOW_BLOCK):
+        hi = min(lo + FLOW_BLOCK, total)
+        chunk = blocks[bisect_right(starts, lo) - 1 : bisect_left(starts, hi)]
+        highs = np.empty(2 * (hi - lo), dtype=np.int64)  # each flow's two bounds
+        for block in chunk:
+            a, b = 2 * (max(block.start, lo) - lo), 2 * (min(block.stop, hi) - lo)
+            highs[a:b:2] = len(block.dests)
+            highs[a + 1 : b : 2] = len(block.origins) - block.skip
         draws = pcg.integers(rng, highs)
-        for block, a, b in chunk:
+        for block in chunk:
+            a, b = max(block.start, lo), min(block.stop, hi)
             pick = draws[2 * (a - lo) : 2 * (b - lo) : 2]
             slot = draws[2 * (a - lo) + 1 : 2 * (b - lo) : 2]
             if block.skip:  # pass over the destination's own rank in the pool
@@ -403,7 +406,7 @@ def generate_flows(
             origin[a:b] = block.origins[slot]
             info[a:b] = block.vuln
             is_honey[a:b] = block.is_honey
-        missing = ~_pair_values(net.reachable, origin[lo:hi], destination[lo:hi])
+        missing = _pair_values(net.pred, origin[lo:hi], destination[lo:hi]) < 0
         if missing.any():
             k = lo + int(missing.argmax())
             raise TopologyError(
@@ -416,12 +419,13 @@ def generate_flows(
 
 @dataclass(frozen=True, eq=False)
 class _TypeBlock:
-    """One type's rows of a flow population: ``count`` flows to
-    ``dests``, from ``origins`` without the destination when ``skip``.
+    """One type's rows of a flow population, ``start`` to ``stop``: flows
+    to ``dests``, from ``origins`` without the destination when ``skip``.
     ``rank`` is each destination's position in ``origins``."""
 
     vuln: int
-    count: int
+    start: int
+    stop: int
     dests: np.ndarray
     origins: np.ndarray
     skip: bool
@@ -441,8 +445,11 @@ def _type_blocks(
     blocks = []
 
     def add(vuln, count, dests, origins, skip, is_honey):
+        start = blocks[-1].stop if blocks else 0
         rank = np.searchsorted(origins, dests)
-        blocks.append(_TypeBlock(vuln, count, dests, origins, skip, is_honey, rank))
+        blocks.append(
+            _TypeBlock(vuln, start, start + count, dests, origins, skip, is_honey, rank)
+        )
 
     def advertising(pool: np.ndarray, vuln: int) -> np.ndarray:
         return pool[[vuln in net.endpoints[ids[k]].weaknesses for k in pool]]
@@ -476,30 +483,11 @@ def _type_blocks(
     return blocks, None
 
 
-def _chunks(blocks: list[_TypeBlock]) -> Iterator[list[tuple[_TypeBlock, int, int]]]:
-    """The population's rows, ``FLOW_BLOCK`` at a time, as (block, start,
-    end) pieces in row order: each chunk's pieces of the blocks it
-    overlaps."""
-    chunk, edge, start = [], FLOW_BLOCK, 0
-    for block in blocks:
-        a, stop = start, start + block.count
-        while a < stop:
-            b = min(stop, edge)
-            chunk.append((block, a, b))
-            a = b
-            if b == edge:
-                yield chunk
-                chunk, edge = [], edge + FLOW_BLOCK
-        start = stop
-    if chunk:
-        yield chunk
-
-
 def _pair_values(matrix: np.ndarray, origin: np.ndarray, destination: np.ndarray) -> np.ndarray:
-    """``matrix[origin, destination]`` for an endpoints × endpoints matrix,
-    read at flat positions: ``np.take`` with one index array is about
-    three times faster than indexing with two."""
-    return np.take(matrix.ravel(), origin * len(matrix) + destination)
+    """``matrix[origin, destination]`` for an origins × nodes matrix of
+    the routing, read at flat positions: ``np.take`` with one index array
+    is about three times faster than indexing with two."""
+    return np.take(matrix.ravel(), origin * matrix.shape[1] + destination)
 
 
 @dataclass(frozen=True)
@@ -561,14 +549,10 @@ def attacker_episode(observation: Observation, chosen: int, row: int) -> Episode
 def _outcome(net: NetworkModel, chosen: int, destination: int, honey: bool) -> EpisodeOutcome:
     target = net.endpoints[net.ids[destination]]
     if honey:
-        return EpisodeOutcome(
-            OutcomeKind.DEFEAT, target.id, target.attacker_value, -target.attacker_value
-        )
+        return EpisodeOutcome(OutcomeKind.DEFEAT, target.attacker_value, -target.attacker_value)
     if chosen in target.weaknesses:
-        return EpisodeOutcome(
-            OutcomeKind.SUCCESS, target.id, target.attacker_value, -target.defender_value
-        )
-    return EpisodeOutcome(OutcomeKind.NOOP, target.id, 0.0, 0.0)
+        return EpisodeOutcome(OutcomeKind.SUCCESS, target.attacker_value, -target.defender_value)
+    return EpisodeOutcome(OutcomeKind.NOOP, 0.0, 0.0)
 
 
 def episode_draws(

@@ -817,6 +817,15 @@ class TestHeuristicCommand:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_empty_type_list_is_one_error_line(self, capsys, fmt):
+        """No type is no game: like ratio, simulate, bench and sweep,
+        heuristic rejects an empty list rather than print an empty answer."""
+        empty = ("--real-values", "", "--fake-values", "", "--real-flows", "")
+        code, out, err = _run(capsys, "heuristic", *empty, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: the rule needs at least one vulnerability type\n"
+
 
 class TestSimulate:
     def test_fixed_honey_counts(self, capsys, chain_topology_path):

@@ -329,10 +329,14 @@ class TestCostCurve:
         """One curve, solved first at the spec's own per-type costs and then
         at one common cost, gives at each cost the equilibrium of a fresh
         solve with its own curve, with no warning on the way: the width
-        memo the two searches share holds nothing that depends on a cost."""
+        memo the two searches share holds nothing that depends on a cost.
+        The curve's lowest level is L, max(0, max of u(H)), which the
+        solver reads as ``levels[0]``."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             curve = equilibrium.cost_curve(spec)
+            u_at_h = [float(spec.attack_values[i].min()) for i in spec.attackable_ids]
+            assert curve.levels[0] == max([0.0, *u_at_h])
             for priced in (spec, spec.with_cost(common)):
                 _assert_same_equilibrium(
                     solve_stackelberg(priced, curve), solve_stackelberg(priced)

@@ -142,14 +142,15 @@ class TestBuildNetwork:
             _chain_net(links=[(b, a) for a, b in CHAIN_LINKS]),
             _chain_net(extra_links=CHAIN_LINKS[::2]),
         ):
-            for name in ("reachable", "crosses", "pred"):
+            for name in ("crosses", "pred"):
                 assert np.array_equal(getattr(other, name), getattr(net, name))
         moved = _chain_net(compromised=("s1",))
         assert not np.array_equal(moved.crosses, net.crosses)
         assert np.array_equal(moved.pred, net.pred)
         shortcut = _chain_net(extra_links=[("s1", "s3")])
         assert not np.array_equal(shortcut.pred, net.pred)
-        assert np.array_equal(shortcut.reachable, net.reachable)
+        n = len(net.ids)
+        assert np.array_equal(shortcut.pred[:, :n] >= 0, net.pred[:, :n] >= 0)
 
     @pytest.mark.parametrize(
         "links, compromised, message",
@@ -181,7 +182,7 @@ class TestBuildNetwork:
         more of either is not."""
         eps = {f"e{k}": _endpoint(f"e{k}") for k in range(MAX_ENDPOINTS)}
         net = build_network(eps, ["s0"], [(e, "s0") for e in eps])
-        assert net.reachable.sum() == MAX_ENDPOINTS * (MAX_ENDPOINTS - 1)
+        assert (net.pred[:, :MAX_ENDPOINTS] >= 0).sum() == MAX_ENDPOINTS * (MAX_ENDPOINTS - 1)
         more = {**eps, "z": _endpoint("z")}
         with pytest.raises(TopologyError, match="at most"):
             build_network(more, ["s0"], [(e, "s0") for e in more])
@@ -189,7 +190,7 @@ class TestBuildNetwork:
         two = {e: eps[e] for e in ("e0", "e1")}
         switches = [f"s{k}" for k in range(MAX_NODES - 2)]
         links = [("e0", "s0"), ("e1", "s0")] + [("s0", s) for s in switches[1:]]
-        assert build_network(two, switches, links).reachable[0, 1]
+        assert build_network(two, switches, links).pred[0, 1] >= 0
         with pytest.raises(TopologyError, match="at most"):
             build_network(two, [*switches, "t"], links)
 
@@ -373,8 +374,12 @@ class TestChunkedDraw:
             (_chain_net, {0: 0, 1: FLOW_BLOCK + 5, 7: 0}, {0: 0, 1: 40, 9: 0}),
             (_one_fake_net, {0: 3_000, 1: 4_000}, {0: 2_500, 1: FLOW_BLOCK}),
             (_three_type_net, {0: 0, 2: 1}, {0: 1, 1: 0, 2: 2}),
+            (_chain_net, {0: 2 * FLOW_BLOCK + 7}, {}),
         ],
-        ids=["below", "at", "across", "zero-count-types", "one-fake", "tiny-blocks"],
+        ids=[
+            "below", "at", "across", "zero-count-types", "one-fake", "tiny-blocks",
+            "one-block-three-chunks",
+        ],
     )
     def test_columns_and_state_match_one_call_per_block(self, make_net, real, honey):
         net = make_net()
@@ -1113,24 +1118,28 @@ class TestRoutingOracle:
     def test_pair_index_matches_the_scalar_paths(self):
         """On 300 seeded graphs, every endpoint pair's reachability,
         compromised crossing and switches, read along ``pred``, are the
-        scalar router's."""
+        scalar router's; so is ``crosses`` at each switch on the path,
+        which says an earlier switch on it is compromised."""
         seen = Counter()
         for case in range(300):
             topology = _routing_topology(np.random.default_rng([2026, case]))
             net = network_from_dict(topology)
             paths = _scalar_paths(topology)
             compromised = set(topology["compromised"])
+            column = {s: len(net.ids) + k for k, s in enumerate(net.switches)}
             for o, origin in enumerate(net.ids):
                 dist, ties = _hops(topology, origin, through_endpoints=False)
                 shortcut, _ = _hops(topology, origin, through_endpoints=True)
                 for d, dest in enumerate(net.ids):
                     path = paths.get((origin, dest))
-                    assert net.reachable[o, d] == (path is not None)
+                    assert (net.pred[o, d] >= 0) == (path is not None)
                     on = set(path or ())
                     along = set(_path(net, o, d))
                     assert [s in along for s in net.switches] == [s in on for s in net.switches]
                     assert _path(net, o, d) == (path or ())
                     assert net.crosses[o, d] == bool(on & compromised)
+                    for k, s in enumerate(path or ()):
+                        assert net.crosses[o, column[s]] == bool(compromised & set(path[:k]))
                     if path is None:
                         seen["unreachable"] += o != d
                         continue
