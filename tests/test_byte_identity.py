@@ -96,6 +96,14 @@ COMMANDS = {
         for fmt in ("json", "csv")
     ],
     "cli-input-errors": [argv for argv, _ in BAD_ARGUMENTS.values()],
+    # Point masses at cost 0 where ratios share a count (0 and 0.1, 0.2
+    # and 0.3 at 3 real flows) and the top two reach the bound; then the
+    # matchup grid's baselines on games with equal real and honey values.
+    "cli-point-masses-and-baselines": [
+        ["ratio", "--real-values", "10,20", "--fake-values", "9,4",
+         "--ratios", "0,0.1,0.2,0.3,1.5,1.9,2", "--real-flows", "3,7", "--cost", "0"],
+        ["matchup", "--trials", "3", "--value-mode", MODE_FAKE_EQUALS_REAL],
+    ],
 }
 
 # Run with --output; the written file and its sidecar are hashed too.
