@@ -34,6 +34,7 @@ from .game import (
     spec_from_dict,
     spec_to_dict,
     summarize,
+    summarize_counts,
     utilities,
 )
 from .heuristics import HeuristicInput, exactness_gap, recommend_honey_flows
@@ -80,6 +81,7 @@ __all__ = [
     "spec_from_dict",
     "spec_to_dict",
     "summarize",
+    "summarize_counts",
     "uniform_attacker",
     "uniform_random_strategy",
     "utilities",

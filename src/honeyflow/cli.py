@@ -21,14 +21,9 @@ from collections.abc import Iterable, Sequence
 from . import experiments, simulator
 from .equilibrium import solve_stackelberg, verify_equilibrium
 from .errors import HoneyflowError
-from .game import load_spec, spec_to_dict, summarize, to_json
+from .game import load_spec, spec_to_dict, summarize, summarize_counts, to_json
 from .heuristics import HeuristicInput, recommend_honey_flows
-from .strategies import (
-    AttackerModel,
-    evaluate_matchup,
-    no_deception_strategy,
-    uniform_random_strategy,
-)
+from .strategies import AttackerModel, evaluate_matchup, uniform_random_strategy
 
 DEFAULT_SEED = 20200207
 
@@ -239,12 +234,12 @@ def _cmd_evaluate(args) -> None:
     if args.dump_spec:
         _emit(to_json(spec_to_dict(spec)), args.dump_spec)
     if args.defender == "stackelberg":
-        strategy = solve_stackelberg(spec).strategy
+        summary = summarize(spec, solve_stackelberg(spec).strategy)
     elif args.defender == "uniform":
-        strategy = uniform_random_strategy(spec)
+        summary = summarize(spec, uniform_random_strategy(spec))
     else:
-        strategy = no_deception_strategy(spec)
-    result = evaluate_matchup(spec, summarize(spec, strategy), AttackerModel(args.attacker))
+        summary = summarize_counts(spec, [0] * len(spec.types))
+    result = evaluate_matchup(spec, summary, AttackerModel(args.attacker))
     behavior = (
         str(result.attacker_behavior)
         if not isinstance(result.attacker_behavior, dict)

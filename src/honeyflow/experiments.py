@@ -27,18 +27,14 @@ from .game import (
     MAX_HONEY_FLOW_BOUND,
     MAX_STRATEGY_SIZE,
     MAX_TYPES,
-    DefenderStrategy,
     GameSpec,
+    Summary,
     VulnerabilityType,
     summarize,
+    summarize_counts,
 )
 from .heuristics import ratio_game, round_half_up
-from .strategies import (
-    AttackerModel,
-    evaluate_matchup,
-    no_deception_strategy,
-    uniform_random_strategy,
-)
+from .strategies import AttackerModel, evaluate_matchup, uniform_random_strategy
 
 MODE_FAKE_ZERO = "fake-zero-real-one"
 MODE_FAKE_EQUALS_REAL = "fake-equals-real-random"
@@ -165,29 +161,51 @@ def _metadata(params: GeneratorParams | None, **extra) -> dict:
 _DEFENDERS = ("stackelberg", "uniform", "no-deception")
 
 
+def _uniform_summaries(base: GameSpec, costs: Sequence[float]) -> list[Summary]:
+    """``summarize(base.with_cost(c), uniform_random_strategy(base))`` for
+    each c in ``costs``, bit for bit. The uniform marginals are dotted with
+    the hit and count tables once, as ``summarize`` dots them; each cost
+    then adds up the per-type expected counts times the cost, in type
+    order, as ``summarize`` adds them."""
+    uniform = uniform_random_strategy(base)
+    hit, _ = summarize(base, uniform)
+    honey = [float(m @ base.honey_counts[: m.size]) for m in uniform.marginals]
+    summaries = []
+    for c in costs:
+        cost = 0.0
+        for n in honey:
+            cost += n * c
+        summaries.append((hit, cost))
+    return summaries
+
+
 def _mean_values(swept: Sequence[GeneratorParams], game_seeds, attackers) -> list[dict]:
     """For each of ``swept``, which differ only in their cost: the mean
     (defender value, attacker value) of each defender in ``_DEFENDERS``
     against each attacker model, keyed (defender, model), over one game
     drawn per seed.
 
-    Each game is drawn, and its baselines and ``cost_curve`` built, once,
-    at the first cost; ``GameSpec.with_cost`` gives it each other cost, and
+    Each game is drawn, and its ``cost_curve`` built, once, at the first
+    cost; ``GameSpec.with_cost`` gives it each other cost, and
     ``solve_stackelberg`` solves it there on that one curve, so the tau*
-    searches at all costs share the curve's width memo. Each defender's
-    strategy is summarized once per game and cost (the Stackelberg one by
-    its solve), and every attacker model is scored from that one summary.
-    Sums run in seed order at each cost.
+    searches at all costs share the curve's width memo. Each defender has
+    one summary per game and cost: the Stackelberg one from its solve, the
+    uniform baseline's from ``_uniform_summaries`` (its dense marginals are
+    summarized once per game and priced at each cost), and the
+    no-deception baseline's from ``summarize_counts`` at counts 0. Every
+    attacker model is scored from that one summary. Sums run in seed order
+    at each cost.
     """
     sums = [{(d, a): [0.0, 0.0] for d in _DEFENDERS for a in attackers} for _ in swept]
     for game_seed in game_seeds:
         base = random_game(swept[0], game_seed)
-        baselines = (uniform_random_strategy(base), no_deception_strategy(base))
+        uniform = _uniform_summaries(base, [params.cost for params in swept])
+        no_honey = [0] * len(base.types)
         curve = cost_curve(base)
         for k, params in enumerate(swept):
             spec = base.with_cost(params.cost) if k else base
             eq = solve_stackelberg(spec, curve)
-            summaries = (eq.summary, *(summarize(spec, strategy) for strategy in baselines))
+            summaries = (eq.summary, uniform[k], summarize_counts(spec, no_honey))
             for name, summary in zip(_DEFENDERS, summaries):
                 for attacker in attackers:
                     result = evaluate_matchup(spec, summary, attacker)
@@ -256,9 +274,13 @@ def ratio_analysis(
     """Defender value of fixed honey/real ratios across real-flow counts.
 
     ``fake_values`` are fake-host magnitudes: hitting one costs the
-    attacker that much (the honey payoff is their negation). For each
-    real-flow count the argmax ratio over the grid (the knee) lands in the
-    metadata under ``optimal_ratios``.
+    attacker that much (the honey payoff is their negation). Each cell
+    plays the ratio's rounded honey count on every type, capped at the
+    count of the largest ratio, and is scored from ``summarize_counts``
+    against a rational attacker. For each real-flow count the argmax ratio
+    over the grid (the knee) lands in the metadata under
+    ``optimal_ratios``; a count given twice is rejected, since both would
+    share that one entry.
     """
     if not ratios or not all(0 <= r < math.inf for r in ratios):  # NaN fails too
         raise ConfigError("ratio grid must be nonempty, finite and nonnegative")
@@ -268,6 +290,11 @@ def ratio_analysis(
         )
     if not real_flow_counts or min(real_flow_counts) < 1:
         raise ConfigError("real-flow counts must be nonempty and at least 1")
+    seen = set()
+    for rf in real_flow_counts:
+        if rf in seen:
+            raise ConfigError(f"real-flow count {rf} is given more than once")
+        seen.add(rf)
     max_ratio = max(ratios)
     n = len(real_values)
     rows = []
@@ -283,8 +310,9 @@ def ratio_analysis(
         best: tuple[float, float] | None = None
         for ratio in ratios:
             j = min(round_half_up(ratio * rf), bound)
-            summary = summarize(spec, DefenderStrategy.from_counts(spec, [j] * n))
-            result = evaluate_matchup(spec, summary, AttackerModel.RATIONAL)
+            result = evaluate_matchup(
+                spec, summarize_counts(spec, [j] * n), AttackerModel.RATIONAL
+            )
             rows.append((int(rf), float(ratio), result.defender_value, result.attacker_value))
             if best is None or result.defender_value > best[1]:
                 best = (float(ratio), result.defender_value)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .equilibrium import solve_stackelberg
 from .errors import ValidationError
-from .game import MAX_HONEY_FLOW_BOUND, DefenderStrategy, GameSpec, VulnerabilityType, summarize
+from .game import MAX_HONEY_FLOW_BOUND, GameSpec, VulnerabilityType, summarize_counts
 from .strategies import AttackerModel, evaluate_matchup
 
 
@@ -136,8 +136,9 @@ def exactness_gap(inp: HeuristicInput, cost: float) -> HeuristicGap:
     """
     spec = game_from_heuristic_input(inp, cost)
     counts = recommend_honey_flows(inp)
-    strategy = DefenderStrategy.from_counts(spec, counts.tolist())
-    played = evaluate_matchup(spec, summarize(spec, strategy), AttackerModel.RATIONAL)
+    played = evaluate_matchup(
+        spec, summarize_counts(spec, counts.tolist()), AttackerModel.RATIONAL
+    )
     exact = solve_stackelberg(spec)
     return HeuristicGap(
         heuristic_counts=counts,

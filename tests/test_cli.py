@@ -1049,6 +1049,15 @@ class TestReportCommands:
         assert lines[0] == "real_flows,ratio,defender_value,attacker_value"
         assert len(lines) == 4
 
+    def test_ratio_repeated_real_flow_count_is_one_error_line(self, capsys, tmp_path):
+        """A repeated count would write its CSV block twice for one
+        ``optimal_ratios`` entry; it exits 1 and writes nothing."""
+        path = tmp_path / "ratio.csv"
+        code, out, err = _run(capsys, "ratio", "--real-flows", "10,10", "--output", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: real-flow count 10 is given more than once\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_csv_output(self, capsys, tmp_path):
         argv = [
             "sweep",

@@ -38,7 +38,9 @@ from honeyflow.strategies import (
     AttackerModel,
     evaluate_matchup,
     no_deception_strategy,
+    uniform_random_strategy,
 )
+from test_byte_identity import SWEEP_COSTS
 
 SMALL = GeneratorParams(
     type_count=3, real_flows=5, honey_bound_range=(3, 6), cost=0.01
@@ -212,23 +214,45 @@ class TestMatchupGrid:
         )
 
     def test_each_defender_is_summarized_once(self, monkeypatch):
-        """Every attacker model scores a defender from one summary per game.
-        The solve summarizes the Stackelberg strategy, so the grid makes
-        four summaries (2 games x 2 baselines) for 18 matchups."""
-        summaries, matchups = [], []
-
+        """Every attacker model scores a defender from one summary per game
+        and cost. The solve summarizes the Stackelberg strategy and the
+        no-deception baseline is a point mass, so only the uniform baseline
+        goes through ``summarize``, once per game whatever the number of
+        costs: 2 summaries for 2 games, for 18 matchups in the grid and
+        30 in a 5-cost sweep."""
         def counted(log, fn):
             def wrapper(*args):
                 log.append(1)
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(experiments, "summarize", counted(summaries, summarize))
-        monkeypatch.setattr(
-            experiments, "evaluate_matchup", counted(matchups, evaluate_matchup)
-        )
-        matchup_grid(SMALL, trials=2)
-        assert (len(summaries), len(matchups)) == (4, 18)
+        for study, counts in (
+            (lambda: matchup_grid(SMALL, trials=2), (2, 18)),
+            (lambda: cost_sweep(SMALL, costs=DEFAULT_COST_SWEEP, trials=2), (2, 30)),
+        ):
+            summaries, matchups = [], []
+            monkeypatch.setattr(experiments, "summarize", counted(summaries, summarize))
+            monkeypatch.setattr(
+                experiments, "evaluate_matchup", counted(matchups, evaluate_matchup)
+            )
+            study()
+            assert (len(summaries), len(matchups)) == counts
+
+    @pytest.mark.parametrize("mode", [MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL])
+    def test_uniform_baseline_is_priced_bit_for_bit_at_every_cost(self, mode):
+        """The uniform baseline, summarized once and priced per cost, is
+        ``summarize`` of the game at that cost, to the bit, at every cost
+        of the byte-identity sweep and at the smallest and a huge cost."""
+        costs = (*SWEEP_COSTS, 5e-324, 1e300)
+        for seed in range(8):
+            spec = random_game(GeneratorParams(type_count=5, value_mode=mode), seed)
+            priced = experiments._uniform_summaries(spec, costs)
+            for cost, (hit, total) in zip(costs, priced):
+                want_hit, want_total = summarize(
+                    spec.with_cost(cost), uniform_random_strategy(spec)
+                )
+                assert [h.hex() for h in hit] == [h.hex() for h in want_hit]
+                assert total.hex() == want_total.hex(), (seed, cost)
 
 
 class TestRatioAnalysis:
@@ -280,6 +304,15 @@ class TestRatioAnalysis:
     def test_negative_ratio_rejected(self):
         with pytest.raises(ConfigError):
             ratio_analysis([1.0], [0.5], [-0.1, 0.5], [5], 0.1)
+
+    def test_repeated_real_flow_count_rejected_before_any_game(self, monkeypatch):
+        """Each real-flow count has one ``optimal_ratios`` entry, so a count
+        given twice would write two identical blocks for one entry."""
+        built = []
+        monkeypatch.setattr(experiments, "ratio_game", lambda *a: built.append(a))
+        with pytest.raises(ConfigError, match="real-flow count 10 is given more than once"):
+            ratio_analysis([1.0], [0.5], [0.5, 1.0], [15, 10, 20, 10], 0.1)
+        assert built == []
 
 
 class TestScalabilityBench:

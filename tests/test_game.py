@@ -23,8 +23,15 @@ from honeyflow.game import (
     spec_from_dict,
     spec_to_dict,
     summarize,
+    summarize_counts,
     to_json,
     utilities,
+)
+from honeyflow.experiments import (
+    MODE_FAKE_EQUALS_REAL,
+    MODE_FAKE_ZERO,
+    GeneratorParams,
+    random_game,
 )
 from honeyflow.strategies import AttackerModel, evaluate_matchup
 
@@ -339,6 +346,67 @@ class TestHoneyCost:
         spec = GameSpec((VulnerabilityType(0, 1.0, 0.0, 1, 1, 0.1),))
         strategy = DefenderStrategy((np.array([0.0, 1.0]),))
         assert summarize(spec, strategy)[1] == pytest.approx(0.1, abs=1e-12)
+
+
+def _point_mass_corpus():
+    """Seeded games for the point-mass summary: generator games in both
+    value modes, then 1 to 4 types with values of either sign up to 1e300,
+    real-flow counts including 0 and 2**60, and costs 0, 5e-324, 1e300 or
+    anything between."""
+    for mode in (MODE_FAKE_ZERO, MODE_FAKE_EQUALS_REAL):
+        for seed in range(10):
+            params = GeneratorParams(
+                type_count=4, real_flows=(0, 50), honey_bound_range=(0, 60), value_mode=mode
+            )
+            yield random_game(params, seed)
+    for seed in range(300):
+        rng = np.random.default_rng([20200207, seed])
+        types = []
+        for i in range(int(rng.integers(1, 5))):
+            scale = float(rng.choice([1.0, 1e6, 1e300]))
+            real = float(rng.uniform(-scale, scale))
+            honey = real if rng.random() < 0.2 else float(rng.uniform(-scale, real))
+            cost = float(rng.choice([0.0, 5e-324, 1e300, 10.0 ** rng.uniform(-300, 300)]))
+            flows = int(rng.choice([0, 2**60, int(rng.integers(1, 41))]))
+            bound = int(rng.integers(0, 31))
+            types.append(VulnerabilityType(i, real, honey, flows, bound, cost))
+        yield GameSpec(tuple(types))
+
+
+class TestSummarizeCounts:
+    def test_matches_the_dense_summary_bit_for_bit(self):
+        """Every hit and the cost equal ``summarize`` of the ``from_counts``
+        strategy to the bit, at counts 0, H and random counts between."""
+        rng = np.random.default_rng(7)
+        seen = set()
+        for spec in _point_mass_corpus():
+            bounds = [t.honey_flow_bound for t in spec.types]
+            for counts in (
+                [0] * len(bounds),
+                bounds,
+                [int(rng.integers(0, h + 1)) for h in bounds],
+            ):
+                want_hit, want_cost = summarize(spec, DefenderStrategy.from_counts(spec, counts))
+                hit, cost = summarize_counts(spec, counts)
+                assert [h.hex() for h in hit] == [h.hex() for h in want_hit], (spec, counts)
+                assert cost.hex() == want_cost.hex(), (spec, counts)
+            seen.update(t.real_flow_count for t in spec.types)
+            seen.update(t.honey_flow_cost for t in spec.types)
+        assert {0, 2**60, 0.0, 5e-324, 1e300} <= seen
+
+    def test_count_outside_the_bound_raises_as_from_counts_does(self, worked_example):
+        """A count of -1 must not read the table from its end, nor one
+        past H raise IndexError: both raise ``from_counts``' ShapeError."""
+        for j in (-1, worked_example.types[1].honey_flow_bound + 1):
+            with pytest.raises(ShapeError) as dense:
+                DefenderStrategy.from_counts(worked_example, [0, j])
+            with pytest.raises(ShapeError) as direct:
+                summarize_counts(worked_example, [0, j])
+            assert str(direct.value) == str(dense.value)
+
+    def test_wrong_number_of_counts_raises(self, worked_example):
+        with pytest.raises(ShapeError, match="expected 2 counts, got 3"):
+            summarize_counts(worked_example, [0, 0, 0])
 
 
 class TestUtilities:

@@ -16,9 +16,12 @@ import os
 import numpy as np
 import pytest
 
-from honeyflow import simulator
+from honeyflow import experiments, simulator
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+
+
+STUDY_GAME = experiments.GeneratorParams(type_count=3, real_flows=5, honey_bound_range=(3, 6))
 
 
 def _targets() -> tuple[tuple[str, str, str], ...]:
@@ -62,3 +65,35 @@ def test_run_trials_calls_attacker_episode_once_per_episode_in_draw_order(monkey
     drawn = zip(*(np.concatenate(column).tolist() for column in zip(*blocks)))
     assert calls == list(drawn)
     assert sum(row.episodes for row in report.rows) == episodes
+
+
+@pytest.mark.parametrize(
+    "study, matchups",
+    [
+        (lambda: experiments.cost_sweep(STUDY_GAME, costs=(0.0, 1e-3, 0.5), trials=2), 2 * 3 * 3),
+        (lambda: experiments.matchup_grid(STUDY_GAME, trials=3), 3 * 9),
+        (
+            lambda: experiments.ratio_analysis(
+                [10.0, 20.0], [9.0, 4.0], [0.0, 0.1, 0.5, 2.0], [3, 7, 10], 0.1
+            ),
+            3 * 4,
+        ),
+    ],
+    ids=["cost-sweep", "matchup-grid", "ratio-analysis"],
+)
+def test_studies_call_evaluate_matchup_once_per_matchup(monkeypatch, study, matchups):
+    """perfbench counts ``strategies.matchups`` as the calls of a wrapper on
+    ``experiments.evaluate_matchup``; each study must score every matchup
+    through the module, once: trials x costs x 3 defenders in a sweep,
+    trials x 9 in the grid, real-flow counts x ratios in the ratio study."""
+    assert ("honeyflow.experiments", "evaluate_matchup", "strategies.matchup") in _targets()
+    calls = []
+    original = experiments.evaluate_matchup
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "evaluate_matchup", counted)
+    study()
+    assert len(calls) == matchups
